@@ -35,6 +35,7 @@ import (
 
 	"memsim/internal/consistency"
 	"memsim/internal/difftest"
+	"memsim/internal/litmus"
 )
 
 func main() {
@@ -69,7 +70,7 @@ func main() {
 		return
 	}
 
-	models, err := selectModels(*modelsF)
+	models, err := consistency.ParseModels(*modelsF)
 	if err != nil {
 		fatal(err)
 	}
@@ -116,16 +117,16 @@ func main() {
 		if *verbose {
 			fmt.Printf("ok   %-6d %s\n", prog.Seed, rep.Text)
 		}
-		for _, v := range rep.Violations() {
+		if fr := rep.Failed(); fr != nil { // one shrunk reproducer per program is enough
 			violations++
-			v := v
+			v := fr.Violations[0]
 			fmt.Printf("FAIL %-6d %s\n", prog.Seed, rep.Text)
 			fmt.Printf("     %s observed %q (seed %d), outside %d allowed outcomes\n",
-				v.Model, v.Outcome, v.Seed, len(v.Allowed))
-			model, _ := consistency.ParseModel(v.Model)
+				fr.Model, v.Outcome, v.Seed, len(fr.Allowed))
+			model, _ := consistency.ParseModel(fr.Model)
 			min := prog
-			var info *difftest.ShrinkInfo
 			if !*noShrink {
+				var info *difftest.ShrinkInfo
 				min, info, err = difftest.Shrink(ctx, prog, model, cfg)
 				if err != nil {
 					if ctx.Err() != nil {
@@ -135,7 +136,7 @@ func main() {
 					fatal(err)
 				}
 				fmt.Printf("     shrunk %d -> %d ops (%d candidates): %s\n",
-					info.FromOps, info.ToOps, info.Candidates, difftest.FormatProgram(min.Threads))
+					info.FromOps, info.ToOps, info.Candidates, litmus.FormatProgram(min.Threads))
 			}
 			// Re-check the minimized program to get its violation
 			// record (allowed set and replay spec match min, not prog).
@@ -143,16 +144,15 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if len(mrep.Violations) == 0 {
+			if mrep.OK() {
 				fatal(fmt.Errorf("difftest: shrunk program no longer violates (shrinker bug)"))
 			}
-			mv := mrep.Violations[0]
 			if *bundleDir != "" {
 				var origThreads = prog.Threads
 				if *noShrink {
 					origThreads = nil
 				}
-				b := difftest.NewBundle(min, origThreads, &mv, &gen, cfg)
+				b := difftest.NewBundle(min, origThreads, mrep, &gen, cfg)
 				path, err := b.Write(*bundleDir)
 				if err != nil {
 					fatal(err)
@@ -160,7 +160,6 @@ func main() {
 				bundles++
 				fmt.Printf("     bundle: %s\n", path)
 			}
-			break // one shrunk reproducer per program is enough
 		}
 	}
 
@@ -206,21 +205,6 @@ func replay(ctx context.Context, path string) error {
 	}
 	fmt.Println("  REPRODUCED")
 	return nil
-}
-
-func selectModels(s string) ([]consistency.Model, error) {
-	if s == "all" {
-		return consistency.Models, nil
-	}
-	var models []consistency.Model
-	for _, n := range strings.Split(s, ",") {
-		m, err := consistency.ParseModel(strings.TrimSpace(n))
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
-	}
-	return models, nil
 }
 
 func fatal(err error) {

@@ -1,8 +1,8 @@
 // litmus runs the memory-model conformance harness from the command
 // line: classic litmus tests generated onto the simulated machine,
 // executed under perturbed seeds, with every observed outcome checked
-// against the model's allowed set (the exhaustive SC-interleaving
-// oracle, plus each relaxed model's whitelisted reorderings).
+// against the model's allowed set, which the litmus engine derives
+// from the model's spec (the program-order edges it may relax).
 //
 // Usage:
 //
@@ -89,7 +89,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	models, err := selectModels(*modelF)
+	models, err := consistency.ParseModels(*modelF)
 	if err != nil {
 		fatal(err)
 	}
@@ -201,21 +201,6 @@ func selectTests(name string) ([]*litmus.Test, error) {
 	return tests, nil
 }
 
-func selectModels(name string) ([]consistency.Model, error) {
-	if name == "all" {
-		return consistency.Models, nil
-	}
-	var models []consistency.Model
-	for _, n := range strings.Split(name, ",") {
-		m, err := consistency.ParseModel(strings.TrimSpace(n))
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
-	}
-	return models, nil
-}
-
 func printReport(r *litmus.Report) {
 	verdict := "PASS"
 	if !r.OK() {
@@ -224,10 +209,7 @@ func printReport(r *litmus.Report) {
 	if r.Interrupted {
 		verdict = "PART"
 	}
-	allowed := make(map[string]bool, len(r.Allowed))
-	for _, k := range r.Allowed {
-		allowed[k] = true
-	}
+	allowed := litmus.KeySet(r.Allowed)
 	covered := 0
 	for k := range r.Witnessed {
 		if allowed[k] {

@@ -8,31 +8,6 @@ import (
 	"memsim/internal/litmus"
 )
 
-// TestEngineMatchesLitmusAllowed is the comparator's anchor: on every
-// declarative litmus-library test, under every model, the allowed-
-// outcome engine must reproduce exactly the oracle-plus-whitelist set
-// the conformance harness enforces. A mismatch either way means the
-// comparator and the harness have diverged on what a model allows.
-func TestEngineMatchesLitmusAllowed(t *testing.T) {
-	for _, lt := range litmus.Library() {
-		if lt.Threads == nil {
-			continue // custom tests (spin locks) have no declarative ops
-		}
-		for _, m := range consistency.Models {
-			spec := consistency.SpecFor(m)
-			got, err := Outcomes(lt, spec)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", lt.Name, m, err)
-			}
-			want := lt.AllowedKeys(spec)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: engine and litmus allowed sets differ\n engine: %v\n litmus: %v",
-					lt.Name, m, got, want)
-			}
-		}
-	}
-}
-
 // TestEngineForwardingShape pins the read-own-write-early semantics
 // with the 5-op n6-style program:
 //
@@ -56,14 +31,14 @@ func TestEngineForwardingShape(t *testing.T) {
 		{litmus.Op{Kind: litmus.OpStore, Loc: 1, Val: 2},
 			litmus.Op{Kind: litmus.OpStore, Loc: 0, Val: 2, Ann: litmus.AnnRelease}},
 	}
-	tt, _ := synthTest(prog)
+	tt, _ := litmus.SynthTest(prog)
 	const outcome = "P0:r4=1 P0:r5=0 | x=1 y=2"
 	allows := func(m consistency.Model) bool {
 		keys, err := Outcomes(tt, consistency.SpecFor(m))
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		return toSet(keys)[outcome]
+		return litmus.KeySet(keys)[outcome]
 	}
 	for _, m := range []consistency.Model{consistency.TSO, consistency.PSO, consistency.PC} {
 		if !allows(m) {
@@ -176,10 +151,10 @@ func TestCompareLattice(t *testing.T) {
 		}
 		if p.Witness.Ops > c.maxOps {
 			t.Errorf("pair (%s, %s): minimal witness has %d ops, want <= %d: %s",
-				c.weak, c.strong, p.Witness.Ops, c.maxOps, FormatProgram(p.Witness.Threads))
+				c.weak, c.strong, p.Witness.Ops, c.maxOps, litmus.FormatProgram(p.Witness.Threads))
 		}
 		t.Logf("%s \\ %s: %s :: %s", c.weak, c.strong,
-			FormatProgram(p.Witness.Threads), p.Witness.Outcome)
+			litmus.FormatProgram(p.Witness.Threads), p.Witness.Outcome)
 	}
 }
 
@@ -237,11 +212,11 @@ func TestVerifyOnHardware(t *testing.T) {
 		t.Errorf("witness not verified: %+v", v)
 	}
 	t.Logf("TSO \\ SC1 verified: %s :: %s (first hit seed %d, %d/%d hits)",
-		FormatProgram(p.Witness.Threads), p.Witness.Outcome, v.WeakHitSeed, v.WeakHits, v.Runs)
+		litmus.FormatProgram(p.Witness.Threads), p.Witness.Outcome, v.WeakHitSeed, v.WeakHits, v.Runs)
 
 	// Reverse direction must not exist: SC allows nothing TSO forbids.
 	if q := res.Pair("SC1", "TSO"); q != nil && q.Separated {
-		t.Errorf("SC1 \\ TSO separation claimed: %s", FormatProgram(q.Witness.Threads))
+		t.Errorf("SC1 \\ TSO separation claimed: %s", litmus.FormatProgram(q.Witness.Threads))
 	}
 }
 
@@ -281,7 +256,7 @@ func TestEnumerateCanonical(t *testing.T) {
 	count := 0
 	b.Enumerate(func(prog []litmus.Thread) bool {
 		count++
-		key := FormatProgram(prog)
+		key := litmus.FormatProgram(prog)
 		if seen[key] {
 			t.Fatalf("duplicate program: %s", key)
 		}

@@ -1,9 +1,16 @@
+// Package compare is the automatic model comparator: it computes, for
+// any pair of consistency models, a minimal litmus-style witness
+// program — one whose allowed-outcome set differs between the two
+// models — and assembles the full strictness lattice over the model
+// zoo. "Allowed" is the litmus package's spec-derived engine
+// ((*litmus.Test).Outcomes), the same set the conformance harness
+// enforces, so comparison and conformance are two queries over one
+// semantics.
 package compare
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"memsim/internal/consistency"
 	"memsim/internal/litmus"
@@ -20,32 +27,6 @@ type Class struct {
 	Sig    string            `json:"sig"`    // behavioral signature
 	rep    consistency.Model // representative for hardware runs
 	spec   consistency.Spec
-}
-
-// signatureOf fingerprints the dials the allowed-outcome engine reads.
-// Two specs with equal signatures produce identical outcome sets on
-// every program.
-func signatureOf(s consistency.Spec) string {
-	if s.SequentiallyConsistent() {
-		return "SC"
-	}
-	r := s.Relaxations()
-	flag := func(b bool, name string) string {
-		if b {
-			return name
-		}
-		return ""
-	}
-	ann := map[annMode]string{annInvisible: "", annTwoSided: "sync", annOneSided: "rel/acq"}[annModeOf(s)]
-	parts := []string{flag(r.WR, "WR"), flag(r.WW, "WW"), flag(r.RR, "RR"), flag(r.RW, "RW"),
-		flag(s.WriteBuffer, "fwd"), ann}
-	out := parts[:0]
-	for _, p := range parts {
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return strings.Join(out, "+")
 }
 
 // Witness is one minimal distinguishing program for an ordered class
@@ -108,7 +89,7 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 	for _, m := range models {
 		res.Models = append(res.Models, m.String())
 		spec := consistency.SpecFor(m)
-		sig := signatureOf(spec)
+		sig := litmus.Signature(spec)
 		c, ok := bySig[sig]
 		if !ok {
 			c = &Class{Name: m.String(), Sig: sig, rep: m, spec: spec}
@@ -136,7 +117,7 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 	sets := make([]map[string]bool, len(classes))
 	res.Exhausted = b.Enumerate(func(prog []litmus.Thread) bool {
 		res.Programs++
-		t, ops := synthTest(prog)
+		t, ops := litmus.SynthTest(prog)
 		outs := make([][]string, len(classes))
 		for ci, c := range classes {
 			out, err := Outcomes(t, c.spec)
@@ -145,7 +126,7 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 				return false
 			}
 			outs[ci] = out
-			sets[ci] = toSet(out)
+			sets[ci] = litmus.KeySet(out)
 		}
 		for pk, ps := range pairs {
 			if len(ps.candidates) >= maxCandidates {
@@ -207,74 +188,10 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 	return res, nil
 }
 
-func toSet(keys []string) map[string]bool {
-	m := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		m[k] = true
-	}
-	return m
-}
-
-// synthTest wraps an enumerated program as a runnable litmus test.
-func synthTest(prog []litmus.Thread) (*litmus.Test, int) {
-	return SynthTest(prog)
-}
-
-// SynthTest wraps an arbitrary declarative program as a runnable
-// litmus test: locations get the standard x/y/z/w names and the SC
-// outcome set comes from the interleaving oracle. The difftest
-// generator builds its random programs through this same path so the
-// comparator and the differential tester can never disagree about
-// what a program means.
-func SynthTest(prog []litmus.Thread) (*litmus.Test, int) {
-	nlocs, ops := 0, 0
-	for _, th := range prog {
-		ops += len(th)
-		for _, op := range th {
-			if op.Kind != litmus.OpFence && op.Loc >= nlocs {
-				nlocs = op.Loc + 1
-			}
-		}
-	}
-	return &litmus.Test{
-		Name:     "synth",
-		NLocs:    nlocs,
-		LocNames: []string{"x", "y", "z", "w"}[:nlocs],
-		Threads:  prog,
-	}, ops
-}
-
-// FormatProgram renders a witness program in litmus notation, e.g.
-// "P0: st x=1; ld y || P1: st y=1; ld x".
-func FormatProgram(prog []litmus.Thread) string {
-	names := []string{"x", "y", "z", "w"}
-	var threads []string
-	for _, th := range prog {
-		var ops []string
-		for _, op := range th {
-			switch {
-			case op.Kind == litmus.OpFence:
-				ops = append(ops, "fence")
-			case op.Kind == litmus.OpLoad && op.Ann == litmus.AnnAcquire:
-				ops = append(ops, "ldAcq "+names[op.Loc])
-			case op.Kind == litmus.OpLoad:
-				ops = append(ops, "ld "+names[op.Loc])
-			case op.Ann == litmus.AnnRelease:
-				ops = append(ops, fmt.Sprintf("stRel %s=%d", names[op.Loc], op.Val))
-			default:
-				ops = append(ops, fmt.Sprintf("st %s=%d", names[op.Loc], op.Val))
-			}
-		}
-		threads = append(threads, strings.Join(ops, "; "))
-	}
-	var b strings.Builder
-	for i, t := range threads {
-		if i > 0 {
-			b.WriteString(" || ")
-		}
-		fmt.Fprintf(&b, "P%d: %s", i, t)
-	}
-	return b.String()
+// Outcomes is the allowed outcome set of a test under a spec, as
+// sorted outcome keys.
+func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
+	return t.Outcomes(spec)
 }
 
 // ClassOf returns the lattice class containing model name, or nil.

@@ -48,46 +48,38 @@ type Verification struct {
 	Verified         bool   `json:"verified"`
 }
 
-// verifyWitness replays one candidate on both models.
+// verifyWitness replays one candidate on both models: one litmus.Run
+// per side, each checked against that side's own engine-allowed set.
 func verifyWitness(ctx context.Context, w *Witness, weak, strong consistency.Model, cfg VerifyConfig) (*Verification, error) {
-	t, _ := synthTest(w.Threads)
+	t, _ := litmus.SynthTest(w.Threads)
 	t.Name = fmt.Sprintf("witness-%s-not-%s", w.Weak, w.Strong)
+	run := func(side string, m consistency.Model) (*litmus.Report, error) {
+		rep, err := litmus.Run(t, m, litmus.Config{Runs: cfg.Runs, Seed: cfg.Seed, Ctx: ctx})
+		if err != nil {
+			return nil, fmt.Errorf("%s side %s: %w", side, m, err)
+		}
+		if rep.Interrupted {
+			return nil, ctx.Err()
+		}
+		return rep, nil
+	}
+	wr, err := run("weak", weak)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := run("strong", strong)
+	if err != nil {
+		return nil, err
+	}
 	v := &Verification{
-		WeakModel:      weak.String(),
-		StrongModel:    strong.String(),
-		Runs:           cfg.Runs,
-		WeakConformant: true, StrongConformant: true,
-	}
-	weakSet := toSet(w.WeakAllowed)
-	strongSet := toSet(w.StrongAllowed)
-	for i := 0; i < cfg.Runs; i++ {
-		seed := cfg.Seed + int64(i)
-		key, err := litmus.RunOne(ctx, t, weak, seed, consistency.MutNone)
-		if err != nil {
-			return nil, fmt.Errorf("weak side %s seed %d: %w", weak, seed, err)
-		}
-		if !weakSet[key] {
-			v.WeakConformant = false
-		}
-		if key == w.Outcome {
-			v.WeakHits++
-			if v.WeakHitSeed == 0 {
-				v.WeakHitSeed = seed
-			}
-		}
-	}
-	for i := 0; i < cfg.Runs; i++ {
-		seed := cfg.Seed + int64(i)
-		key, err := litmus.RunOne(ctx, t, strong, seed, consistency.MutNone)
-		if err != nil {
-			return nil, fmt.Errorf("strong side %s seed %d: %w", strong, seed, err)
-		}
-		if !strongSet[key] {
-			v.StrongConformant = false
-		}
-		if key == w.Outcome {
-			v.StrongViolations++
-		}
+		WeakModel:        weak.String(),
+		StrongModel:      strong.String(),
+		Runs:             wr.Runs,
+		WeakHits:         wr.Witnessed[w.Outcome],
+		WeakHitSeed:      wr.FirstSeed[w.Outcome],
+		WeakConformant:   wr.OK(),
+		StrongViolations: sr.Witnessed[w.Outcome],
+		StrongConformant: sr.OK(),
 	}
 	v.Verified = v.WeakHits > 0 && v.StrongViolations == 0 && v.WeakConformant && v.StrongConformant
 	return v, nil

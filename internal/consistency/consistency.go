@@ -90,30 +90,28 @@ func (m Model) String() string {
 // the letters) to a Model.
 func ParseModel(s string) (Model, error) {
 	for _, m := range Models {
-		if equalFold(s, m.String()) {
+		if strings.EqualFold(s, m.String()) {
 			return m, nil
 		}
 	}
 	return 0, fmt.Errorf("consistency: unknown model %q (valid: %s)", s, strings.Join(ModelNames(), ", "))
 }
 
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
+// ParseModels parses a CLI model selection: "all" for every model,
+// else a comma-separated list of model names.
+func ParseModels(s string) ([]Model, error) {
+	if s == "all" {
+		return Models, nil
 	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
+	var models []Model
+	for _, n := range strings.Split(s, ",") {
+		m, err := ParseModel(strings.TrimSpace(n))
+		if err != nil {
+			return nil, err
 		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
+		models = append(models, m)
 	}
-	return true
+	return models, nil
 }
 
 // Spec is the hardware behavior of a consistency model implementation.
@@ -176,7 +174,10 @@ type Spec struct {
 
 // Relaxation describes which of the four program-order edges between
 // shared accesses to *different* locations the hardware may visibly
-// break (the Adve/Gharachorloo relaxation axes). Same-location pairs,
+// break (the Adve/Gharachorloo relaxation axes). This is the one
+// statement of what each model relaxes: the litmus engine derives
+// every allowed-outcome set from it, for conformance, differential
+// testing and model comparison alike. Same-location pairs,
 // fences and sync-classed operations stay ordered regardless; a
 // write-buffer spec additionally lets a load read its own thread's
 // buffered store before that store performs globally.
@@ -188,8 +189,7 @@ type Relaxation struct {
 }
 
 // Relaxations derives the spec's visible reordering capabilities from
-// its hardware dials. The litmus whitelists and the model comparator's
-// allowed-outcome engine are both gated on these axes.
+// its hardware dials.
 func (s Spec) Relaxations() Relaxation {
 	if s.SequentiallyConsistent() {
 		return Relaxation{}

@@ -138,6 +138,23 @@ func TestParseModelCaseInsensitive(t *testing.T) {
 	}
 }
 
+func TestParseModels(t *testing.T) {
+	all, err := ParseModels("all")
+	if err != nil || len(all) != len(Models) {
+		t.Fatalf(`ParseModels("all") = %v, %v; want every model`, all, err)
+	}
+	got, err := ParseModels("SC1, tso,bWO1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Model{SC1, TSO, BWO1}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Errorf("ParseModels list = %v, want %v", got, want)
+	}
+	if _, err := ParseModels("SC1,sc3"); err == nil {
+		t.Error("ParseModels accepted an unknown model in a list")
+	}
+}
+
 func TestSpecForPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,9 +1,11 @@
 package difftest
 
 import (
+	"context"
 	"testing"
 
 	"memsim/internal/consistency"
+	"memsim/internal/litmus"
 )
 
 // TestEngineOracleAgreement sweeps generated programs through
@@ -23,7 +25,7 @@ func TestEngineOracleAgreement(t *testing.T) {
 		p := Generate(g, seed)
 		for _, m := range consistency.Models {
 			if _, err := AllowedSet(p, consistency.SpecFor(m)); err != nil {
-				t.Fatalf("program seed %d (%s) under %s: %v", seed, FormatProgram(p.Threads), m, err)
+				t.Fatalf("program seed %d (%s) under %s: %v", seed, litmus.FormatProgram(p.Threads), m, err)
 			}
 		}
 	}
@@ -47,9 +49,23 @@ func TestEngineOracleAgreementWideDials(t *testing.T) {
 			p := Generate(g, seed)
 			for _, m := range consistency.Models {
 				if _, err := AllowedSet(p, consistency.SpecFor(m)); err != nil {
-					t.Fatalf("dials %+v seed %d (%s) under %s: %v", g, seed, FormatProgram(p.Threads), m, err)
+					t.Fatalf("dials %+v seed %d (%s) under %s: %v", g, seed, litmus.FormatProgram(p.Threads), m, err)
 				}
 			}
 		}
+	}
+}
+
+// TestCheckModelRejectsOverCapacity: a program past the engine's op
+// limit is an error from the check, not a verdict against an empty
+// allowed set.
+func TestCheckModelRejectsOverCapacity(t *testing.T) {
+	long := make(litmus.Thread, MaxOps)
+	for i := range long {
+		long[i] = litmus.Op{Kind: litmus.OpStore, Loc: 0, Val: 1}
+	}
+	p := Program{Threads: []litmus.Thread{long, {{Kind: litmus.OpLoad, Loc: 0}}}}
+	if rep, err := CheckModel(context.Background(), p, consistency.SC1, CheckConfig{Runs: 1}); err == nil {
+		t.Fatalf("CheckModel accepted a %d-op program (allowed set %v)", p.Ops(), rep.Allowed)
 	}
 }

@@ -50,24 +50,25 @@ type Bundle struct {
 	Replay        *litmus.RunSpec `json:"replay"`
 }
 
-// NewBundle assembles a bundle from a violation of program p. orig,
-// when non-nil, is the pre-shrink program; gen, when non-nil, records
-// the generator dials.
-func NewBundle(p Program, orig []litmus.Thread, v *Violation, gen *GenConfig, cfg CheckConfig) *Bundle {
+// NewBundle assembles a bundle from the first violation in rep, the
+// failing model report of program p. orig, when non-nil, is the
+// pre-shrink program; gen, when non-nil, records the generator dials.
+func NewBundle(p Program, orig []litmus.Thread, rep *litmus.Report, gen *GenConfig, cfg CheckConfig) *Bundle {
 	cfg = cfg.withDefaults()
+	v := rep.Violations[0]
 	b := &Bundle{
 		Version:       BundleVersion,
 		Tool:          "difftest",
 		GenSeed:       p.Seed,
 		Gen:           gen,
-		Model:         v.Model,
+		Model:         rep.Model,
 		CheckSeed:     cfg.Seed,
 		Runs:          cfg.Runs,
-		Text:          FormatProgram(p.Threads),
+		Text:          litmus.FormatProgram(p.Threads),
 		Threads:       p.Threads,
 		Stride:        p.Stride,
 		Original:      orig,
-		Allowed:       v.Allowed,
+		Allowed:       rep.Allowed,
 		Observed:      v.Outcome,
 		ViolationSeed: v.Seed,
 		Replay:        v.Replay,
@@ -153,17 +154,10 @@ func ReplayBundle(ctx context.Context, b *Bundle) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ReplayResult{
+	return &ReplayResult{
 		Key:            key,
 		Reproduced:     key == b.Observed,
-		StillForbidden: true,
+		StillForbidden: !litmus.KeySet(allowed)[b.Observed],
 		Allowed:        allowed,
-	}
-	for _, k := range allowed {
-		if k == b.Observed {
-			res.StillForbidden = false
-			break
-		}
-	}
-	return res, nil
+	}, nil
 }

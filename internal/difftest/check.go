@@ -3,9 +3,7 @@ package difftest
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"memsim/internal/compare"
 	"memsim/internal/consistency"
 	"memsim/internal/litmus"
 	"memsim/internal/robust"
@@ -32,188 +30,120 @@ func (c CheckConfig) withDefaults() CheckConfig {
 	return c
 }
 
-// Violation is one hardware outcome outside the model's engine-
-// allowed set. Replay embeds the offending run's full spec, so the
-// violation reproduces bit-exactly from the record alone.
-type Violation struct {
-	Model   string          `json:"model"`
-	Seed    int64           `json:"seed"`
-	Outcome string          `json:"outcome"`
-	Allowed []string        `json:"allowed"`
-	Replay  *litmus.RunSpec `json:"replay,omitempty"`
-
-	prog Program // the program that produced it
-}
-
-// Error renders the violation as a typed robust.SimError, so callers
-// can classify it alongside the simulator's other structured
-// failures.
-func (v *Violation) Error() *robust.SimError {
-	return &robust.SimError{
-		Kind:      robust.Conformance,
-		Component: "difftest",
-		Unit:      -1,
-		Detail: fmt.Sprintf("%s hardware produced %q, outside its model's allowed set (program %s, seed %d)",
-			v.Model, v.Outcome, FormatProgram(v.prog.Threads), v.Seed),
-	}
-}
-
-// ModelReport is the verdict of one (program, model) check.
-type ModelReport struct {
-	Model      string         `json:"model"`
-	Runs       int            `json:"runs"`
-	Allowed    []string       `json:"allowed"` // engine-derived allowed outcome keys
-	Witnessed  map[string]int `json:"witnessed"`
-	Violations []Violation    `json:"violations,omitempty"`
-}
-
-// Report is the verdict of one program across a model set.
+// Report is the verdict of one program across a model set: one
+// litmus.Run report per model, each Allowed set the engine's.
 type Report struct {
-	Program Program       `json:"program"`
-	Text    string        `json:"text"` // litmus notation
-	Runs    int           `json:"runs"`
-	Models  []ModelReport `json:"models"`
+	Program Program          `json:"program"`
+	Text    string           `json:"text"` // litmus notation
+	Runs    int              `json:"runs"`
+	Models  []*litmus.Report `json:"models"`
 }
 
 // OK reports whether every model's every observed outcome was allowed.
-func (r *Report) OK() bool { return len(r.Violations()) == 0 }
+func (r *Report) OK() bool { return r.Failed() == nil }
 
-// Violations flattens the per-model violation lists.
-func (r *Report) Violations() []Violation {
-	var out []Violation
+// Failed returns the first model report holding a violation, or nil.
+func (r *Report) Failed() *litmus.Report {
 	for _, m := range r.Models {
-		out = append(out, m.Violations...)
+		if !m.OK() {
+			return m
+		}
 	}
-	return out
+	return nil
 }
 
-// synth wraps the program as a runnable litmus test.
-func synth(p Program) *litmus.Test {
-	t, _ := compare.SynthTest(p.Threads)
+// test wraps the program as a runnable litmus test.
+func (p Program) test() *litmus.Test {
+	t, _ := litmus.SynthTest(p.Threads)
 	t.Name = fmt.Sprintf("difftest-%d", p.Seed)
 	t.Stride = p.Stride
 	return t
 }
 
-// FormatProgram renders a program in litmus notation.
-func FormatProgram(threads []litmus.Thread) string {
-	return compare.FormatProgram(threads)
-}
-
-// AllowedSet computes the spec-derived engine's allowed outcome keys
-// for the program under one model, cross-validated against the SC
-// interleaving oracle: an SC spec's engine set must equal the oracle
-// set exactly, and a relaxed spec's must contain it (the engine only
-// ever adds outcomes by relaxing order). A mismatch is an engine
+// crossCheck validates one engine set against the program's SC
+// interleaving oracle set: an SC spec's engine set must equal the
+// oracle set exactly, and a relaxed spec's must contain it (the engine
+// only ever adds outcomes by relaxing order). A mismatch is an engine
 // soundness bug and comes back as a typed Conformance error.
-func AllowedSet(p Program, spec consistency.Spec) ([]string, error) {
-	t := synth(p)
-	engine, err := compare.Outcomes(t, spec)
-	if err != nil {
-		return nil, err
-	}
-	oracle := t.AllowedKeys(consistency.SpecFor(consistency.SC1))
-	engineSet := make(map[string]bool, len(engine))
-	for _, k := range engine {
-		engineSet[k] = true
-	}
+func crossCheck(p Program, spec consistency.Spec, engine, oracle []string) error {
+	engineSet := litmus.KeySet(engine)
 	for _, k := range oracle {
 		if !engineSet[k] {
-			return nil, &robust.SimError{
+			return &robust.SimError{
 				Kind:      robust.Conformance,
 				Component: "difftest",
 				Unit:      -1,
 				Detail: fmt.Sprintf("engine under %s drops SC-reachable outcome %q of program %s",
-					spec.Name, k, FormatProgram(p.Threads)),
+					spec.Name, k, litmus.FormatProgram(p.Threads)),
 			}
 		}
 	}
 	if spec.SequentiallyConsistent() && len(engine) != len(oracle) {
-		return nil, &robust.SimError{
+		return &robust.SimError{
 			Kind:      robust.Conformance,
 			Component: "difftest",
 			Unit:      -1,
 			Detail: fmt.Sprintf("engine under SC spec %s allows %d outcomes, oracle %d, on program %s",
-				spec.Name, len(engine), len(oracle), FormatProgram(p.Threads)),
+				spec.Name, len(engine), len(oracle), litmus.FormatProgram(p.Threads)),
 		}
 	}
-	return engine, nil
+	return nil
 }
 
-// CheckModel runs the program cfg.Runs times on the simulated
-// hardware under one model (each run drawing a different perturbation
-// from its seed) and checks every observed outcome against the
-// engine's allowed set.
-func CheckModel(ctx context.Context, p Program, model consistency.Model, cfg CheckConfig) (*ModelReport, error) {
-	cfg = cfg.withDefaults()
-	spec := consistency.SpecFor(model)
-	allowed, err := AllowedSet(p, spec)
+// AllowedSet computes the engine's allowed outcome keys for the
+// program under one model, cross-checked against the SC oracle.
+func AllowedSet(p Program, spec consistency.Spec) ([]string, error) {
+	t := p.test()
+	engine, err := t.Outcomes(spec)
 	if err != nil {
 		return nil, err
 	}
-	allowedSet := make(map[string]bool, len(allowed))
-	for _, k := range allowed {
-		allowedSet[k] = true
+	oracle, err := t.OracleKeys()
+	if err != nil {
+		return nil, err
 	}
-
-	t := synth(p)
-	rep := &ModelReport{
-		Model:     model.String(),
-		Runs:      cfg.Runs,
-		Allowed:   allowed,
-		Witnessed: make(map[string]int),
-	}
-	for i := 0; i < cfg.Runs; i++ {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		seed := cfg.Seed + int64(i)
-		key, err := litmus.RunOne(ctx, t, model, seed, cfg.Mutate)
-		if err != nil {
-			return nil, err
-		}
-		rep.Witnessed[key]++
-		if !allowedSet[key] {
-			rs, rerr := litmus.Setup(t, model, seed, cfg.Mutate)
-			if rerr != nil {
-				return nil, rerr
-			}
-			rep.Violations = append(rep.Violations, Violation{
-				Model:   model.String(),
-				Seed:    seed,
-				Outcome: key,
-				Allowed: allowed,
-				Replay:  rs,
-				prog:    p,
-			})
-		}
-	}
-	return rep, nil
+	return engine, crossCheck(p, spec, engine, oracle)
 }
 
-// CheckProgram runs the differential check across a model set.
+// CheckProgram runs the differential check across a model set: under
+// each model the program runs cfg.Runs times on the simulated hardware
+// (each run drawing a different perturbation from its seed) and every
+// observed outcome is checked against the engine's allowed set, itself
+// cross-checked against the SC oracle. The oracle is model-independent
+// and enumerated once.
 func CheckProgram(ctx context.Context, p Program, models []consistency.Model, cfg CheckConfig) (*Report, error) {
+	cfg = cfg.withDefaults()
 	rep := &Report{
 		Program: p,
-		Text:    FormatProgram(p.Threads),
-		Runs:    cfg.withDefaults().Runs,
+		Text:    litmus.FormatProgram(p.Threads),
+		Runs:    cfg.Runs,
+	}
+	t := p.test()
+	oracle, err := t.OracleKeys()
+	if err != nil {
+		return nil, err
 	}
 	for _, m := range models {
-		mr, err := CheckModel(ctx, p, m, cfg)
+		mr, err := litmus.Run(t, m, litmus.Config{Runs: cfg.Runs, Seed: cfg.Seed, Mutate: cfg.Mutate, Ctx: ctx})
 		if err != nil {
 			return nil, err
 		}
-		rep.Models = append(rep.Models, *mr)
+		if mr.Interrupted {
+			return nil, ctx.Err()
+		}
+		if err := crossCheck(p, consistency.SpecFor(m), mr.Allowed, oracle); err != nil {
+			return nil, err
+		}
+		rep.Models = append(rep.Models, mr)
 	}
 	return rep, nil
 }
 
-// WitnessedKeys returns a model report's witnessed outcomes, sorted.
-func (m *ModelReport) WitnessedKeys() []string {
-	keys := make([]string, 0, len(m.Witnessed))
-	for k := range m.Witnessed {
-		keys = append(keys, k)
+// CheckModel is CheckProgram under a single model.
+func CheckModel(ctx context.Context, p Program, model consistency.Model, cfg CheckConfig) (*litmus.Report, error) {
+	rep, err := CheckProgram(ctx, p, []consistency.Model{model}, cfg)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(keys)
-	return keys
+	return rep.Models[0], nil
 }

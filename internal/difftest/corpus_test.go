@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memsim/internal/consistency"
+	"memsim/internal/litmus"
 )
 
 // The committed corpus under testdata/corpus holds shrunk, replayable
@@ -97,9 +98,11 @@ func TestCorpusRealModelsPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range rep.Violations() {
-			t.Errorf("%s: unmutated %s produced forbidden %q on the corpus program %s",
-				b.Name(), v.Model, v.Outcome, FormatProgram(b.Threads))
+		for _, mr := range rep.Models {
+			for _, v := range mr.Violations {
+				t.Errorf("%s: unmutated %s produced forbidden %q on the corpus program %s",
+					b.Name(), mr.Model, v.Outcome, litmus.FormatProgram(b.Threads))
+			}
 		}
 	}
 }
@@ -117,9 +120,8 @@ func TestBundleRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Violations) > 0 {
-				v := rep.Violations[0]
-				bundle = NewBundle(p, nil, &v, &g, cfg)
+			if !rep.OK() {
+				bundle = NewBundle(p, nil, rep, &g, cfg)
 				break
 			}
 		}

@@ -22,7 +22,7 @@ import (
 )
 
 // Hard capacity limits, derived from the rest of the system:
-// the compare engine's packed DFS state caps total operations; the
+// the litmus engine's packed DFS state caps total operations; the
 // litmus code generator's register conventions cap locations (address
 // registers r8..r11) and observed loads per thread (r4..r7).
 const (
@@ -209,14 +209,4 @@ func (p Program) Ops() int {
 }
 
 // NLocs counts the program's distinct locations (max index + 1).
-func (p Program) NLocs() int {
-	n := 0
-	for _, th := range p.Threads {
-		for _, op := range th {
-			if op.Kind != litmus.OpFence && op.Loc >= n {
-				n = op.Loc + 1
-			}
-		}
-	}
-	return n
-}
+func (p Program) NLocs() int { return p.test().NLocs }

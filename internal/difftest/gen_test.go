@@ -17,7 +17,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		b := Generate(g, seed)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d drew two different programs:\n  %s\n  %s",
-				seed, FormatProgram(a.Threads), FormatProgram(b.Threads))
+				seed, litmus.FormatProgram(a.Threads), litmus.FormatProgram(b.Threads))
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestGenerateCommunicates(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		p := Generate(g, seed)
 		if !communicates(p.Threads) {
-			t.Fatalf("seed %d drew a non-communicating program: %s", seed, FormatProgram(p.Threads))
+			t.Fatalf("seed %d drew a non-communicating program: %s", seed, litmus.FormatProgram(p.Threads))
 		}
 	}
 }

@@ -48,7 +48,7 @@ func Shrink(ctx context.Context, p Program, model consistency.Model, cfg CheckCo
 		if err != nil {
 			return false, err
 		}
-		return len(rep.Violations) > 0, nil
+		return !rep.OK(), nil
 	}
 
 	ok, err := fails(p)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memsim/internal/consistency"
+	"memsim/internal/litmus"
 )
 
 // findViolating scans generator seeds for programs the mutated
@@ -79,7 +80,7 @@ func TestShrinkProperties(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(rep.Violations) == 0 {
-				t.Errorf("%s/%s: shrunk program no longer violates: %s", tc.mut, f.model, FormatProgram(min.Threads))
+				t.Errorf("%s/%s: shrunk program no longer violates: %s", tc.mut, f.model, litmus.FormatProgram(min.Threads))
 				continue
 			}
 
@@ -96,7 +97,7 @@ func TestShrinkProperties(t *testing.T) {
 					}
 					if len(crep.Violations) > 0 {
 						t.Errorf("%s/%s: not 1-minimal — removing thread %d op %d still violates:\n  min:  %s\n  cand: %s",
-							tc.mut, f.model, ti, oi, FormatProgram(min.Threads), FormatProgram(cand.Threads))
+							tc.mut, f.model, ti, oi, litmus.FormatProgram(min.Threads), litmus.FormatProgram(cand.Threads))
 					}
 				}
 			}
@@ -126,9 +127,9 @@ func TestShrinkPassingProgramUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatProgram(min.Threads) != FormatProgram(p.Threads) || info.Accepted != 0 {
+	if litmus.FormatProgram(min.Threads) != litmus.FormatProgram(p.Threads) || info.Accepted != 0 {
 		t.Fatalf("shrink altered a passing program: %s -> %s (%d accepted)",
-			FormatProgram(p.Threads), FormatProgram(min.Threads), info.Accepted)
+			litmus.FormatProgram(p.Threads), litmus.FormatProgram(min.Threads), info.Accepted)
 	}
 }
 
@@ -170,6 +171,6 @@ func TestShrinkReductionHelpers(t *testing.T) {
 		t.Fatalf("canonValues changed op count %d -> %d", p.Ops(), q.Ops())
 	}
 	if qq, changed := canonValues(q); changed {
-		t.Fatalf("canonValues not idempotent: %s -> %s", FormatProgram(q.Threads), FormatProgram(qq.Threads))
+		t.Fatalf("canonValues not idempotent: %s -> %s", litmus.FormatProgram(q.Threads), litmus.FormatProgram(qq.Threads))
 	}
 }

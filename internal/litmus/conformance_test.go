@@ -105,16 +105,19 @@ func TestRunOneDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runOne := func(seed int64) string {
+		rs, err := Setup(lt, consistency.WO1, seed, consistency.MutNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := rs.Execute(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
 	for seed := int64(1); seed <= 20; seed++ {
-		a, err := RunOne(nil, lt, consistency.WO1, seed, consistency.MutNone)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunOne(nil, lt, consistency.WO1, seed, consistency.MutNone)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
+		if a, b := runOne(seed), runOne(seed); a != b {
 			t.Fatalf("seed %d: outcomes differ across identical runs: %q vs %q", seed, a, b)
 		}
 	}

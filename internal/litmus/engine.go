@@ -1,34 +1,32 @@
-// Package compare is the automatic model comparator: it computes, for
-// any pair of consistency models, a minimal litmus-style witness
-// program — one whose outcome set differs between the two models — and
-// assembles the full strictness lattice over the model zoo.
-//
-// The core is an allowed-outcome engine that interprets a small
-// program under a consistency.Spec's declarative hardware dials. It
-// enumerates every linearization of the program's operations that
-// respects the spec's preserved program order (the Adve/Gharachorloo
-// relaxation axes, derived by Spec.Relaxations), executing each
-// against a single shared memory. Write-buffer specs additionally
-// model store-to-load forwarding: a load may execute while a program-
-// earlier same-location store is still unexecuted, reading the
-// buffered value (read-own-write-early), which is observationally
-// distinct from merely relaxing the W→R edge (the classic n6 shape:
-// the forwarded value can be the final memory value even though the
-// store performs last).
-//
-// The engine's contract is pinned by TestEngineMatchesLitmusAllowed:
-// on every declarative litmus-library test it reproduces exactly the
-// oracle-plus-whitelist allowed set of every model, so the comparator
-// and the conformance harness can never silently disagree.
-package compare
+package litmus
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"memsim/internal/consistency"
-	"memsim/internal/litmus"
 )
+
+// The allowed-outcome engine: the one definition of which final
+// states a model allows. It interprets a declarative test under a
+// consistency.Spec's hardware dials, enumerating every linearization
+// of the test's operations that respects the spec's preserved program
+// order (the Adve/Gharachorloo relaxation axes, derived by
+// Spec.Relaxations) and executing each against a single shared
+// memory. Write-buffer specs additionally model store-to-load
+// forwarding: a load may execute while a program-earlier
+// same-location store is still unexecuted, reading the buffered value
+// (read-own-write-early), which is observationally distinct from
+// merely relaxing the W→R edge (the classic n6 shape: the forwarded
+// value can be the final memory value even though the store performs
+// last).
+//
+// A new model's allowed sets therefore follow from its Spec with no
+// per-test edits. The engine is held to two independent references:
+// the SC-interleaving oracle (oracle.go: equal under SC specs,
+// contained under every spec) and testdata/allowed.json, the table of
+// hand-written relaxed outcomes it replaced.
 
 // maxEngineOps bounds the packed DFS state (executed bits + memory +
 // observations must fit one uint64).
@@ -57,15 +55,40 @@ func annModeOf(s consistency.Spec) annMode {
 	}
 }
 
+// Signature fingerprints the dials the engine reads: two specs with
+// equal signatures produce identical outcome sets on every program.
+func Signature(s consistency.Spec) string {
+	if s.SequentiallyConsistent() {
+		return "SC"
+	}
+	r := s.Relaxations()
+	flag := func(b bool, name string) string {
+		if b {
+			return name
+		}
+		return ""
+	}
+	ann := map[annMode]string{annInvisible: "", annTwoSided: "sync", annOneSided: "rel/acq"}[annModeOf(s)]
+	parts := []string{flag(r.WR, "WR"), flag(r.WW, "WW"), flag(r.RR, "RR"), flag(r.RW, "RW"),
+		flag(s.WriteBuffer, "fwd"), ann}
+	out := parts[:0]
+	for _, p := range parts {
+		if p != "" {
+			out = append(out, p)
+		}
+	}
+	return strings.Join(out, "+")
+}
+
 // effAnn mirrors cpu.effectiveClass: the annotation the hardware
 // actually honors.
-func effAnn(mode annMode, a litmus.Ann) litmus.Ann {
+func effAnn(mode annMode, a Ann) Ann {
 	switch mode {
 	case annInvisible:
-		return litmus.AnnPlain
+		return AnnPlain
 	case annTwoSided:
-		if a == litmus.AnnAcquire || a == litmus.AnnRelease {
-			return litmus.AnnSync
+		if a == AnnAcquire || a == AnnRelease {
+			return AnnSync
 		}
 	}
 	return a
@@ -74,61 +97,61 @@ func effAnn(mode annMode, a litmus.Ann) litmus.Ann {
 // ordered reports whether program-order edge a→b (same thread, a
 // earlier) is preserved by the spec: b may not execute while a is
 // still pending unless this returns false.
-func ordered(s consistency.Spec, mode annMode, r consistency.Relaxation, a, b litmus.Op) bool {
+func ordered(s consistency.Spec, mode annMode, r consistency.Relaxation, a, b Op) bool {
 	if s.SequentiallyConsistent() {
 		return true
 	}
 	ea, eb := effAnn(mode, a.Ann), effAnn(mode, b.Ann)
-	if ea == litmus.AnnSync || eb == litmus.AnnSync {
+	if ea == AnnSync || eb == AnnSync {
 		return true // fences and sync-classed ops order both directions
 	}
-	if a.Kind != litmus.OpFence && b.Kind != litmus.OpFence && a.Loc == b.Loc {
+	if a.Kind != OpFence && b.Kind != OpFence && a.Loc == b.Loc {
 		// Same location: always ordered, except that a write buffer
 		// lets a load run ahead of its own thread's pending store —
 		// the load forwards the buffered value (read-own-write-early).
-		if s.WriteBuffer && a.Kind == litmus.OpStore && b.Kind == litmus.OpLoad {
+		if s.WriteBuffer && a.Kind == OpStore && b.Kind == OpLoad {
 			return false
 		}
 		return true
 	}
-	if a.Kind == litmus.OpLoad && ea == litmus.AnnAcquire {
+	if a.Kind == OpLoad && ea == AnnAcquire {
 		return true // an acquire orders everything after it
 	}
-	if b.Kind == litmus.OpStore && eb == litmus.AnnRelease {
+	if b.Kind == OpStore && eb == AnnRelease {
 		return true // a release orders everything before it
 	}
 	switch {
-	case a.Kind == litmus.OpStore && b.Kind == litmus.OpLoad:
+	case a.Kind == OpStore && b.Kind == OpLoad:
 		return !r.WR
-	case a.Kind == litmus.OpStore && b.Kind == litmus.OpStore:
+	case a.Kind == OpStore && b.Kind == OpStore:
 		return !r.WW
-	case a.Kind == litmus.OpLoad && b.Kind == litmus.OpLoad:
+	case a.Kind == OpLoad && b.Kind == OpLoad:
 		return !r.RR
 	default:
 		return !r.RW
 	}
 }
 
-// Outcomes computes the engine's allowed outcome set for a
-// declarative test under a spec, as sorted outcome keys.
-func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
+// Outcomes returns the test's allowed outcome keys under a spec,
+// sorted. A declarative test gets the engine's set; a custom test has
+// no abstract ops to interpret and keeps its explicit SCSet on every
+// model. A test beyond the engine's capacity is an error, never an
+// empty set.
+func (t *Test) Outcomes(spec consistency.Spec) ([]string, error) {
 	if t.Threads == nil {
-		return nil, fmt.Errorf("compare: %s is a custom test; the engine needs declarative threads", t.Name)
+		return t.OracleKeys()
 	}
 	totalOps := 0
 	for _, th := range t.Threads {
 		totalOps += len(th)
 	}
 	if totalOps > maxEngineOps {
-		return nil, fmt.Errorf("compare: %s has %d ops, engine limit is %d", t.Name, totalOps, maxEngineOps)
+		return nil, fmt.Errorf("litmus: %s has %d ops, engine limit is %d", t.Name, totalOps, maxEngineOps)
 	}
 
 	mode := annModeOf(spec)
 	relax := spec.Relaxations()
-	refs, err := t.Refs()
-	if err != nil {
-		return nil, err
-	}
+	refs := t.loadRefs()
 
 	// Canonical observed-load slots, as the oracle assigns them.
 	loadIdx := make([][]int, len(t.Threads))
@@ -137,11 +160,11 @@ func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
 	for ti, th := range t.Threads {
 		loadIdx[ti] = make([]int, len(th))
 		for oi, op := range th {
-			if op.Kind == litmus.OpLoad {
+			if op.Kind == OpLoad {
 				loadIdx[ti][oi] = nLoads
 				nLoads++
 			}
-			if op.Kind == litmus.OpStore && op.Val > maxVal {
+			if op.Kind == OpStore && op.Val > maxVal {
 				maxVal = op.Val
 			}
 		}
@@ -151,7 +174,7 @@ func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
 		vbits++
 	}
 	if totalOps+(t.NLocs+nLoads)*vbits > 64 {
-		return nil, fmt.Errorf("compare: %s state (%d ops, %d locs, %d loads, %d value bits) exceeds packed-state capacity",
+		return nil, fmt.Errorf("litmus: %s state (%d ops, %d locs, %d loads, %d value bits) exceeds packed-state capacity",
 			t.Name, totalOps, t.NLocs, nLoads, vbits)
 	}
 
@@ -159,7 +182,7 @@ func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
 	mem := make([]uint64, t.NLocs)
 	obs := make([]uint64, nLoads)
 	visited := make(map[uint64]bool)
-	keys := make(map[string]bool)
+	var keys []string
 
 	pack := func() uint64 {
 		var k uint64
@@ -205,14 +228,14 @@ func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
 				anyReady = true
 				execd[ti] |= 1 << oi
 				switch op.Kind {
-				case litmus.OpFence:
+				case OpFence:
 					rec()
-				case litmus.OpStore:
+				case OpStore:
 					old := mem[op.Loc]
 					mem[op.Loc] = op.Val
 					rec()
 					mem[op.Loc] = old
-				case litmus.OpLoad:
+				case OpLoad:
 					v := mem[op.Loc]
 					if spec.WriteBuffer {
 						// Forward from the newest program-earlier
@@ -220,7 +243,7 @@ func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
 						// Same-location stores stay ordered, so if the
 						// newest one has executed, all earlier ones have.
 						for pj := oi - 1; pj >= 0; pj-- {
-							if th[pj].Kind == litmus.OpStore && th[pj].Loc == op.Loc {
+							if th[pj].Kind == OpStore && th[pj].Loc == op.Loc {
 								if execd[ti]&(1<<pj) == 0 {
 									v = th[pj].Val
 								}
@@ -240,18 +263,11 @@ func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
 		if anyReady {
 			return
 		}
-		o := litmus.Outcome{
-			Loads: append([]uint64(nil), obs...),
-			Mem:   append([]uint64(nil), mem...),
-		}
-		keys[t.Key(refs, o)] = true
+		// Every op has executed, and the visited set admits each
+		// packed state once, so each final state is appended once.
+		keys = append(keys, t.Key(refs, Outcome{Loads: obs, Mem: mem}))
 	}
 	rec()
-
-	out := make([]string, 0, len(keys))
-	for k := range keys {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
+	sort.Strings(keys)
+	return keys, nil
 }

@@ -1,24 +1,26 @@
 // Package litmus is the conformance harness for the memory models: a
 // library of classic litmus tests (store buffering, message passing,
 // load buffering, IRIW, coherence shapes, and a synclib-built lock
-// test), an exhaustive sequential-consistency oracle that enumerates
-// every interleaving of a test's abstract operations, and a
+// test), one definition of which outcomes each model allows, and a
 // perturbation driver that runs the generated programs on the real
 // machine under every model and checks each observed outcome against
 // the model's allowed set.
 //
-// The allowed set of an SC model (SC1, SC2, bSC1) is exactly the
-// oracle's interleaving set. A relaxed model (WO1, WO2, RC, bWO1) is
-// allowed the oracle set plus the test's explicitly whitelisted
-// relaxed outcomes, each gated on the hardware capability that makes
-// it reachable (e.g. load-buffering reordering needs non-blocking
-// loads, so bWO1 does not get it). Anything else is a violation: the
-// hardware reordered where its contract says it must not.
+// The allowed set is derived, never written down: the engine
+// (engine.go) interprets a test's abstract operations under the
+// model's consistency.Spec, relaxing exactly the program-order edges
+// Spec.Relaxations says the hardware may relax (so load-buffering
+// reordering needs non-blocking loads, and bWO1 does not get it).
+// Anything outside that set is a violation: the hardware reordered
+// where its contract says it must not. The exhaustive SC-interleaving
+// oracle (oracle.go) defines nothing; it is the independent reference
+// the engine is checked against. Run is the one seeded check loop;
+// the differential tester and the model comparator call it on
+// programs they synthesize (SynthTest).
 package litmus
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"memsim/internal/consistency"
@@ -76,16 +78,6 @@ type Outcome struct {
 	Mem   []uint64
 }
 
-// Relaxed is one whitelisted non-SC outcome of a test.
-type Relaxed struct {
-	Outcome Outcome
-	// Needs reports whether a given relaxed hardware spec can exhibit
-	// the outcome; nil means every non-SC spec can.
-	Needs func(consistency.Spec) bool
-	// Why documents the reordering that produces the outcome.
-	Why string
-}
-
 // LoadRef names an observed load: which processor's register holds
 // its value after the run.
 type LoadRef struct {
@@ -94,17 +86,17 @@ type LoadRef struct {
 }
 
 // Test is one litmus test. Most tests are declarative (Threads set):
-// programs are generated from the abstract ops and the SC outcome set
-// comes from the interleaving oracle. A custom test (Build set)
-// supplies its own programs and explicit SC set — used for shapes the
-// oracle cannot enumerate, like spin-lock critical sections.
+// programs are generated from the abstract ops and each model's
+// allowed set is derived from them by the engine. A custom test
+// (Build set) supplies its own programs and one explicit outcome set
+// that holds on every model — used for shapes with no abstract ops to
+// interpret, like spin-lock critical sections.
 type Test struct {
 	Name     string
 	Doc      string
 	NLocs    int
 	LocNames []string
 	Threads  []Thread
-	Relaxed  []Relaxed
 
 	// Stride overrides the layout's location stride (0 = default 72,
 	// distinct cache lines). The difftest generator sets 8 on its
@@ -181,35 +173,30 @@ func FormatKey(refs []LoadRef, locNames []string, o Outcome) string {
 	return b.String()
 }
 
-// Allowed computes the allowed outcome-key set for one hardware spec:
-// the SC oracle set, plus — for relaxed hardware — each whitelisted
-// relaxed outcome the spec is capable of.
-func (t *Test) Allowed(spec consistency.Spec) map[string]bool {
-	refs, _ := t.Refs()
-	allowed := make(map[string]bool)
-	for _, o := range t.scOutcomes() {
-		allowed[t.Key(refs, o)] = true
+// AllowedKeys returns the allowed outcome keys under a spec, sorted:
+// Outcomes for a test known to fit the engine (every library test
+// does). It panics on a capacity error rather than report an empty
+// allowed set; code handling arbitrary programs calls Outcomes.
+func (t *Test) AllowedKeys(spec consistency.Spec) []string {
+	keys, err := t.Outcomes(spec)
+	if err != nil {
+		panic(err)
 	}
-	if spec.SequentiallyConsistent() {
-		return allowed
-	}
-	for _, r := range t.Relaxed {
-		if r.Needs == nil || r.Needs(spec) {
-			allowed[t.Key(refs, r.Outcome)] = true
-		}
-	}
-	return allowed
+	return keys
 }
 
-// AllowedKeys returns the allowed set as a sorted list.
-func (t *Test) AllowedKeys(spec consistency.Spec) []string {
-	m := t.Allowed(spec)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Allowed returns AllowedKeys as a membership set.
+func (t *Test) Allowed(spec consistency.Spec) map[string]bool {
+	return KeySet(t.AllowedKeys(spec))
+}
+
+// KeySet turns a list of outcome keys into a membership set.
+func KeySet(keys []string) map[string]bool {
+	m := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		m[k] = true
 	}
-	sort.Strings(keys)
-	return keys
+	return m
 }
 
 // Refs returns the test's observed-load registry without generating
@@ -223,61 +210,19 @@ func (t *Test) Refs() ([]LoadRef, error) {
 	return refs, err
 }
 
-// The whitelist gates are expressed on the spec's relaxation axes
-// (consistency.Relaxation), so a new model's allowed sets follow from
-// its hardware dials with no per-test edits. E.g. load-load reordering
-// (needsRR) requires non-blocking loads, so bWO1/TSO/PSO never get
-// iriw's relaxed outcome while WO1/WO2/RC/PC do.
-func needsWR(s consistency.Spec) bool { return s.Relaxations().WR }
-func needsRW(s consistency.Spec) bool { return s.Relaxations().RW }
-func needsRR(s consistency.Spec) bool { return s.Relaxations().RR }
-func needsWWorRR(s consistency.Spec) bool {
-	r := s.Relaxations()
-	return r.WW || r.RR
-}
-
-// mpCrowdRelaxed enumerates mp+crowd's whitelisted outcomes: the main
-// reader (thread 1) reads data=0, then flag=1, then data=0 again —
-// forbidden under SC, since seeing the flag implies the program-
-// earlier data store performed. The crowd threads' single loads are
-// unconstrained, so every combination of their values is listed.
-// Thread 1 first reading data=1 with the final read 0 would be a
-// same-location coherence violation and is deliberately NOT listed.
-func mpCrowdRelaxed() []Relaxed {
-	const crowd = 4
-	out := make([]Relaxed, 0, 1<<crowd)
-	for bits := 0; bits < 1<<crowd; bits++ {
-		loads := []uint64{0, 1, 0}
-		for i := 0; i < crowd; i++ {
-			loads = append(loads, uint64(bits>>i)&1)
-		}
-		out = append(out, Relaxed{
-			Outcome: Outcome{Loads: loads, Mem: []uint64{1, 1}},
-			Needs:   needsWWorRR,
-			Why:     "the flag store performs before the contended data store, and the reader's cached data copy outlives its flag observation (store-store reordering), or the final data load binds before the flag load",
-		})
-	}
-	return out
-}
-
 // Library returns the litmus-test library, in presentation order.
 func Library() []*Test {
 	xy := []string{"x", "y"}
 	tests := []*Test{
 		{
 			Name:     "sb",
-			Doc:      "store buffering: both threads store then load the other location; both loads 0 requires store-load reordering",
+			Doc:      "store buffering: both threads store then load the other location; both loads 0 requires store-load reordering (each load binds before the other thread's store performs)",
 			NLocs:    2,
 			LocNames: xy,
 			Threads: []Thread{
 				{st(0, 1), ld(1)},
 				{st(1, 1), ld(0)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{0, 0}, Mem: []uint64{1, 1}},
-				Needs:   needsWR,
-				Why:     "each load binds before the other thread's store performs (store-load reordering)",
-			}},
 		},
 		{
 			Name:     "sb+fence",
@@ -291,22 +236,17 @@ func Library() []*Test {
 		},
 		{
 			Name:     "mp",
-			Doc:      "message passing: writer stores data then flag; reader seeing the flag but stale data requires store-store or load-load reordering",
+			Doc:      "message passing: writer stores data then flag; reader seeing the flag but stale data requires store-store or load-load reordering (the flag store performs before the data store, or the data load binds before the flag load)",
 			NLocs:    2,
 			LocNames: []string{"data", "flag"},
 			Threads: []Thread{
 				{st(0, 1), st(1, 1)},
 				{ld(1), ld(0)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{1, 0}, Mem: []uint64{1, 1}},
-				Needs:   needsWWorRR,
-				Why:     "the flag store performs before the data store, or the data load binds before the flag load",
-			}},
 		},
 		{
 			Name:     "mp+crowd",
-			Doc:      "message passing with a crowd of readers contending on data's home module: the crowd's directory transactions delay the data store's ownership grant (and its invalidates), so a store-store-reordering machine lets the main reader see the flag yet still hit its stale cached data",
+			Doc:      "message passing with a crowd of readers contending on data's home module: the crowd's directory transactions delay the data store's ownership grant (and its invalidates), so a store-store-reordering machine lets the main reader read data=0, then flag=1, then still hit its stale cached data=0 (a load-load-reordering one gets there by binding the final data load before the flag load); the crowd's single loads are unconstrained, and the reader seeing data=1 and then 0 would break same-location coherence on any model",
 			NLocs:    2,
 			LocNames: []string{"data", "flag"},
 			Threads: []Thread{
@@ -317,7 +257,6 @@ func Library() []*Test {
 				{ld(0)},
 				{ld(0)},
 			},
-			Relaxed: mpCrowdRelaxed(),
 		},
 		{
 			Name:     "mp+ra",
@@ -331,18 +270,13 @@ func Library() []*Test {
 		},
 		{
 			Name:     "lb",
-			Doc:      "load buffering: both threads load then store the other location; both loads 1 requires a load to bind after the later store",
+			Doc:      "load buffering: both threads load then store the other location; both loads 1 requires load-store reordering (a pending non-blocking load binds after the program-later store performed)",
 			NLocs:    2,
 			LocNames: xy,
 			Threads: []Thread{
 				{ld(1), st(0, 1)},
 				{ld(0), st(1, 1)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{1, 1}, Mem: []uint64{1, 1}},
-				Needs:   needsRW,
-				Why:     "a pending non-blocking load binds after the program-later store performed",
-			}},
 		},
 		{
 			Name:     "lb+ra",
@@ -356,7 +290,7 @@ func Library() []*Test {
 		},
 		{
 			Name:     "iriw",
-			Doc:      "independent reads of independent writes: the two readers disagreeing on the store order requires load-load reordering",
+			Doc:      "independent reads of independent writes: the two readers disagreeing on the store order requires load-load reordering (each reader's second load binds before its first, both pending at once)",
 			NLocs:    2,
 			LocNames: xy,
 			Threads: []Thread{
@@ -365,11 +299,6 @@ func Library() []*Test {
 				{ld(0), ld(1)},
 				{ld(1), ld(0)},
 			},
-			Relaxed: []Relaxed{{
-				Outcome: Outcome{Loads: []uint64{1, 0, 1, 0}, Mem: []uint64{1, 1}},
-				Needs:   needsRR,
-				Why:     "each reader's second load bound before its first (both loads pending at once)",
-			}},
 		},
 		{
 			Name:     "iriw+sync",
@@ -416,6 +345,62 @@ func TestByName(name string) (*Test, error) {
 		}
 	}
 	return nil, fmt.Errorf("litmus: unknown test %q", name)
+}
+
+// synthLocNames are the location names of synthesized programs.
+var synthLocNames = []string{"x", "y", "z", "w"}
+
+// SynthTest wraps an arbitrary declarative program as a runnable
+// litmus test with the standard x/y/z/w location names, and returns
+// its total op count. The comparator's enumerated programs and the
+// differential tester's random ones both become tests here, so the
+// two can never disagree about what a program means.
+func SynthTest(prog []Thread) (*Test, int) {
+	nlocs, ops := 0, 0
+	for _, th := range prog {
+		ops += len(th)
+		for _, op := range th {
+			if op.Kind != OpFence && op.Loc >= nlocs {
+				nlocs = op.Loc + 1
+			}
+		}
+	}
+	return &Test{
+		Name:     "synth",
+		NLocs:    nlocs,
+		LocNames: synthLocNames[:nlocs],
+		Threads:  prog,
+	}, ops
+}
+
+// FormatProgram renders a synthesized program in litmus notation,
+// e.g. "P0: st x=1; ld y || P1: st y=1; ld x".
+func FormatProgram(prog []Thread) string {
+	var b strings.Builder
+	for ti, th := range prog {
+		if ti > 0 {
+			b.WriteString(" || ")
+		}
+		fmt.Fprintf(&b, "P%d: ", ti)
+		for oi, op := range th {
+			if oi > 0 {
+				b.WriteString("; ")
+			}
+			switch {
+			case op.Kind == OpFence:
+				b.WriteString("fence")
+			case op.Kind == OpLoad && op.Ann == AnnAcquire:
+				b.WriteString("ldAcq " + synthLocNames[op.Loc])
+			case op.Kind == OpLoad:
+				b.WriteString("ld " + synthLocNames[op.Loc])
+			case op.Ann == AnnRelease:
+				fmt.Fprintf(&b, "stRel %s=%d", synthLocNames[op.Loc], op.Val)
+			default:
+				fmt.Fprintf(&b, "st %s=%d", synthLocNames[op.Loc], op.Val)
+			}
+		}
+	}
+	return b.String()
 }
 
 // Lock-test shared-memory layout: the synclib lock word and the

@@ -1,5 +1,7 @@
 package litmus
 
+import "sort"
+
 // The sequential-consistency oracle. A litmus test's abstract ops are
 // small enough (a handful per thread, at most four threads) that the
 // set of SC-reachable outcomes can be computed exactly by enumerating
@@ -80,4 +82,22 @@ func (t *Test) scOutcomes() []Outcome {
 	}
 	rec()
 	return outcomes
+}
+
+// OracleKeys returns the oracle's SC outcome set as sorted keys. The
+// oracle defines no model's allowed set (Outcomes does); it is the
+// independent reference the engine is checked against — equal under
+// an SC spec, contained under every spec.
+func (t *Test) OracleKeys() ([]string, error) {
+	refs, err := t.Refs()
+	if err != nil {
+		return nil, err
+	}
+	outcomes := t.scOutcomes()
+	keys := make([]string, len(outcomes))
+	for i, o := range outcomes {
+		keys[i] = t.Key(refs, o)
+	}
+	sort.Strings(keys)
+	return keys, nil
 }

@@ -82,6 +82,10 @@ type Report struct {
 	Witnessed   map[string]int `json:"witnessed"`
 	Violations  []Violation    `json:"violations,omitempty"`
 	Interrupted bool           `json:"interrupted,omitempty"`
+
+	// FirstSeed is the seed of the first run that produced each
+	// witnessed outcome, for re-running one (Setup, Execute).
+	FirstSeed map[string]int64 `json:"-"`
 }
 
 // OK reports whether every observed outcome was allowed.
@@ -312,32 +316,29 @@ func (rs *RunSpec) Execute(ctx context.Context) (string, error) {
 	return FormatKey(rs.Refs, rs.LocNames, o), nil
 }
 
-// RunOne executes a single seeded run of a test under a model and
-// returns the observed outcome key.
-func RunOne(ctx context.Context, t *Test, model consistency.Model, seed int64, mutate consistency.Mutation) (string, error) {
-	rs, err := Setup(t, model, seed, mutate)
-	if err != nil {
-		return "", err
-	}
-	return rs.Execute(ctx)
-}
-
 // Run executes the full perturbed conformance sweep of one test under
 // one model and returns the verdict report. The allowed set always
-// reflects the unmutated model contract.
+// reflects the unmutated model contract; a test beyond the engine's
+// capacity is an error. This is the only seeded check loop: the
+// differential tester and the comparator's witness replay call it on
+// their synthesized tests.
 func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 100
 	}
-	spec := consistency.SpecFor(model)
-	allowed := t.Allowed(spec)
+	keys, err := t.Outcomes(consistency.SpecFor(model))
+	if err != nil {
+		return nil, err
+	}
+	allowed := KeySet(keys)
 
 	rep := &Report{
 		Test:      t.Name,
 		Model:     model.String(),
 		Runs:      cfg.Runs,
-		Allowed:   t.AllowedKeys(spec),
+		Allowed:   keys,
 		Witnessed: make(map[string]int),
+		FirstSeed: make(map[string]int64),
 	}
 	if cfg.Mutate != consistency.MutNone {
 		rep.Mutate = cfg.Mutate.String()
@@ -348,7 +349,13 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 			return rep, nil
 		}
 		seed := cfg.Seed + int64(i)
-		key, err := RunOne(cfg.Ctx, t, model, seed, cfg.Mutate)
+		// The run's full spec rides along in any verdict against it, so
+		// a violation replays without this library.
+		rs, err := Setup(t, model, seed, cfg.Mutate)
+		if err != nil {
+			return nil, err
+		}
+		key, err := rs.Execute(cfg.Ctx)
 		if err != nil {
 			if cfg.Ctx != nil && cfg.Ctx.Err() != nil && errors.Is(err, cfg.Ctx.Err()) {
 				// Canceled mid-run: the partial coverage so far is the
@@ -358,14 +365,11 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 			}
 			return nil, err
 		}
+		if rep.Witnessed[key] == 0 {
+			rep.FirstSeed[key] = seed
+		}
 		rep.Witnessed[key]++
 		if !allowed[key] {
-			// Rebuild the run's full spec so the verdict is self-
-			// contained: the bundle replays without this library.
-			rs, rerr := Setup(t, model, seed, cfg.Mutate)
-			if rerr != nil {
-				return nil, rerr
-			}
 			rep.Violations = append(rep.Violations, Violation{
 				Seed:    seed,
 				Config:  rs.Desc,

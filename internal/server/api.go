@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 
 	"memsim/internal/consistency"
 	"memsim/internal/experiments"
@@ -63,7 +64,7 @@ func (q SubmitRequest) Spec() (experiments.RunSpec, error) {
 
 func parseBench(name string) (experiments.Bench, error) {
 	for _, b := range experiments.Benches {
-		if equalFold(name, string(b)) {
+		if strings.EqualFold(name, string(b)) {
 			return b, nil
 		}
 	}
@@ -72,33 +73,14 @@ func parseBench(name string) (experiments.Bench, error) {
 
 func parseRelaxSched(name string) (workloads.RelaxSchedule, error) {
 	switch {
-	case name == "" || equalFold(name, "default"):
+	case name == "" || strings.EqualFold(name, "default"):
 		return workloads.RelaxDefault, nil
-	case equalFold(name, "miss-first"):
+	case strings.EqualFold(name, "miss-first"):
 		return workloads.RelaxMissFirst, nil
-	case equalFold(name, "miss-last"):
+	case strings.EqualFold(name, "miss-last"):
 		return workloads.RelaxMissLast, nil
 	}
 	return 0, fmt.Errorf("server: unknown relax schedule %q (want default, miss-first or miss-last)", name)
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // JobResponse describes a job's current state. Result is present only

@@ -23,10 +23,11 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStep is the benchmark-regression harness's headline
-// number (BENCH_pr3.json, CI bench-smoke): a steady-state mix of
-// near-horizon delays feeding Step, with allocations reported. The
-// budget is 0 allocs/op — enforced hard by TestZeroAllocSteadyState.
+// BenchmarkEngineStep is a steady-state mix of near-horizon delays
+// feeding Step, with allocations reported. The budget is 0 allocs/op —
+// enforced hard by TestZeroAllocSteadyState (CI bench-smoke); the
+// tracked per-event time is bench's sim.event_ns probe, which steps
+// a like mix.
 func BenchmarkEngineStep(b *testing.B) {
 	var e Engine
 	delays := [8]Cycle{1, 2, 3, 5, 8, 13, 21, 34}
