@@ -23,6 +23,10 @@
 //	mcsim -bench gauss -ckpt g.mcsp -ckpt-every 1000000   # periodic snapshots
 //	mcsim -bench gauss -restore g.mcsp -ckpt g.mcsp       # continue a run
 //
+// Host profiling (where the simulator's own time and memory go):
+//
+//	mcsim -bench psim -procs 64 -cpuprofile cpu.pprof -memprofile mem.pprof
+//
 // SIGINT/SIGTERM stops the run gracefully: with -ckpt a final snapshot
 // is written, the diagnostic dump is available under -diag, and mcsim
 // exits non-zero; a second signal aborts immediately.
@@ -45,6 +49,7 @@ import (
 	"time"
 
 	"memsim"
+	"memsim/internal/hostprof"
 	"memsim/internal/machine"
 	"memsim/internal/robust"
 	"memsim/internal/trace"
@@ -83,6 +88,9 @@ func main() {
 		faultProb  = flag.Float64("fault-prob", 0, "network fault injection: per-hop delay probability (0: off)")
 		faultDelay = flag.Int("fault-delay", 8, "network fault injection: max extra cycles per delayed hop")
 		faultSeed  = flag.Int64("fault-seed", 1, "network fault injection seed")
+
+		cpuProf = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+		memProf = flag.String("memprofile", "", "write a host allocation profile to this file when the run ends")
 	)
 	flag.Parse()
 
@@ -139,9 +147,16 @@ func main() {
 		os.Exit(130)
 	}()
 
+	stopProf, err := hostprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
 	wallStart := time.Now()
 	res, syncProg, err := run(ctx, cfg, w, rec, mc, *ckptF, *ckptEvery, *restoreF)
 	wall := time.Since(wallStart).Seconds()
+	if perr := stopProf(); perr != nil {
+		fmt.Fprintln(os.Stderr, "mcsim:", perr)
+	}
 	if err != nil {
 		var se *robust.SimError
 		if *diag && errors.As(err, &se) && se.Dump != "" {

@@ -10,6 +10,7 @@
 //	sweep -exp t2 -metrics-dir m/    # per-run cycle-attribution JSON
 //	sweep -all -state runs/          # journal + checkpoints, crash-tolerant
 //	sweep -all -state runs/ -resume  # continue an interrupted sweep
+//	sweep -exp t2 -cpuprofile c.pprof -memprofile m.pprof  # profile the host
 //
 // Experiments: t2 (Table 2 + appendix), f2, f4, f5, f6, f7, f8, f9,
 // t3-6 (the delay-sensitivity tables), the extension ablations
@@ -54,6 +55,7 @@ import (
 	"time"
 
 	"memsim/internal/experiments"
+	"memsim/internal/hostprof"
 	"memsim/internal/machine"
 	"memsim/internal/metrics"
 	"memsim/internal/robust"
@@ -76,6 +78,8 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock limit per simulation attempt (0: none)")
 		retries  = flag.Int("retries", 0, "retry attempts for timed-out or stalled runs")
 		backoff  = flag.Duration("backoff", time.Second, "wait before the first retry (doubles per attempt)")
+		cpuProf  = flag.String("cpuprofile", "", "write a host CPU profile of the sweep to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write a host allocation profile to this file when the sweep ends")
 	)
 	diag = diagF
 	flag.Parse()
@@ -93,6 +97,17 @@ func main() {
 	}
 	if *resume && *stateDir == "" {
 		fatal(errors.New("-resume requires -state"))
+	}
+	stop, err := hostprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	// The profiles end with the simulations, before reports are written
+	// and before any exit path that skips deferred calls.
+	stopProf := func() {
+		if err := stop(); err != nil {
+			complain(err)
+		}
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM cancels the run
@@ -182,6 +197,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "sweep: wrote %s\n", *mdF)
 		if !*all && *exp == "" {
+			stopProf()
 			return
 		}
 	}
@@ -232,6 +248,7 @@ func main() {
 		}()
 	}
 	wg.Wait()
+	stopProf()
 
 	var report strings.Builder
 	failed := 0

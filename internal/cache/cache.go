@@ -201,8 +201,8 @@ type Cache struct {
 	numSets  int
 	assoc    int
 
-	sets [][]line
-	mshr []mshr
+	lines []line // numSets sets of assoc ways each, one allocation; see set
+	mshr  []mshr
 
 	// send hands a protocol message to the request network; false
 	// means the interface buffer is full (the cache queues internally
@@ -257,14 +257,11 @@ func New(eng *sim.Engine, id int, cfg Config, send func(msg memory.Msg, bypass b
 		words:       cfg.LineSize / 8,
 		numSets:     numSets,
 		assoc:       cfg.Assoc,
-		sets:        make([][]line, numSets),
+		lines:       make([]line, numSets*cfg.Assoc),
 		mshr:        make([]mshr, cfg.MSHRs),
 		send:        send,
 		whenSpace:   whenSpace,
 		invalidated: make(map[uint64]bool),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
 	}
 	c.drainFn = c.drainOut
 	// Each MSHR carries its fill callbacks prebuilt so data arrival
@@ -321,9 +318,12 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	return int((lineAddr / uint64(c.lineSize)) % uint64(c.numSets))
 }
 
+// set returns the ways of set i.
+func (c *Cache) set(i int) []line { return c.lines[i*c.assoc : (i+1)*c.assoc] }
+
 // lookup returns the way holding lineAddr, or nil.
 func (c *Cache) lookup(lineAddr uint64) *line {
-	set := c.sets[c.setIndex(lineAddr)]
+	set := c.set(c.setIndex(lineAddr))
 	for i := range set {
 		if set[i].state != Invalid && set[i].tag == lineAddr {
 			return &set[i]
@@ -636,7 +636,7 @@ func (c *Cache) finishFill(m *mshr) {
 
 // install places a granted line, evicting a victim if needed.
 func (c *Cache) install(lineAddr uint64, excl bool) {
-	set := c.sets[c.setIndex(lineAddr)]
+	set := c.set(c.setIndex(lineAddr))
 	victim := -1
 	for i := range set {
 		if set[i].state == Invalid {

@@ -13,11 +13,9 @@ type LineSnapshot struct {
 // timing model.
 func (c *Cache) Snapshot() []LineSnapshot {
 	var out []LineSnapshot
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.state != Invalid {
-				out = append(out, LineSnapshot{Addr: ln.tag, State: ln.state, Dirty: ln.dirty})
-			}
+	for _, ln := range c.lines {
+		if ln.state != Invalid {
+			out = append(out, LineSnapshot{Addr: ln.tag, State: ln.state, Dirty: ln.dirty})
 		}
 	}
 	return out
@@ -53,7 +51,7 @@ func (c *Cache) ForceState(lineAddr uint64, st State, dirty bool) {
 		ln.dirty = dirty
 		return
 	}
-	set := c.sets[c.setIndex(lineAddr)]
+	set := c.set(c.setIndex(lineAddr))
 	way := 0
 	for i := range set {
 		if set[i].state == Invalid {

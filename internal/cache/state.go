@@ -111,7 +111,8 @@ func (c *Cache) Save() (CacheState, error) {
 		LRUClock: c.lruClock,
 		Stats:    c.stats,
 	}
-	for i, set := range c.sets {
+	for i := range st.Sets {
+		set := c.set(i)
 		ws := make([]LineState, len(set))
 		for w := range set {
 			ws[w] = LineState{Tag: set[w].tag, St: uint8(set[w].state), Dirty: set[w].dirty, LRU: set[w].lru}
@@ -160,8 +161,9 @@ func (c *Cache) Load(st CacheState, restore func(BinderBlob) (Binder, error)) er
 		if len(ws) != c.assoc {
 			return fmt.Errorf("cache: snapshot set %d has %d ways, want %d", i, len(ws), c.assoc)
 		}
+		set := c.set(i)
 		for w := range ws {
-			c.sets[i][w] = line{tag: ws[w].Tag, state: State(ws[w].St), dirty: ws[w].Dirty, lru: ws[w].LRU}
+			set[w] = line{tag: ws[w].Tag, state: State(ws[w].St), dirty: ws[w].Dirty, lru: ws[w].LRU}
 		}
 	}
 	for i, ms := range st.MSHRs {

@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -210,7 +211,32 @@ type RunSpec struct {
 	LocAddrs []uint64       `json:"loc_addrs"`
 	Desc     string         `json:"desc,omitempty"` // human-readable variation summary
 
-	progs [][]isa.Inst // compiled programs, cached by Setup
+	// A spec fresh from Setup carries the compiled programs and the
+	// drawn variation instead of Programs and Desc; text derives those
+	// two wherever the record is read as text.
+	progs [][]isa.Inst
+	vari  variation
+}
+
+// text fills in Programs and Desc on a spec fresh from Setup (a decoded
+// one has them already). Nearly every run is executed and dropped, so
+// Setup leaves the disassembly and the formatting to the three readers:
+// a violation verdict, an error message and the JSON encoding.
+func (rs *RunSpec) text() *RunSpec {
+	if rs.Programs == nil && rs.progs != nil {
+		rs.Programs = make([]string, len(rs.progs))
+		for i, p := range rs.progs {
+			rs.Programs[i] = asm.Disassemble(p)
+		}
+		rs.Desc = rs.vari.String()
+	}
+	return rs
+}
+
+// MarshalJSON encodes the complete replay record, text included.
+func (rs RunSpec) MarshalJSON() ([]byte, error) {
+	type plain RunSpec // the same fields without this method
+	return json.Marshal((*plain)(rs.text()))
 }
 
 // Setup resolves one seeded run without executing it: it derives the
@@ -246,15 +272,11 @@ func Setup(t *Test, model consistency.Model, seed int64, mutate consistency.Muta
 		Refs:     refs,
 		LocNames: make([]string, t.NLocs),
 		LocAddrs: make([]uint64, t.NLocs),
-		Desc:     v.String(),
 		progs:    progs,
+		vari:     v,
 	}
 	if mutate != consistency.MutNone {
 		rs.Mutate = mutate.String()
-	}
-	rs.Programs = make([]string, len(progs))
-	for i, p := range progs {
-		rs.Programs[i] = asm.Disassemble(p)
 	}
 	for l := 0; l < t.NLocs; l++ {
 		rs.LocNames[l] = t.locName(l)
@@ -297,10 +319,10 @@ func (rs *RunSpec) Execute(ctx context.Context) (string, error) {
 	}
 	m, err := machine.New(cfg, all)
 	if err != nil {
-		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.Desc, err)
+		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
 	}
 	if _, err := m.RunControlled(machine.RunControl{MaxEvents: runBudget, Ctx: ctx}); err != nil {
-		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.Desc, err)
+		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
 	}
 
 	o := Outcome{
@@ -372,7 +394,7 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 		if !allowed[key] {
 			rep.Violations = append(rep.Violations, Violation{
 				Seed:    seed,
-				Config:  rs.Desc,
+				Config:  rs.text().Desc,
 				Outcome: key,
 				Replay:  rs,
 			})

@@ -1,0 +1,153 @@
+package machine_test
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+
+	"memsim/internal/consistency"
+	"memsim/internal/isa"
+	"memsim/internal/litmus"
+	"memsim/internal/machine"
+	"memsim/internal/progb"
+	"memsim/internal/sim"
+	"memsim/internal/workloads"
+)
+
+// The host-allocation budgets (DESIGN.md §9). The engine's zero-alloc
+// test (internal/sim) covers the event queue alone; these two cover the
+// assembled machine, where a per-transaction make in the directory and
+// a 64 KB event pool per two-processor machine once hid for ten PRs.
+
+// contendedProgram is sixteen processors' worth of the paper's
+// synchronization: take one lock, bump a shared counter, release, cross
+// a barrier; rounds times. Lock and barrier lines each collect every
+// processor behind one directory entry.
+func contendedProgram(a *workloads.Alloc, rounds int) []isa.Inst {
+	lock, counter := a.Line(), a.Line()
+	bar := workloads.AllocBarrier(a)
+	b := progb.New()
+	lr, cr, v := b.Alloc(), b.Alloc(), b.Alloc()
+	i, iEnd, sense := b.Alloc(), b.Alloc(), b.Alloc()
+	b.LiU(lr, lock)
+	b.LiU(cr, counter)
+	b.Li(sense, 0)
+	b.Li(iEnd, int64(rounds))
+	b.ForRange(i, 0, iEnd, 1, func() {
+		workloads.EmitLock(b, lr)
+		b.Ld(v, cr, 0)
+		b.Addi(v, v, 1)
+		b.St(cr, 0, v)
+		workloads.EmitUnlock(b, lr)
+		workloads.EmitBarrier(b, bar, sense)
+	})
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestSteadyStateAllocs: once every pool, queue and waiter list has
+// reached its high-water mark, simulating costs no host allocation at
+// all, however contended the directory. Any heap allocation in a
+// window is one that scales with simulated time.
+func TestSteadyStateAllocs(t *testing.T) {
+	const (
+		procs  = 16
+		warmup = 150_000 // cycles: dozens of lock hand-offs per processor and barrier episodes
+		window = 25_000
+	)
+	for _, model := range []consistency.Model{consistency.SC1, consistency.RC} {
+		t.Run(model.String(), func(t *testing.T) {
+			a := workloads.NewAlloc()
+			progs := make([][]isa.Inst, procs)
+			progs[0] = contendedProgram(a, 1_000_000)
+			m, err := machine.New(machine.Config{
+				Procs: procs, Model: model, CacheSize: 1 << 10, LineSize: 16,
+				SharedWords: a.WordsUsed(),
+			}, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			until := sim.Cycle(0)
+			advance := func(by sim.Cycle) {
+				until += by
+				if _, err := m.RunControlled(machine.RunControl{Until: until}); !errors.Is(err, machine.ErrPaused) {
+					t.Fatalf("run to cycle %d: %v, want a pause", until, err)
+				}
+			}
+			advance(warmup)
+			before := m.ResultNow()
+			if avg := testing.AllocsPerRun(8, func() { advance(window) }); avg != 0 {
+				t.Errorf("%v heap allocations per %d-cycle window, want 0", avg, window)
+			}
+			// The windows must have been the contended regime, not a
+			// machine asleep behind one lock holder.
+			after := m.ResultNow()
+			var reqs, queued uint64
+			for i := range after.Modules {
+				reqs += after.Modules[i].Reads + after.Modules[i].Writes - before.Modules[i].Reads - before.Modules[i].Writes
+				queued += after.Modules[i].QueuedCycles - before.Modules[i].QueuedCycles
+			}
+			if reqs < 1000 || queued == 0 {
+				t.Errorf("measured windows served %d directory requests with %d queued cycles: not a contended run", reqs, queued)
+			}
+		})
+	}
+}
+
+// allocatedBytes returns the heap bytes one call of f allocates,
+// averaged over a few calls after one unmeasured.
+func allocatedBytes(f func()) uint64 {
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestConstructionBudget: the conformance checkers build, run and drop
+// a two-processor machine some 9 000 times a pass, so what a machine
+// costs to make is their running cost. The ceilings are what the commit
+// that added them measured (35 216 B and 43 304 B with go1.24 on
+// amd64) plus about a quarter; 16 KB of shared image and 8 KB of
+// calendar ring are the floor under both. The commit before it, with
+// the engine's 64 KB event pool and the eager replay text, ran to
+// 112 895 B.
+func TestConstructionBudget(t *testing.T) {
+	sb, err := litmus.TestByName("sb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := litmus.Setup(sb, consistency.RC, 1, consistency.MutNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halt := []isa.Inst{{Op: isa.HALT}}
+
+	newBytes := allocatedBytes(func() {
+		if _, err := machine.New(rs.Machine, [][]isa.Inst{halt, halt}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runBytes := allocatedBytes(func() {
+		rs, err := litmus.Setup(sb, consistency.RC, 1, consistency.MutNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.Execute(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("machine.New %d B, litmus Setup+Execute %d B", newBytes, runBytes)
+	const newCeiling, runCeiling = 44_000, 54_000
+	if newBytes > newCeiling {
+		t.Errorf("machine.New for %+v allocates %d B, ceiling %d", rs.Machine, newBytes, newCeiling)
+	}
+	if runBytes > runCeiling {
+		t.Errorf("litmus Setup+Execute (sb/RC seed 1) allocates %d B, ceiling %d", runBytes, runCeiling)
+	}
+}

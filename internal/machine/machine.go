@@ -177,8 +177,13 @@ type Machine struct {
 	watchdogFn func() // self-rescheduling tagged watchdog tick
 	checkFn    func() // self-rescheduling tagged invariant-check tick
 
-	started  bool // watchdog/checker armed and processors started
-	progHash [32]byte
+	started bool // watchdog/checker armed and processors started
+
+	// progs is the slice New was given. Programs are immutable after
+	// New: the processors execute these very slices, and programHash
+	// fingerprints them only when a snapshot first needs it.
+	progs    [][]isa.Inst
+	progHash *[32]byte // nil until the first Snapshot or Restore
 }
 
 // tailRecv is a pooled one-shot event delivering a data-carrying
@@ -241,9 +246,9 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 		cfg:    cfg,
 		spec:   cfg.Mutate.Apply(consistency.SpecFor(cfg.Model)),
 		shared: make([]uint64, cfg.SharedWords),
+		progs:  progs,
 	}
 	m.words = cfg.LineSize / 8
-	m.progHash = hashPrograms(progs)
 	if cfg.Faults.Enabled() {
 		m.faults = robust.NewInjector(cfg.Faults)
 	}

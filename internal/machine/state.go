@@ -7,7 +7,6 @@ import (
 
 	"memsim/internal/cache"
 	"memsim/internal/cpu"
-	"memsim/internal/isa"
 	"memsim/internal/memory"
 	"memsim/internal/metrics"
 	"memsim/internal/network"
@@ -41,16 +40,21 @@ func tailDesc(dst, src int, msg memory.Msg) sim.EventDesc {
 	return d
 }
 
-// hashPrograms fingerprints the per-processor programs so a snapshot
-// can only be restored into a machine running the same code.
-func hashPrograms(progs [][]isa.Inst) [32]byte {
-	h := sha256.New()
-	if err := gob.NewEncoder(h).Encode(progs); err != nil {
-		panic(fmt.Sprintf("machine: hashing programs: %v", err)) // gob on plain structs cannot fail
+// programHash fingerprints the per-processor programs so a snapshot
+// can only be restored into a machine running the same code. Snapshot
+// and Restore are its only readers, so it is computed on the first of
+// those calls and kept; a machine that is built, run and discarded
+// never pays for it.
+func (m *Machine) programHash() [32]byte {
+	if m.progHash == nil {
+		h := sha256.New()
+		if err := gob.NewEncoder(h).Encode(m.progs); err != nil {
+			panic(fmt.Sprintf("machine: hashing programs: %v", err)) // gob on plain structs cannot fail
+		}
+		sum := [32]byte(h.Sum(nil))
+		m.progHash = &sum
 	}
-	var sum [32]byte
-	copy(sum[:], h.Sum(nil))
-	return sum
+	return *m.progHash
 }
 
 // resolveEvent rebuilds the callback for one saved engine event,
@@ -153,7 +157,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	}
 	s := &Snapshot{
 		Cfg:      m.cfg,
-		ProgHash: m.progHash,
+		ProgHash: m.programHash(),
 		Shared:   append([]uint64(nil), m.shared...),
 		Halted:   m.halted,
 		Started:  m.started,
@@ -200,7 +204,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if m.cfg != s.Cfg {
 		return fmt.Errorf("machine: snapshot config %+v does not match machine config %+v", s.Cfg, m.cfg)
 	}
-	if m.progHash != s.ProgHash {
+	if m.programHash() != s.ProgHash {
 		return fmt.Errorf("machine: snapshot was taken from different programs")
 	}
 	if len(s.Shared) != len(m.shared) {

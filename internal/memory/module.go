@@ -1,7 +1,6 @@
 package memory
 
 import (
-
 	"memsim/internal/metrics"
 	"memsim/internal/robust"
 	"memsim/internal/sim"
@@ -98,10 +97,9 @@ type Module struct {
 	send      func(dst int, m Msg) bool
 	whenSpace func(fn func())
 
-	dir     map[uint64]*entry
-	inq     []queued
-	inqHead int
-	busy    bool
+	dir  map[uint64]*entry
+	inq  ring[queued] // requests waiting for the module, in service order
+	busy bool
 
 	// Post-occupancy action, consumed by unbusy (see busyAction).
 	busyAct     busyAction
@@ -109,10 +107,8 @@ type Module struct {
 	busyMsg     Msg
 	busyTargets SharerSet
 
-	// outq holds messages waiting for response-network buffer space,
-	// drained from outHead so steady-state sends never reslice.
-	outq    []outMsg
-	outHead int
+	// outq holds messages waiting for response-network buffer space.
+	outq ring[outMsg]
 
 	unbusyFn func() // prebuilt m.unbusy, scheduled by every setBusy
 	drainFn  func() // prebuilt m.drainOut, registered with whenSpace
@@ -215,28 +211,25 @@ func (m *Module) fail(op string, line uint64, format string, args ...interface{}
 func (m *Module) Receive(src int, msg Msg) {
 	switch msg.Kind {
 	case ReadReq, WriteReq, WriteBack, FlushInv, FlushShare, InvAck:
-		m.inq = append(m.inq, queued{request{src, msg}, m.eng.Now()})
+		m.inq.pushBack(queued{request{src, msg}, m.eng.Now()})
 		m.kick()
 	default:
 		m.fail(msg.Kind.String(), msg.Line, "module received response-class message from cache %d", src)
 	}
 }
 
-// kick starts processing the next queued request if idle.
+// kick dequeues requests while the module is idle. Every request
+// occupies the module except one that process parks behind a busy
+// line, so the loop passes over any run of parked requests and stops
+// at the first one served.
 func (m *Module) kick() {
-	if m.busy || m.inqHead == len(m.inq) {
-		return
+	for !m.busy && m.inq.len() > 0 {
+		q := m.inq.popFront()
+		wait := uint64(m.eng.Now() - q.at)
+		m.stats.QueuedCycles += wait
+		m.mc.ModuleWait(m.eng.Now(), wait)
+		m.process(q.req)
 	}
-	q := m.inq[m.inqHead]
-	m.inqHead++
-	if m.inqHead == len(m.inq) {
-		m.inq = m.inq[:0]
-		m.inqHead = 0
-	}
-	wait := uint64(m.eng.Now() - q.at)
-	m.stats.QueuedCycles += wait
-	m.mc.ModuleWait(m.eng.Now(), wait)
-	m.process(q.req)
 }
 
 // setBusy occupies the module for d cycles; when the occupancy ends,
@@ -280,14 +273,14 @@ func (m *Module) entryFor(line uint64) *entry {
 	return e
 }
 
-// process handles one dequeued request.
+// process handles one dequeued request, leaving the module occupied
+// unless the request parks.
 func (m *Module) process(r request) {
 	e := m.entryFor(r.msg.Line)
 	if e.state == busySt && (r.msg.Kind == ReadReq || r.msg.Kind == WriteReq) {
 		// The line is mid-transaction; park the request. Write-backs
 		// and completions must still reach the busy entry.
 		e.pending = append(e.pending, r)
-		m.kick()
 		return
 	}
 	switch r.msg.Kind {
@@ -469,43 +462,37 @@ func (m *Module) finishTx(e *entry, line uint64) {
 	m.eng.AfterEvent(sim.Cycle(LookupCycles+InitiateCycles), h.fn, m.headDesc(h))
 }
 
-// replayPending re-injects requests parked behind a busy entry.
+// replayPending re-injects requests parked behind a busy entry at the
+// front of the input queue, in arrival order. The entry keeps its
+// waiter list's backing array for the line's next transaction.
 func (m *Module) replayPending(e *entry) {
 	if len(e.pending) == 0 {
 		return
 	}
-	p := e.pending
-	e.pending = nil
-	// Re-queue at the front in arrival order.
-	old := m.inq[m.inqHead:]
-	nq := make([]queued, 0, len(p)+len(old))
-	for _, r := range p {
-		nq = append(nq, queued{r, m.eng.Now()})
+	p, now := e.pending, m.eng.Now()
+	e.pending = p[:0]
+	for i := len(p) - 1; i >= 0; i-- {
+		m.inq.pushFront(queued{p[i], now})
 	}
-	nq = append(nq, old...)
-	m.inq = nq
-	m.inqHead = 0
 	m.kick()
 }
 
 // enqueueOut hands a message to the response network, retrying when
 // the entrance buffer is full.
 func (m *Module) enqueueOut(dst int, msg Msg) {
-	m.outq = append(m.outq, outMsg{dst, msg})
-	if len(m.outq)-m.outHead == 1 {
+	m.outq.pushBack(outMsg{dst, msg})
+	if m.outq.len() == 1 {
 		m.drainOut()
 	}
 }
 
 func (m *Module) drainOut() {
-	for m.outHead < len(m.outq) {
-		o := m.outq[m.outHead]
+	for m.outq.len() > 0 {
+		o := m.outq.at(0)
 		if !m.send(o.dst, o.msg) {
 			m.whenSpace(m.drainFn)
 			return
 		}
-		m.outHead++
+		m.outq.popFront()
 	}
-	m.outq = m.outq[:0]
-	m.outHead = 0
 }

@@ -14,6 +14,9 @@ type harness struct {
 	out  []sent
 	full bool // simulate a full response buffer
 	wait []func()
+	// onSend, when set, sees every message the module gets out
+	// (replay_test.go answers recalls and invalidations from it).
+	onSend func(dst int, m Msg)
 }
 
 type sent struct {
@@ -30,6 +33,9 @@ func newHarness(lineSize int) *harness {
 				return false
 			}
 			h.out = append(h.out, sent{dst, m, h.eng.Now()})
+			if h.onSend != nil {
+				h.onSend(dst, m)
+			}
 			return true
 		},
 		func(fn func()) { h.wait = append(h.wait, fn) },

@@ -53,8 +53,8 @@ func (m *Module) DirEntry(line uint64) (DirSnapshot, bool) {
 
 // QueueDepth reports the module's input-queue occupancy and whether it
 // is currently busy (diagnostics).
-func (m *Module) QueueDepth() (queued int, busy bool) { return len(m.inq), m.busy }
+func (m *Module) QueueDepth() (queued int, busy bool) { return m.inq.len(), m.busy }
 
 // Idle reports whether the module has no queued work and no occupancy
 // (used to assert full quiescence after a run).
-func (m *Module) Idle() bool { return !m.busy && len(m.inq) == 0 && len(m.outq) == 0 }
+func (m *Module) Idle() bool { return !m.busy && m.inq.len() == 0 && m.outq.len() == 0 }

@@ -143,12 +143,12 @@ func (m *Module) Save() ModuleState {
 		}
 		st.Dir = append(st.Dir, es)
 	}
-	for i := m.inqHead; i < len(m.inq); i++ {
-		q := m.inq[i]
+	for i := 0; i < m.inq.len(); i++ {
+		q := m.inq.at(i)
 		st.Inq = append(st.Inq, QueuedState{Src: q.req.src, Msg: q.req.msg, At: q.at})
 	}
-	for i := m.outHead; i < len(m.outq); i++ {
-		o := m.outq[i]
+	for i := 0; i < m.outq.len(); i++ {
+		o := m.outq.at(i)
 		st.Outq = append(st.Outq, OutState{Dst: o.dst, Msg: o.msg})
 	}
 	return st
@@ -156,7 +156,7 @@ func (m *Module) Save() ModuleState {
 
 // Load restores a freshly constructed module from a snapshot.
 func (m *Module) Load(st ModuleState) error {
-	if len(m.dir) != 0 || m.busy || len(m.inq) != 0 || len(m.outq) != 0 {
+	if len(m.dir) != 0 || m.busy || m.inq.len() != 0 || m.outq.len() != 0 {
 		return fmt.Errorf("memory: Load on a used module %d", m.id)
 	}
 	for _, es := range st.Dir {
@@ -171,10 +171,10 @@ func (m *Module) Load(st ModuleState) error {
 		m.dir[es.Line] = e
 	}
 	for _, q := range st.Inq {
-		m.inq = append(m.inq, queued{request{q.Src, q.Msg}, q.At})
+		m.inq.pushBack(queued{request{q.Src, q.Msg}, q.At})
 	}
 	for _, o := range st.Outq {
-		m.outq = append(m.outq, outMsg{o.Dst, o.Msg})
+		m.outq.pushBack(outMsg{o.Dst, o.Msg})
 	}
 	m.busy = st.Busy
 	m.busySince = st.BusySince

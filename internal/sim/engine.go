@@ -88,14 +88,17 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // alloc takes a node from the free list, growing the pool only when it
-// is exhausted (steady state allocates nothing).
+// is exhausted (steady state allocates nothing). The pool starts small
+// and append doubles it, so its size follows the most events the run
+// ever had pending: a two-processor machine that lives a few hundred
+// events pays for a dozen nodes, not for a big machine's thousands.
 func (e *Engine) alloc(at Cycle, fn func()) int32 {
 	h := e.free
 	if h != 0 {
 		e.free = e.nodes[h].next
 	} else {
 		if e.nodes == nil {
-			e.nodes = make([]node, 1, 1024) // slot 0 reserved as nil
+			e.nodes = make([]node, 1, 16) // slot 0 reserved as nil
 		}
 		e.nodes = append(e.nodes, node{})
 		h = int32(len(e.nodes) - 1)
