@@ -60,17 +60,17 @@ func main() {
 		bench = flag.String("bench", "gauss", "benchmark: gauss, qsort, relax, psim")
 		model = flag.String("model", "SC1",
 			"consistency model: "+strings.Join(memsim.ModelNames(), ", "))
-		procs = flag.Int("procs", 16, "number of processors")
-		cache = flag.Int("cache", 16<<10, "cache size in bytes")
-		line  = flag.Int("line", 16, "cache line size in bytes")
-		delay = flag.Int("delay", 4, "load/branch delay in cycles")
-		n     = flag.Int("n", 0, "problem size (0: benchmark default)")
-		iters = flag.Int("iters", 2, "relax iterations")
-		sched = flag.String("sched", "default", "relax schedule: default, miss-first, miss-last")
-		seed  = flag.Int64("seed", 1992, "workload seed")
+		procs  = flag.Int("procs", 16, "number of processors")
+		cache  = flag.Int("cache", 16<<10, "cache size in bytes")
+		line   = flag.Int("line", 16, "cache line size in bytes")
+		delay  = flag.Int("delay", 4, "load/branch delay in cycles")
+		n      = flag.Int("n", 0, "problem size (0: benchmark default)")
+		iters  = flag.Int("iters", 2, "relax iterations")
+		sched  = flag.String("sched", "default", "relax schedule: default, miss-first, miss-last")
+		seed   = flag.Int64("seed", 1992, "workload seed")
 		vflag  = flag.Bool("v", false, "print per-processor detail")
 		noskip = flag.Bool("no-idle-skip", false, "disable spin fast-forward (A/B timing verification; never changes results)")
-		trc   = flag.Int("trace", 0, "dump the last N coherence-protocol events")
+		trc    = flag.Int("trace", 0, "dump the last N coherence-protocol events")
 
 		metricsF = flag.String("metrics", "", "write the cycle-attribution report as JSON to this file (\"-\": stdout)")
 		csvF     = flag.String("metrics-csv", "", "write the cycle-attribution report as CSV to this file")

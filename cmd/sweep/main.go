@@ -176,7 +176,7 @@ func main() {
 			journal.Append(experiments.JournalEntry{Key: key, Spec: spec, Status: experiments.StatusFailed, Err: err.Error()})
 			var se *robust.SimError
 			if errors.As(err, &se) && se.Dump != "" {
-				name := strings.NewReplacer("/", "_", " ", "").Replace(key) + ".dump"
+				name := experiments.FileName(key) + ".dump"
 				if werr := robust.WriteDump(filepath.Join(dumpDir, name), se.Dump); werr != nil {
 					fmt.Fprintf(os.Stderr, "sweep: %v\n", werr)
 				}
@@ -298,7 +298,7 @@ func main() {
 func metricsSink(dir string) func(string, machine.Result, *metrics.Collector) {
 	var mu sync.Mutex
 	return func(desc string, res machine.Result, mc *metrics.Collector) {
-		name := strings.NewReplacer("/", "_", " ", "").Replace(desc) + ".json"
+		name := experiments.FileName(desc) + ".json"
 		rep := mc.Report(uint64(res.Cycles))
 		f, err := os.Create(filepath.Join(dir, name))
 		if err == nil {

@@ -155,26 +155,34 @@ type Stats struct {
 	Fulls              uint64 // Full outcomes returned
 }
 
+// line is one cache way. It is plain data and a snapshot carries the
+// whole lines slab verbatim, Invalid ways included: victim selection
+// scans ways in order, so their contents decide replacements.
 type line struct {
-	tag   uint64 // line-aligned address
-	state State
-	dirty bool
-	lru   uint64
+	Tag   uint64 // line-aligned address
+	State State
+	Dirty bool
+	LRU   uint64
+}
+
+// miss is the data half of an MSHR, carried verbatim by a snapshot.
+type miss struct {
+	Valid    bool
+	Line     uint64
+	Excl     bool
+	Early    bool // bind at the first word even though Excl (ReadOwn)
+	Prefetch bool
+	IssuedAt sim.Cycle // when the request was sent (metrics)
+
+	// Fill-in-progress state consumed by the prebuilt callbacks.
+	FillExcl bool
+	LateBind bool // Bind deferred to installation (exclusive fetches)
 }
 
 type mshr struct {
-	idx      int // position in Cache.mshr (event descriptors)
-	valid    bool
-	line     uint64
-	excl     bool
-	early    bool // bind at the first word even though excl (ReadOwn)
-	prefetch bool
-	issuedAt sim.Cycle // when the request was sent (metrics)
-	on       Binder
-
-	// Fill-in-progress state consumed by the prebuilt callbacks.
-	fillExcl bool
-	lateBind bool // Bind deferred to installation (exclusive fetches)
+	miss
+	idx int    // position in Cache.mshr (event descriptors)
+	on  Binder // saved and re-linked by its owner (Binders, LinkBinder)
 
 	// bindFn and fillFn are built once per MSHR at construction and
 	// rescheduled for every fill, so receiveData allocates nothing.
@@ -184,12 +192,8 @@ type mshr struct {
 
 // clear frees the MSHR, preserving its prebuilt callbacks.
 func (m *mshr) clear() {
-	m.valid = false
-	m.line = 0
-	m.excl, m.early, m.prefetch = false, false, false
-	m.issuedAt = 0
+	m.miss = miss{}
 	m.on = nil
-	m.fillExcl, m.lateBind = false, false
 }
 
 // Cache is one processor's shared-data cache.
@@ -302,7 +306,7 @@ func (c *Cache) OnRetireAny(fn func()) {
 func (c *Cache) Outstanding() int {
 	n := 0
 	for i := range c.mshr {
-		if c.mshr[i].valid {
+		if c.mshr[i].Valid {
 			n++
 		}
 	}
@@ -325,7 +329,7 @@ func (c *Cache) set(i int) []line { return c.lines[i*c.assoc : (i+1)*c.assoc] }
 func (c *Cache) lookup(lineAddr uint64) *line {
 	set := c.set(c.setIndex(lineAddr))
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == lineAddr {
+		if set[i].State != Invalid && set[i].Tag == lineAddr {
 			return &set[i]
 		}
 	}
@@ -335,7 +339,7 @@ func (c *Cache) lookup(lineAddr uint64) *line {
 // pendingMSHR returns the MSHR holding lineAddr, or nil.
 func (c *Cache) pendingMSHR(lineAddr uint64) *mshr {
 	for i := range c.mshr {
-		if c.mshr[i].valid && c.mshr[i].line == lineAddr {
+		if c.mshr[i].Valid && c.mshr[i].Line == lineAddr {
 			return &c.mshr[i]
 		}
 	}
@@ -345,7 +349,7 @@ func (c *Cache) pendingMSHR(lineAddr uint64) *mshr {
 // freeMSHR returns an invalid MSHR, or nil.
 func (c *Cache) freeMSHR() *mshr {
 	for i := range c.mshr {
-		if !c.mshr[i].valid {
+		if !c.mshr[i].Valid {
 			return &c.mshr[i]
 		}
 	}
@@ -385,7 +389,7 @@ func (c *Cache) notifyWatch(lineAddr uint64) {
 // and never the eviction victim; selection must honor that even
 // though idle-skip defers the LRU touches until wake.
 func (c *Cache) watchProtected(ln *line) bool {
-	return c.watchFn != nil && ln.state != Invalid && ln.tag == c.watchLine
+	return c.watchFn != nil && ln.State != Invalid && ln.Tag == c.watchLine
 }
 
 // SpinTouches replays the cache-side effect of n spin-loop read hits
@@ -396,7 +400,7 @@ func (c *Cache) watchProtected(ln *line) bool {
 func (c *Cache) SpinTouches(lineAddr uint64, n uint64) {
 	c.lruClock += n
 	if ln := c.lookup(lineAddr); ln != nil {
-		ln.lru = c.lruClock
+		ln.LRU = c.lruClock
 	}
 	c.stats.Reads += n
 	c.stats.ReadHits += n
@@ -411,7 +415,7 @@ func (c *Cache) Probe(kind Kind, addr uint64) bool {
 		return false
 	}
 	if kind == Write || kind == RMW || kind == ReadOwn || kind == PrefetchWrite {
-		return ln.state == Exclusive
+		return ln.State == Exclusive
 	}
 	return true
 }
@@ -425,7 +429,7 @@ func (c *Cache) Access(r Request) Outcome {
 	switch r.Kind {
 	case Read:
 		if ln != nil {
-			ln.lru = c.lruClock
+			ln.LRU = c.lruClock
 			c.stats.Reads++
 			c.stats.ReadHits++
 			return Hit
@@ -436,21 +440,21 @@ func (c *Cache) Access(r Request) Outcome {
 		// A load carrying write intent (the "read with ownership"
 		// request the paper's §3.3 calls for): it reads a value but
 		// fetches the line exclusively so the expected store hits.
-		if ln != nil && ln.state == Exclusive {
-			ln.lru = c.lruClock
+		if ln != nil && ln.State == Exclusive {
+			ln.LRU = c.lruClock
 			c.stats.Reads++
 			c.stats.ReadHits++
 			return Hit
 		}
 		if ln != nil {
-			ln.state = Invalid // upgrade: drop the shared copy
+			ln.State = Invalid // upgrade: drop the shared copy
 		}
 		return c.missDemand(r, lineAddr, true)
 
 	case Write, RMW:
-		if ln != nil && ln.state == Exclusive {
-			ln.lru = c.lruClock
-			ln.dirty = true
+		if ln != nil && ln.State == Exclusive {
+			ln.LRU = c.lruClock
+			ln.Dirty = true
 			c.stats.Writes++
 			c.stats.WriteHits++
 			return Hit
@@ -459,7 +463,7 @@ func (c *Cache) Access(r Request) Outcome {
 			// Write to a Shared line: drop the copy and fetch with
 			// ownership — counted as a write miss (§3.3). Not an
 			// invalidation miss: we chose to drop it ourselves.
-			ln.state = Invalid
+			ln.State = Invalid
 		}
 		return c.missDemand(r, lineAddr, true)
 
@@ -493,11 +497,11 @@ func (c *Cache) missDemand(r Request, lineAddr uint64, excl bool) Outcome {
 		delete(c.invalidated, lineAddr)
 	}
 	m.clear()
-	m.valid = true
-	m.line = lineAddr
-	m.excl = excl
-	m.early = r.Kind == ReadOwn
-	m.issuedAt = c.eng.Now()
+	m.Valid = true
+	m.Line = lineAddr
+	m.Excl = excl
+	m.Early = r.Kind == ReadOwn
+	m.IssuedAt = c.eng.Now()
 	m.on = r.On
 	kind := memory.ReadReq
 	if excl {
@@ -511,11 +515,11 @@ func (c *Cache) missDemand(r Request, lineAddr uint64, excl bool) Outcome {
 func (c *Cache) prefetch(r Request, lineAddr uint64, ln *line) Outcome {
 	excl := r.Kind == PrefetchWrite
 	if ln != nil {
-		if !excl || ln.state == Exclusive {
+		if !excl || ln.State == Exclusive {
 			return Hit // nothing to do
 		}
 		// Write-intent prefetch of a Shared line: upgrade early.
-		ln.state = Invalid
+		ln.State = Invalid
 	}
 	if c.pendingMSHR(lineAddr) != nil {
 		return Hit // already on its way
@@ -525,11 +529,11 @@ func (c *Cache) prefetch(r Request, lineAddr uint64, ln *line) Outcome {
 		return Full
 	}
 	m.clear()
-	m.valid = true
-	m.line = lineAddr
-	m.excl = excl
-	m.prefetch = true
-	m.issuedAt = c.eng.Now()
+	m.Valid = true
+	m.Line = lineAddr
+	m.Excl = excl
+	m.Prefetch = true
+	m.IssuedAt = c.eng.Now()
 	c.stats.Prefetches++
 	kind := memory.ReadReq
 	if excl {
@@ -547,7 +551,7 @@ func (c *Cache) Receive(msg memory.Msg) {
 		c.receiveData(msg)
 	case memory.Invalidate:
 		if ln := c.lookup(msg.Line); ln != nil {
-			ln.state = Invalid
+			ln.State = Invalid
 			c.invalidated[msg.Line] = true
 			c.stats.InvalidatesSeen++
 			c.notifyWatch(msg.Line)
@@ -555,10 +559,10 @@ func (c *Cache) Receive(msg memory.Msg) {
 		c.enqueue(memory.Msg{Kind: memory.InvAck, Line: msg.Line}, false)
 	case memory.RecallInv:
 		if ln := c.lookup(msg.Line); ln != nil {
-			if ln.state != Exclusive {
-				c.fail(msg.Kind.String(), msg.Line, "recall of a line held %s, not exclusively", ln.state)
+			if ln.State != Exclusive {
+				c.fail(msg.Kind.String(), msg.Line, "recall of a line held %s, not exclusively", ln.State)
 			}
-			ln.state = Invalid
+			ln.State = Invalid
 			c.invalidated[msg.Line] = true
 			c.stats.InvalidatesSeen++
 			c.notifyWatch(msg.Line)
@@ -568,11 +572,11 @@ func (c *Cache) Receive(msg memory.Msg) {
 		}
 	case memory.RecallShare:
 		if ln := c.lookup(msg.Line); ln != nil {
-			if ln.state != Exclusive {
-				c.fail(msg.Kind.String(), msg.Line, "recall of a line held %s, not exclusively", ln.state)
+			if ln.State != Exclusive {
+				c.fail(msg.Kind.String(), msg.Line, "recall of a line held %s, not exclusively", ln.State)
 			}
-			ln.state = Shared
-			ln.dirty = false
+			ln.State = Shared
+			ln.Dirty = false
 			c.notifyWatch(msg.Line)
 			c.enqueue(memory.Msg{Kind: memory.FlushShare, Line: msg.Line}, false)
 		} else {
@@ -591,18 +595,18 @@ func (c *Cache) receiveData(msg memory.Msg) {
 		c.fail(msg.Kind.String(), msg.Line, "data arrived with no MSHR allocated")
 	}
 	excl := msg.Kind == memory.DataExclusive
-	if m.excl && !excl {
+	if m.Excl && !excl {
 		c.fail(msg.Kind.String(), msg.Line, "ownership request granted shared")
 	}
-	m.fillExcl = excl
-	m.lateBind = false
+	m.FillExcl = excl
+	m.LateBind = false
 	if m.on != nil {
-		if !m.excl || m.early {
+		if !m.Excl || m.Early {
 			// Loads bind at the first word (including ownership-fetching
 			// loads: the value arrives before the ownership settles).
 			c.eng.AfterEvent(1, m.bindFn, c.evdesc(cacheEvBind, m.idx))
 		} else {
-			m.lateBind = true
+			m.LateBind = true
 		}
 	}
 	c.eng.AfterEvent(sim.Cycle(c.words), m.fillFn, c.evdesc(cacheEvFill, m.idx))
@@ -611,18 +615,18 @@ func (c *Cache) receiveData(msg memory.Msg) {
 // finishFill runs when a data message's tail has arrived: install the
 // line, free the MSHR, perform a deferred bind, and retire.
 func (c *Cache) finishFill(m *mshr) {
-	lineAddr := m.line
-	c.install(lineAddr, m.fillExcl)
-	c.mc.Fill(m.issuedAt, c.eng.Now())
+	lineAddr := m.Line
+	c.install(lineAddr, m.FillExcl)
+	c.mc.Fill(m.IssuedAt, c.eng.Now())
 	on := m.on
-	lateBind := m.lateBind
+	lateBind := m.LateBind
 	m.clear()
 	// Writes and RMW perform once the whole line is in; mark the
 	// line dirty before anyone else can act on the retirement.
 	// (Prefetches never carry a binder, so they install clean.)
 	if lateBind {
 		if ln := c.lookup(lineAddr); ln != nil {
-			ln.dirty = true
+			ln.Dirty = true
 		}
 		on.Bind()
 	}
@@ -639,7 +643,7 @@ func (c *Cache) install(lineAddr uint64, excl bool) {
 	set := c.set(c.setIndex(lineAddr))
 	victim := -1
 	for i := range set {
-		if set[i].state == Invalid {
+		if set[i].State == Invalid {
 			victim = i
 			break
 		}
@@ -649,7 +653,7 @@ func (c *Cache) install(lineAddr uint64, excl bool) {
 			if c.watchProtected(&set[i]) {
 				continue
 			}
-			if victim < 0 || set[i].lru < set[victim].lru {
+			if victim < 0 || set[i].LRU < set[victim].LRU {
 				victim = i
 			}
 		}
@@ -658,12 +662,12 @@ func (c *Cache) install(lineAddr uint64, excl bool) {
 		}
 		// Evicting the watched line ends its processor's spin at the
 		// next ghost iteration.
-		c.notifyWatch(set[victim].tag)
-		if set[victim].state == Exclusive {
+		c.notifyWatch(set[victim].Tag)
+		if set[victim].State == Exclusive {
 			// Write back owned lines (clean or dirty) so the directory
 			// learns the eviction; Shared lines leave silently.
 			c.stats.WriteBacks++
-			c.enqueue(memory.Msg{Kind: memory.WriteBack, Line: set[victim].tag}, false)
+			c.enqueue(memory.Msg{Kind: memory.WriteBack, Line: set[victim].Tag}, false)
 		}
 	}
 	st := Shared
@@ -671,13 +675,14 @@ func (c *Cache) install(lineAddr uint64, excl bool) {
 		st = Exclusive
 	}
 	c.lruClock++
-	set[victim] = line{tag: lineAddr, state: st, dirty: false, lru: c.lruClock}
+	set[victim] = line{Tag: lineAddr, State: st, LRU: c.lruClock}
 	delete(c.invalidated, lineAddr)
 }
 
+// outPkt is one output-queue entry awaiting network space.
 type outPkt struct {
-	msg    memory.Msg
-	bypass bool
+	Msg    memory.Msg
+	Bypass bool
 }
 
 // enqueue hands a message to the request network, buffering internally
@@ -694,7 +699,7 @@ func (c *Cache) enqueue(msg memory.Msg, bypass bool) {
 func (c *Cache) drainOut() {
 	for c.outHead < len(c.outq) {
 		o := c.outq[c.outHead]
-		if !c.send(o.msg, o.bypass) {
+		if !c.send(o.Msg, o.Bypass) {
 			c.whenSpace(c.drainFn)
 			return
 		}

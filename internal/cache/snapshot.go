@@ -14,8 +14,8 @@ type LineSnapshot struct {
 func (c *Cache) Snapshot() []LineSnapshot {
 	var out []LineSnapshot
 	for _, ln := range c.lines {
-		if ln.state != Invalid {
-			out = append(out, LineSnapshot{Addr: ln.tag, State: ln.state, Dirty: ln.dirty})
+		if ln.State != Invalid {
+			out = append(out, LineSnapshot{Addr: ln.Tag, State: ln.State, Dirty: ln.Dirty})
 		}
 	}
 	return out
@@ -32,8 +32,8 @@ type MSHRSnapshot struct {
 func (c *Cache) SnapshotMSHRs() []MSHRSnapshot {
 	var out []MSHRSnapshot
 	for i := range c.mshr {
-		if c.mshr[i].valid {
-			out = append(out, MSHRSnapshot{Line: c.mshr[i].line, Excl: c.mshr[i].excl, Prefetch: c.mshr[i].prefetch})
+		if c.mshr[i].Valid {
+			out = append(out, MSHRSnapshot{Line: c.mshr[i].Line, Excl: c.mshr[i].Excl, Prefetch: c.mshr[i].Prefetch})
 		}
 	}
 	return out
@@ -47,18 +47,18 @@ func (c *Cache) SnapshotMSHRs() []MSHRSnapshot {
 // results matter.
 func (c *Cache) ForceState(lineAddr uint64, st State, dirty bool) {
 	if ln := c.lookup(lineAddr); ln != nil {
-		ln.state = st
-		ln.dirty = dirty
+		ln.State = st
+		ln.Dirty = dirty
 		return
 	}
 	set := c.set(c.setIndex(lineAddr))
 	way := 0
 	for i := range set {
-		if set[i].state == Invalid {
+		if set[i].State == Invalid {
 			way = i
 			break
 		}
 	}
 	c.lruClock++
-	set[way] = line{tag: lineAddr, state: st, dirty: dirty, lru: c.lruClock}
+	set[way] = line{Tag: lineAddr, State: st, Dirty: dirty, LRU: c.lruClock}
 }

@@ -96,13 +96,15 @@ func (p parkReason) String() string {
 	return fmt.Sprintf("park(%d)", uint8(p))
 }
 
-// pendingRelease is RC's background release operation.
+// pendingRelease is RC's background release operation; at most one
+// pends, and the zero value is "none".
 type pendingRelease struct {
-	addr      uint64
-	value     uint64
-	waitCount int       // outstanding refs at issue yet to retire
-	issued    bool      // handed to the cache
-	issuedAt  sim.Cycle // when the releasing store executed (metrics)
+	Active    bool
+	Addr      uint64
+	Value     uint64
+	WaitCount int       // outstanding refs at issue yet to retire
+	Issued    bool      // handed to the cache
+	IssuedAt  sim.Cycle // when the releasing store executed (metrics)
 }
 
 // notReady marks a register whose value awaits an outstanding miss.
@@ -112,6 +114,68 @@ const notReady = sim.Cycle(math.MaxUint64)
 // touching shared memory; exceeding it means a runaway local loop in
 // the program under simulation.
 const maxBatch = 10_000_000
+
+// core is everything about a processor that changes as it runs, as
+// plain data: a snapshot carries the struct verbatim (CPUState.Core),
+// so a field added here is checkpointed by construction. What cannot
+// live here — the awaited operation, a pooled pointer, and private
+// memory, a map — is saved by CPU.Save in its own form.
+type core struct {
+	PC          int
+	Regs        [isa.NumRegs]uint64
+	RegReady    [isa.NumRegs]sim.Cycle
+	RegPending  [isa.NumRegs]bool
+	Outstanding int // demand misses in flight (excludes prefetches)
+	MissSeq     uint64
+
+	Halted    bool
+	Scheduled bool
+	Parked    bool
+	ParkWhy   parkReason
+	ParkCause metrics.StallCause
+	ParkedAt  sim.Cycle
+
+	AwaitWhy      parkReason // stall reason while the awaited op completes
+	PrefetchFired bool       // one SC2 prefetch per stall episode
+
+	Release        pendingRelease
+	ReleaseBarrier uint64 // misses with seq <= barrier gate the release
+
+	// Write buffer (TSO/PSO/PC): a ring of buffered ordinary stores.
+	WB     [wbCap]wbEntry
+	WBHead int
+	WBLen  int
+	WBSeq  uint64 // drain sequence numbers (own space, not MissSeq)
+
+	// Spin-wait fast-forward (spin.go). SpinPC/SpinNextT/SpinPeriod
+	// track detection (the candidate load and its predicted next
+	// resync) and are meaningful even when not spinning: the
+	// primed-then-confirm handshake must resume exactly where a snapshot
+	// left it. The rest is the engaged park, whose ghost event rides in
+	// the engine's own saved queue (cpuEvSpin). Spinning is distinct
+	// from Parked: reconsider must never wake a spin park.
+	Spinning   bool
+	SpinStale  bool // the watched line's state changed; resume at next ghost
+	SpinPC     int
+	SpinNextT  sim.Cycle
+	SpinPeriod sim.Cycle
+	SpinT0     sim.Cycle
+	SpinSync   bool // sync/acquire-classed loop (vs plain)
+	SpinAddr   uint64
+	SpinVal    uint64
+	SpinRd     isa.Reg
+
+	// SyncInstrs counts retired instructions whose static class is a
+	// synchronization flavor (acquire, release, sync), independent of
+	// whether the consistency model's hardware treats them specially.
+	// Stats.SyncOps is the model-visible count — zero under SC, where
+	// sync accesses execute as ordinary shared accesses — so this is
+	// the workload-level ground truth a report can always show. Kept
+	// outside Stats: it must not perturb checksummed results.
+	SyncInstrs uint64
+
+	Stats Stats
+}
 
 // CPU is one simulated processor.
 type CPU struct {
@@ -127,65 +191,10 @@ type CPU struct {
 	branchDelay sim.Cycle
 	maxOut      int
 
-	pc          int
-	regs        [isa.NumRegs]uint64
-	regReady    [isa.NumRegs]sim.Cycle
-	regPending  [isa.NumRegs]bool
-	outstanding int // demand misses in flight (excludes prefetches)
-	missSeq     uint64
+	spinFF bool // spin fast-forward enabled (off under fault injection)
 
-	halted    bool
-	scheduled bool
-	parked    bool
-	parkWhy   parkReason
-	parkCause metrics.StallCause
-	parkedAt  sim.Cycle
-
-	awaiting      *pendingOp // issued sync/blocking op not yet complete
-	awaitWhy      parkReason // stall reason while awaiting completes
-	prefetchFired bool       // one SC2 prefetch per stall episode
-
-	// Restore linkage: a snapshot saved this CPU awaiting an op still
-	// held by an MSHR; RestoreBinder re-links it by miss sequence.
-	wantAwait    bool
-	wantAwaitSeq uint64
-
-	release        *pendingRelease
-	relBuf         pendingRelease // backing storage: at most one release pends
-	releaseBarrier uint64         // misses with seq <= barrier gate the release
-
-	// Write buffer (TSO/PSO/PC): a ring of buffered ordinary stores.
-	wb     [wbCap]wbEntry
-	wbHead int
-	wbLen  int
-	wbSeq  uint64 // drain sequence numbers (own space, not missSeq)
-
-	// Spin-wait fast-forward (spin.go). spinPC/spinNextT/spinPeriod
-	// track detection (the candidate load and its predicted next
-	// resync); the rest is the engaged park. spinning is distinct from
-	// parked: reconsider must never wake a spin park.
-	spinFF       bool // enabled (off under fault injection)
-	spinning     bool
-	spinStale    bool // the watched line's state changed; resume at next ghost
-	spinPC       int
-	spinNextT    sim.Cycle
-	spinPeriod   sim.Cycle
-	spinT0       sim.Cycle
-	spinSync     bool // sync/acquire-classed loop (vs plain)
-	spinAddr     uint64
-	spinVal      uint64
-	spinRd       isa.Reg
-	spinGhostFn  func()
-	spinNoticeFn func()
-
-	// syncInstrs counts retired instructions whose static class is a
-	// synchronization flavor (acquire, release, sync), independent of
-	// whether the consistency model's hardware treats them specially.
-	// Stats.SyncOps is the model-visible count — zero under SC, where
-	// sync accesses execute as ordinary shared accesses — so this is
-	// the workload-level ground truth a report can always show. Kept
-	// outside Stats: it must not perturb checksummed results.
-	syncInstrs uint64
+	core     core
+	awaiting *pendingOp // issued sync/blocking op not yet complete
 
 	// opFree heads the pendingOp free list; runFn is the prebuilt run
 	// callback handed to the engine (a method value built once, so
@@ -193,10 +202,11 @@ type CPU struct {
 	opFree *pendingOp
 	runFn  func()
 
-	onHalt func(id int)
+	spinGhostFn  func()
+	spinNoticeFn func()
 
-	stats Stats
-	mc    *metrics.Collector // nil: no metrics collection
+	onHalt func(id int)
+	mc     *metrics.Collector // nil: no metrics collection
 }
 
 // Config carries the per-CPU construction parameters.
@@ -208,7 +218,7 @@ type Config struct {
 	Mem         MemImage
 	LoadDelay   int
 	BranchDelay int
-	MSHRs       int // machine MSHR count; bounds relaxed-model outstanding
+	MSHRs       int  // machine MSHR count; bounds relaxed-model outstanding
 	NoSpinSkip  bool // disable spin fast-forward (required under fault injection)
 	OnHalt      func(id int)
 }
@@ -235,7 +245,7 @@ func New(eng *sim.Engine, cfg Config) *CPU {
 		branchDelay: sim.Cycle(cfg.BranchDelay),
 		maxOut:      maxOut,
 		spinFF:      !cfg.NoSpinSkip,
-		spinPC:      -1,
+		core:        core{SpinPC: -1},
 		onHalt:      cfg.OnHalt,
 	}
 	c.runFn = c.run
@@ -248,53 +258,53 @@ func New(eng *sim.Engine, cfg Config) *CPU {
 // SetReg initializes a register before the run starts.
 func (c *CPU) SetReg(r isa.Reg, v uint64) {
 	if r != isa.R0 {
-		c.regs[r] = v
+		c.core.Regs[r] = v
 	}
 }
 
 // Reg returns a register's current value (test/inspection use).
-func (c *CPU) Reg(r isa.Reg) uint64 { return c.regs[r] }
+func (c *CPU) Reg(r isa.Reg) uint64 { return c.core.Regs[r] }
 
 // Priv exposes the private memory (for workload setup and tests).
 func (c *CPU) Priv() *PrivMem { return c.priv }
 
 // Stats returns a copy of the counters.
-func (c *CPU) Stats() Stats { return c.stats }
+func (c *CPU) Stats() Stats { return c.core.Stats }
 
 // SyncInstrs returns the program-level count of retired
 // synchronization-classed instructions (see the field comment).
-func (c *CPU) SyncInstrs() uint64 { return c.syncInstrs }
+func (c *CPU) SyncInstrs() uint64 { return c.core.SyncInstrs }
 
 // SetMetrics attaches a cycle-attribution collector (nil disables).
 // Collection is purely observational: it never changes timing.
 func (c *CPU) SetMetrics(mc *metrics.Collector) { c.mc = mc }
 
 // Halted reports whether the program has finished.
-func (c *CPU) Halted() bool { return c.halted }
+func (c *CPU) Halted() bool { return c.core.Halted }
 
 // PC returns the current program counter (diagnostics).
-func (c *CPU) PC() int { return c.pc }
+func (c *CPU) PC() int { return c.core.PC }
 
 // OutstandingRefs returns the number of demand misses in flight
 // (diagnostics; excludes prefetches).
-func (c *CPU) OutstandingRefs() int { return c.outstanding }
+func (c *CPU) OutstandingRefs() int { return c.core.Outstanding }
 
 // ParkedReason describes what the processor is waiting on, or
 // "running" when it is not parked (diagnostics).
 func (c *CPU) ParkedReason() string {
-	if c.halted {
+	if c.core.Halted {
 		return "halted"
 	}
-	if c.spinning {
+	if c.core.Spinning {
 		return "spin"
 	}
-	if !c.parked {
-		if c.awaiting != nil && !c.awaiting.done {
+	if !c.core.Parked {
+		if c.awaiting != nil && !c.awaiting.Done {
 			return "awaiting"
 		}
 		return "running"
 	}
-	return c.parkWhy.String()
+	return c.core.ParkWhy.String()
 }
 
 // Start schedules the first execution event at cycle 0.
@@ -302,10 +312,10 @@ func (c *CPU) Start() { c.schedule(c.eng.Now()) }
 
 // schedule arranges a run event at cycle at (idempotent).
 func (c *CPU) schedule(at sim.Cycle) {
-	if c.scheduled || c.halted {
+	if c.core.Scheduled || c.core.Halted {
 		return
 	}
-	c.scheduled = true
+	c.core.Scheduled = true
 	c.eng.AtEvent(at, c.runFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvRun, Unit: int32(c.id)})
 }
 
@@ -315,27 +325,27 @@ func (c *CPU) schedule(at sim.Cycle) {
 func (c *CPU) reconsider() {
 	c.releaseTick()
 	c.wbTick()
-	if !c.parked {
+	if !c.core.Parked {
 		return
 	}
-	c.parked = false
+	c.core.Parked = false
 	at := c.eng.Now()
-	if c.parkedAt > at {
-		at = c.parkedAt
+	if c.core.ParkedAt > at {
+		at = c.core.ParkedAt
 	}
-	dur := uint64(at - c.parkedAt)
-	c.accountStall(c.parkWhy, dur)
-	c.mc.Stall(c.id, c.parkCause, c.parkedAt, dur)
-	c.parkWhy = parkNone
+	dur := uint64(at - c.core.ParkedAt)
+	c.accountStall(c.core.ParkWhy, dur)
+	c.mc.Stall(c.id, c.core.ParkCause, c.core.ParkedAt, dur)
+	c.core.ParkWhy = parkNone
 	c.schedule(at)
 }
 
 // park suspends execution at local time t for the given reason.
 func (c *CPU) park(why parkReason, t sim.Cycle) {
-	c.parked = true
-	c.parkWhy = why
-	c.parkCause = stallCauseOf(why)
-	c.parkedAt = t
+	c.core.Parked = true
+	c.core.ParkWhy = why
+	c.core.ParkCause = stallCauseOf(why)
+	c.core.ParkedAt = t
 }
 
 // stallCauseOf maps a park reason onto the metrics stall taxonomy.
@@ -358,19 +368,19 @@ func stallCauseOf(why parkReason) metrics.StallCause {
 func (c *CPU) accountStall(why parkReason, cycles uint64) {
 	switch why {
 	case parkRegs:
-		c.stats.StallLoadWait += cycles
+		c.core.Stats.StallLoadWait += cycles
 	case parkOutstanding:
-		c.stats.StallOutstanding += cycles
+		c.core.Stats.StallOutstanding += cycles
 	case parkConflict:
-		c.stats.StallConflict += cycles
+		c.core.Stats.StallConflict += cycles
 	case parkDrain, parkHalt:
-		c.stats.StallDrain += cycles
+		c.core.Stats.StallDrain += cycles
 	case parkSync:
-		c.stats.StallSync += cycles
+		c.core.Stats.StallSync += cycles
 	case parkBlocking:
-		c.stats.StallBlocking += cycles
+		c.core.Stats.StallBlocking += cycles
 	case parkRelease:
-		c.stats.StallRelease += cycles
+		c.core.Stats.StallRelease += cycles
 	}
 }
 
@@ -379,9 +389,9 @@ func (c *CPU) setReg(r isa.Reg, v uint64, ready sim.Cycle) {
 	if r == isa.R0 {
 		return
 	}
-	c.regs[r] = v
-	c.regReady[r] = ready
-	c.regPending[r] = false
+	c.core.Regs[r] = v
+	c.core.RegReady[r] = ready
+	c.core.RegPending[r] = false
 }
 
 // srcReady returns the cycle at which the instruction's source (and,
@@ -390,12 +400,12 @@ func (c *CPU) setReg(r isa.Reg, v uint64, ready sim.Cycle) {
 func (c *CPU) srcReady(in isa.Inst) sim.Cycle {
 	ready := sim.Cycle(0)
 	consider := func(r isa.Reg) {
-		if c.regPending[r] {
+		if c.core.RegPending[r] {
 			ready = notReady
 			return
 		}
-		if c.regReady[r] > ready {
-			ready = c.regReady[r]
+		if c.core.RegReady[r] > ready {
+			ready = c.core.RegReady[r]
 		}
 	}
 	if in.Op.ReadsRs1() {
@@ -427,39 +437,39 @@ func (c *CPU) effectiveClass(cl isa.Class) isa.Class {
 
 // run is the processor's execution event.
 func (c *CPU) run() {
-	c.scheduled = false
-	if c.halted || c.parked {
+	c.core.Scheduled = false
+	if c.core.Halted || c.core.Parked {
 		return
 	}
 	t := c.eng.Now()
 	for steps := 0; ; steps++ {
 		if steps > maxBatch {
 			robust.Raise(&robust.SimError{Kind: robust.Program, Component: "cpu", Unit: c.id,
-				Cycle: c.eng.Now(), Detail: fmt.Sprintf("runaway local loop at pc %d", c.pc)})
+				Cycle: c.eng.Now(), Detail: fmt.Sprintf("runaway local loop at pc %d", c.core.PC)})
 		}
 		// An issued operation we must complete before advancing.
 		if c.awaiting != nil {
-			if !c.awaiting.done {
-				c.park(c.awaitWhy, t)
+			if !c.awaiting.Done {
+				c.park(c.core.AwaitWhy, t)
 				return
 			}
 			po := c.awaiting
 			c.awaiting = nil
-			if po.retired {
+			if po.Retired {
 				c.freeOp(po)
 			}
-			c.pc++
+			c.core.PC++
 			t++
 			if t > c.eng.Now() {
 				c.schedule(t)
 				return
 			}
 		}
-		if c.pc < 0 || c.pc >= len(c.prog) {
+		if c.core.PC < 0 || c.core.PC >= len(c.prog) {
 			robust.Raise(&robust.SimError{Kind: robust.Program, Component: "cpu", Unit: c.id,
-				Cycle: c.eng.Now(), Detail: fmt.Sprintf("pc %d out of program (%d instructions)", c.pc, len(c.prog))})
+				Cycle: c.eng.Now(), Detail: fmt.Sprintf("pc %d out of program (%d instructions)", c.core.PC, len(c.prog))})
 		}
-		in := c.prog[c.pc]
+		in := c.prog[c.core.PC]
 
 		// Register interlock.
 		ready := c.srcReady(in)
@@ -468,19 +478,19 @@ func (c *CPU) run() {
 			return
 		}
 		if ready > t {
-			c.stats.StallInterlock += uint64(ready - t)
+			c.core.Stats.StallInterlock += uint64(ready - t)
 			c.mc.Stall(c.id, metrics.CauseInterlock, t, uint64(ready-t))
 			t = ready
 		}
 
 		switch {
 		case in.Op == isa.NOP:
-			c.stats.Instructions++
-			c.pc++
+			c.core.Stats.Instructions++
+			c.core.PC++
 			t++
 
 		case in.Op == isa.HALT:
-			if c.outstanding > 0 || c.release != nil || c.wbHaltWait() {
+			if c.core.Outstanding > 0 || c.core.Release.Active || c.wbHaltWait() {
 				if t > c.eng.Now() {
 					c.schedule(t)
 					return
@@ -488,9 +498,9 @@ func (c *CPU) run() {
 				c.park(parkHalt, t)
 				return
 			}
-			c.stats.Instructions++
-			c.halted = true
-			c.stats.HaltCycle = t
+			c.core.Stats.Instructions++
+			c.core.Halted = true
+			c.core.Stats.HaltCycle = t
 			if c.onHalt != nil {
 				c.onHalt(c.id)
 			}
@@ -498,13 +508,13 @@ func (c *CPU) run() {
 
 		case in.Op.IsALU():
 			c.execALU(in, t)
-			c.stats.Instructions++
-			c.pc++
+			c.core.Stats.Instructions++
+			c.core.PC++
 			t++
 
 		case in.Op.IsBranch():
-			c.stats.Instructions++
-			c.pc = c.branchTarget(in)
+			c.core.Stats.Instructions++
+			c.core.PC = c.branchTarget(in)
 			t += c.branchDelay
 
 		case in.Op == isa.FENCE:
@@ -514,36 +524,36 @@ func (c *CPU) run() {
 			}
 			if c.effectiveClass(in.Class) == isa.ClassPlain {
 				// Invisible to SC hardware: a no-op.
-				c.stats.Instructions++
-				c.syncInstrs++
-				c.pc++
+				c.core.Stats.Instructions++
+				c.core.SyncInstrs++
+				c.core.PC++
 				t++
 				break
 			}
-			if c.outstanding > 0 || c.release != nil || c.wbDrainWait() {
+			if c.core.Outstanding > 0 || c.core.Release.Active || c.wbDrainWait() {
 				c.park(parkDrain, t)
 				return
 			}
-			c.stats.Instructions++
-			c.stats.SyncOps++
-			c.syncInstrs++
-			c.pc++
+			c.core.Stats.Instructions++
+			c.core.Stats.SyncOps++
+			c.core.SyncInstrs++
+			c.core.PC++
 			t++
 
 		case in.Op.IsMem():
-			addr := c.regs[in.Rs1] + uint64(in.Imm)
+			addr := c.core.Regs[in.Rs1] + uint64(in.Imm)
 			if addr%8 != 0 {
 				robust.Raise(&robust.SimError{Kind: robust.Program, Component: "cpu", Unit: c.id,
 					Cycle: c.eng.Now(), Line: addr, HasLine: true,
-					Detail: fmt.Sprintf("unaligned access at pc %d", c.pc)})
+					Detail: fmt.Sprintf("unaligned access at pc %d", c.core.PC)})
 			}
 			if !isa.IsShared(addr) {
 				c.execPrivate(in, addr, t)
-				c.stats.Instructions++
+				c.core.Stats.Instructions++
 				if in.Class != isa.ClassPlain {
-					c.syncInstrs++
+					c.core.SyncInstrs++
 				}
-				c.pc++
+				c.core.PC++
 				t++
 				break
 			}
@@ -559,17 +569,17 @@ func (c *CPU) run() {
 			}
 			status, extra := c.sharedAccess(in, addr, t)
 			if status != accRetry && in.Class != isa.ClassPlain {
-				c.syncInstrs++
+				c.core.SyncInstrs++
 			}
 			switch status {
 			case accDone:
-				c.stats.Instructions++
-				c.pc++
+				c.core.Stats.Instructions++
+				c.core.PC++
 				t += 1 + extra
 			case accRetry:
 				return // parked before issue; will re-execute
 			case accWait:
-				c.stats.Instructions++
+				c.core.Stats.Instructions++
 				// parked after issue; awaiting completion advances pc
 				return
 			}

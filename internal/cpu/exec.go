@@ -10,26 +10,32 @@ import (
 	"memsim/internal/sim"
 )
 
+// opData is the plain-data half of a pendingOp, carried verbatim by a
+// snapshot.
+type opData struct {
+	Op      isa.Op
+	Rd      isa.Reg
+	Addr    uint64
+	Value   uint64 // store value (ST)
+	Seq     uint64 // miss sequence number (gates RC releases)
+	Issue   sim.Cycle
+	RefKind metrics.RefClass
+	Sync    bool // sync-class: stores also set Done and wake the CPU
+	Rel     bool // RC background release
+	WBD     bool // write-buffer drain (TSO/PSO/PC)
+	Done    bool // value bound; consulted when the CPU awaits this op
+	Retired bool // Retire ran while the CPU still awaited the op
+}
+
 // pendingOp is one issued shared access in flight: the pooled record
 // the cache calls back through (it implements cache.Binder). These
 // records replace the old per-access OnBind/OnRetire closures; they
 // recycle through a per-CPU free list, so the steady-state reference
 // stream allocates nothing.
 type pendingOp struct {
-	c       *CPU
-	op      isa.Op
-	rd      isa.Reg
-	addr    uint64
-	value   uint64 // store value (ST)
-	seq     uint64 // miss sequence number (gates RC releases)
-	issue   sim.Cycle
-	refKind metrics.RefClass
-	sync    bool // sync-class: stores also set done and wake the CPU
-	rel     bool // RC background release
-	wbd     bool // write-buffer drain (TSO/PSO/PC)
-	done    bool // value bound; consulted when the CPU awaits this op
-	retired bool // Retire ran while the CPU still awaited the op
-	next    *pendingOp
+	opData
+	c    *CPU
+	next *pendingOp
 }
 
 // allocOp takes a record from the free list (growing only when empty).
@@ -55,34 +61,34 @@ func (c *CPU) freeOp(p *pendingOp) {
 // class.
 func (p *pendingOp) Bind() {
 	c := p.c
-	if p.wbd {
+	if p.WBD {
 		c.wbBindDrain(p)
 		return
 	}
-	if p.rel {
-		c.mem.WriteWord(p.addr, p.value)
+	if p.Rel {
+		c.mem.WriteWord(p.Addr, p.Value)
 		return
 	}
-	switch p.op {
+	switch p.Op {
 	case isa.LD, isa.LDX:
-		v := c.mem.ReadWord(p.addr)
-		c.setReg(p.rd, v, c.eng.Now())
-		c.mc.Ref(p.refKind, p.issue, c.eng.Now())
-		p.done = true
+		v := c.mem.ReadWord(p.Addr)
+		c.setReg(p.Rd, v, c.eng.Now())
+		c.mc.Ref(p.RefKind, p.Issue, c.eng.Now())
+		p.Done = true
 		c.reconsider()
 	case isa.ST:
-		c.mem.WriteWord(p.addr, p.value)
-		c.mc.Ref(p.refKind, p.issue, c.eng.Now())
-		if p.sync {
-			p.done = true
+		c.mem.WriteWord(p.Addr, p.Value)
+		c.mc.Ref(p.RefKind, p.Issue, c.eng.Now())
+		if p.Sync {
+			p.Done = true
 			c.reconsider()
 		}
 	case isa.TAS:
-		old := c.mem.ReadWord(p.addr)
-		c.mem.WriteWord(p.addr, 1)
-		c.setReg(p.rd, old, c.eng.Now())
-		c.mc.Ref(p.refKind, p.issue, c.eng.Now())
-		p.done = true
+		old := c.mem.ReadWord(p.Addr)
+		c.mem.WriteWord(p.Addr, 1)
+		c.setReg(p.Rd, old, c.eng.Now())
+		c.mc.Ref(p.RefKind, p.Issue, c.eng.Now())
+		p.Done = true
 		c.reconsider()
 	}
 }
@@ -92,21 +98,21 @@ func (p *pendingOp) Bind() {
 // case the CPU frees it when it resumes.
 func (p *pendingOp) Retire() {
 	c := p.c
-	if p.wbd {
-		// Drains never count in c.outstanding; cache.OnRetireAny fires
+	if p.WBD {
+		// Drains never count in c.core.Outstanding; cache.OnRetireAny fires
 		// after this and runs reconsider → wbTick for follow-on issues.
-		c.wbRetireDrain(p.seq)
+		c.wbRetireDrain(p.Seq)
 		c.freeOp(p)
 		return
 	}
-	if p.rel {
+	if p.Rel {
 		c.completeRelease()
 		c.freeOp(p)
 		return
 	}
-	c.retireMiss(p.seq)
+	c.retireMiss(p.Seq)
 	if c.awaiting == p {
-		p.retired = true
+		p.Retired = true
 		return
 	}
 	c.freeOp(p)
@@ -123,8 +129,8 @@ const (
 
 // execALU performs a register-only instruction at local time t.
 func (c *CPU) execALU(in isa.Inst, t sim.Cycle) {
-	a := c.regs[in.Rs1]
-	b := c.regs[in.Rs2]
+	a := c.core.Regs[in.Rs1]
+	b := c.core.Regs[in.Rs2]
 	fa := math.Float64frombits(a)
 	fb := math.Float64frombits(b)
 	var v uint64
@@ -236,32 +242,32 @@ func branchTaken(op isa.Op, a, b uint64) bool {
 // branchTarget evaluates a control-transfer instruction and returns
 // the next pc.
 func (c *CPU) branchTarget(in isa.Inst) int {
-	a := c.regs[in.Rs1]
+	a := c.core.Regs[in.Rs1]
 	switch in.Op {
 	case isa.J:
 		return int(in.Imm)
 	case isa.JAL:
-		c.setReg(in.Rd, uint64(c.pc+1), c.eng.Now())
+		c.setReg(in.Rd, uint64(c.core.PC+1), c.eng.Now())
 		return int(in.Imm)
 	case isa.JR:
 		return int(a)
 	}
-	if branchTaken(in.Op, a, c.regs[in.Rs2]) {
+	if branchTaken(in.Op, a, c.core.Regs[in.Rs2]) {
 		return int(in.Imm)
 	}
-	return c.pc + 1
+	return c.core.PC + 1
 }
 
 // execPrivate performs a private-memory access at local time t.
 func (c *CPU) execPrivate(in isa.Inst, addr uint64, t sim.Cycle) {
 	switch in.Op {
 	case isa.LD, isa.LDX:
-		c.stats.PrivReads++
+		c.core.Stats.PrivReads++
 		v := c.priv.Read(addr)
 		c.setReg(in.Rd, v, t+c.loadDelay)
 	case isa.ST:
-		c.stats.PrivWrites++
-		c.priv.Write(addr, c.regs[in.Rs2])
+		c.core.Stats.PrivWrites++
+		c.priv.Write(addr, c.core.Regs[in.Rs2])
 	case isa.TAS:
 		panic(fmt.Sprintf("cpu %d: test-and-set on private address %#x", c.id, addr))
 	}
@@ -279,7 +285,7 @@ func (c *CPU) sharedAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, si
 	// but an access to the release's own address must wait, or a later
 	// store is overwritten by the earlier release (and a later load
 	// reads stale data).
-	if rel := c.release; rel != nil && rel.addr == addr {
+	if rel := &c.core.Release; rel.Active && rel.Addr == addr {
 		c.park(parkRelease, t)
 		return accRetry, 0
 	}
@@ -288,7 +294,7 @@ func (c *CPU) sharedAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, si
 		return c.plainAccess(in, addr, t)
 	case isa.ClassSync:
 		// Weak ordering: drain everything, then issue and wait.
-		if c.outstanding > 0 || c.release != nil || c.wbDrainWait() {
+		if c.core.Outstanding > 0 || c.core.Release.Active || c.wbDrainWait() {
 			c.park(parkDrain, t)
 			return accRetry, 0
 		}
@@ -330,7 +336,7 @@ func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim
 				c.park(parkOutstanding, t)
 				return accRetry, 0
 			}
-			c.wbPush(addr, c.regs[in.Rs2], t)
+			c.wbPush(addr, c.core.Regs[in.Rs2], t)
 			c.wbTick()
 			return accDone, 0
 		case isa.LD, isa.LDX:
@@ -355,15 +361,15 @@ func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim
 	// stalls *any* subsequent access, hit or miss, while a reference
 	// is outstanding; SC2 additionally fires one non-binding prefetch
 	// for the blocked access.
-	if c.outstanding >= c.maxOut {
-		if c.spec.PrefetchOnStall && !c.prefetchFired {
+	if c.core.Outstanding >= c.maxOut {
+		if c.spec.PrefetchOnStall && !c.core.PrefetchFired {
 			kind, _ := c.cacheKind(in.Op)
 			pk := cache.PrefetchRead
 			if kind != cache.Read {
 				pk = cache.PrefetchWrite
 			}
 			c.cache.Access(cache.Request{Kind: pk, Addr: addr})
-			c.prefetchFired = true
+			c.core.PrefetchFired = true
 		}
 		c.park(parkOutstanding, t)
 		return accRetry, 0
@@ -371,19 +377,19 @@ func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim
 
 	kind, bypass := c.cacheKind(in.Op)
 	po := c.allocOp()
-	po.op = in.Op
-	po.rd = in.Rd
-	po.addr = addr
-	po.seq = c.missSeq + 1
-	po.issue = t
+	po.Op = in.Op
+	po.Rd = in.Rd
+	po.Addr = addr
+	po.Seq = c.core.MissSeq + 1
+	po.Issue = t
 	switch in.Op {
 	case isa.LD, isa.LDX:
-		po.refKind = metrics.RefReadMiss
+		po.RefKind = metrics.RefReadMiss
 	case isa.ST:
-		po.value = c.regs[in.Rs2]
-		po.refKind = metrics.RefWriteMiss
+		po.Value = c.core.Regs[in.Rs2]
+		po.RefKind = metrics.RefWriteMiss
 	case isa.TAS:
-		po.refKind = metrics.RefWriteMiss
+		po.RefKind = metrics.RefWriteMiss
 	}
 
 	switch c.cache.Access(cache.Request{Kind: kind, Addr: addr, Bypass: bypass, On: po}) {
@@ -391,18 +397,18 @@ func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim
 		c.freeOp(po)
 		c.performHit(in, addr, t)
 		c.recordHit(in, t)
-		c.prefetchFired = false
+		c.core.PrefetchFired = false
 		return accDone, 0
 	case cache.Miss:
-		c.missSeq = po.seq
-		c.outstanding++
-		c.prefetchFired = false
+		c.core.MissSeq = po.Seq
+		c.core.Outstanding++
+		c.core.PrefetchFired = false
 		if in.Op.IsLoad() {
-			c.regPending[in.Rd] = true
-			c.regReady[in.Rd] = notReady
+			c.core.RegPending[in.Rd] = true
+			c.core.RegReady[in.Rd] = notReady
 			if c.spec.BlockingLoads {
 				c.awaiting = po
-				c.awaitWhy = parkBlocking
+				c.core.AwaitWhy = parkBlocking
 				c.park(parkBlocking, t)
 				return accWait, 0
 			}
@@ -415,7 +421,7 @@ func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim
 	case cache.Full:
 		c.freeOp(po)
 		c.park(parkConflict, t)
-		c.parkCause = metrics.CauseMSHRFull
+		c.core.ParkCause = metrics.CauseMSHRFull
 		return accRetry, 0
 	}
 	panic("cpu: unknown cache outcome")
@@ -442,7 +448,7 @@ func (c *CPU) performHit(in isa.Inst, addr uint64, t sim.Cycle) {
 		v := c.mem.ReadWord(addr)
 		c.setReg(in.Rd, v, t+c.loadDelay)
 	case isa.ST:
-		c.mem.WriteWord(addr, c.regs[in.Rs2])
+		c.mem.WriteWord(addr, c.core.Regs[in.Rs2])
 	case isa.TAS:
 		old := c.mem.ReadWord(addr)
 		c.mem.WriteWord(addr, 1)
@@ -455,22 +461,22 @@ func (c *CPU) performHit(in isa.Inst, addr uint64, t sim.Cycle) {
 func (c *CPU) syncAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
 	kind, _ := c.cacheKind(in.Op)
 	po := c.allocOp()
-	po.op = in.Op
-	po.rd = in.Rd
-	po.addr = addr
-	po.seq = c.missSeq + 1
-	po.issue = t
-	po.refKind = metrics.RefSync
-	po.sync = true
+	po.Op = in.Op
+	po.Rd = in.Rd
+	po.Addr = addr
+	po.Seq = c.core.MissSeq + 1
+	po.Issue = t
+	po.RefKind = metrics.RefSync
+	po.Sync = true
 	if in.Op == isa.ST {
-		po.value = c.regs[in.Rs2]
+		po.Value = c.core.Regs[in.Rs2]
 	}
 
 	switch c.cache.Access(cache.Request{Kind: kind, Addr: addr, On: po}) {
 	case cache.Hit:
 		c.freeOp(po)
 		c.performHit(in, addr, t)
-		c.stats.SyncOps++
+		c.core.Stats.SyncOps++
 		if in.Op.IsLoad() {
 			// The processor holds until the value is delivered.
 			c.mc.Ref(metrics.RefSync, t, t+c.loadDelay)
@@ -479,15 +485,15 @@ func (c *CPU) syncAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.
 		c.mc.Ref(metrics.RefSync, t, t+1)
 		return accDone, 0
 	case cache.Miss:
-		c.missSeq = po.seq
-		c.outstanding++
-		c.stats.SyncOps++
+		c.core.MissSeq = po.Seq
+		c.core.Outstanding++
+		c.core.Stats.SyncOps++
 		if in.Op.IsLoad() {
-			c.regPending[in.Rd] = true
-			c.regReady[in.Rd] = notReady
+			c.core.RegPending[in.Rd] = true
+			c.core.RegReady[in.Rd] = notReady
 		}
 		c.awaiting = po
-		c.awaitWhy = parkSync
+		c.core.AwaitWhy = parkSync
 		c.park(parkSync, t)
 		return accWait, 0
 	case cache.Conflict:
@@ -497,7 +503,7 @@ func (c *CPU) syncAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.
 	case cache.Full:
 		c.freeOp(po)
 		c.park(parkConflict, t)
-		c.parkCause = metrics.CauseMSHRFull
+		c.core.ParkCause = metrics.CauseMSHRFull
 		return accRetry, 0
 	}
 	panic("cpu: unknown cache outcome")
@@ -510,20 +516,20 @@ func (c *CPU) releaseAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, s
 	if in.Op != isa.ST {
 		panic(fmt.Sprintf("cpu %d: release class on %s (only stores release)", c.id, in.Op))
 	}
-	if c.release != nil {
+	if c.core.Release.Active {
 		c.park(parkRelease, t)
 		return accRetry, 0
 	}
-	c.stats.SyncOps++
-	c.relBuf = pendingRelease{
-		addr:      addr,
-		value:     c.regs[in.Rs2],
-		waitCount: c.outstanding,
-		issuedAt:  t,
+	c.core.Stats.SyncOps++
+	c.core.Release = pendingRelease{
+		Active:    true,
+		Addr:      addr,
+		Value:     c.core.Regs[in.Rs2],
+		WaitCount: c.core.Outstanding,
+		IssuedAt:  t,
 	}
-	c.release = &c.relBuf
-	c.releaseBarrier = c.missSeq
-	if c.release.waitCount == 0 {
+	c.core.ReleaseBarrier = c.core.MissSeq
+	if c.core.Release.WaitCount == 0 {
 		c.tryIssueRelease()
 	}
 	return accDone, 0
@@ -531,13 +537,13 @@ func (c *CPU) releaseAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, s
 
 // retireMiss accounts a demand miss retirement.
 func (c *CPU) retireMiss(seq uint64) {
-	c.outstanding--
-	if c.outstanding < 0 {
+	c.core.Outstanding--
+	if c.core.Outstanding < 0 {
 		panic("cpu: outstanding underflow")
 	}
-	if rel := c.release; rel != nil && !rel.issued && seq <= c.releaseBarrier && rel.waitCount > 0 {
-		rel.waitCount--
-		if rel.waitCount == 0 {
+	if rel := &c.core.Release; rel.Active && !rel.Issued && seq <= c.core.ReleaseBarrier && rel.WaitCount > 0 {
+		rel.WaitCount--
+		if rel.WaitCount == 0 {
 			c.tryIssueRelease()
 		}
 	}
@@ -547,28 +553,28 @@ func (c *CPU) retireMiss(seq uint64) {
 // releaseTick retries issuing a ready release (e.g. after an MSHR
 // freed up).
 func (c *CPU) releaseTick() {
-	if rel := c.release; rel != nil && !rel.issued && rel.waitCount == 0 {
+	if rel := &c.core.Release; rel.Active && !rel.Issued && rel.WaitCount == 0 {
 		c.tryIssueRelease()
 	}
 }
 
 // tryIssueRelease sends the pending release to the cache.
 func (c *CPU) tryIssueRelease() {
-	rel := c.release
-	if rel == nil || rel.issued {
+	rel := &c.core.Release
+	if !rel.Active || rel.Issued {
 		return
 	}
 	po := c.allocOp()
-	po.rel = true
-	po.addr = rel.addr
-	po.value = rel.value
-	switch c.cache.Access(cache.Request{Kind: cache.Write, Addr: rel.addr, On: po}) {
+	po.Rel = true
+	po.Addr = rel.Addr
+	po.Value = rel.Value
+	switch c.cache.Access(cache.Request{Kind: cache.Write, Addr: rel.Addr, On: po}) {
 	case cache.Hit:
 		c.freeOp(po)
-		c.mem.WriteWord(rel.addr, rel.value)
+		c.mem.WriteWord(rel.Addr, rel.Value)
 		c.completeRelease()
 	case cache.Miss:
-		rel.issued = true
+		rel.Issued = true
 	case cache.Conflict, cache.Full:
 		// Retried by releaseTick on the next retirement.
 		c.freeOp(po)
@@ -577,9 +583,9 @@ func (c *CPU) tryIssueRelease() {
 
 // completeRelease finishes the background release.
 func (c *CPU) completeRelease() {
-	if rel := c.release; rel != nil {
-		c.mc.Ref(metrics.RefSync, rel.issuedAt, c.eng.Now())
+	if rel := &c.core.Release; rel.Active {
+		c.mc.Ref(metrics.RefSync, rel.IssuedAt, c.eng.Now())
 	}
-	c.stats.Releases++
-	c.release = nil
+	c.core.Stats.Releases++
+	c.core.Release = pendingRelease{}
 }

@@ -71,7 +71,7 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 	}
 	// Shape: LD rd, off(rs1); conditional branch back to the load,
 	// comparing rd against a register the loop never writes.
-	bpc := c.pc + 1
+	bpc := c.core.PC + 1
 	if bpc >= len(c.prog) {
 		return false
 	}
@@ -81,7 +81,7 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 	default:
 		return false
 	}
-	if int(br.Imm) != c.pc {
+	if int(br.Imm) != c.core.PC {
 		return false
 	}
 	var other isa.Reg
@@ -96,20 +96,20 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 	// Quiescence: nothing in flight may retire mid-spin (it would
 	// perturb stall accounting), and every register the loop reads must
 	// already be stable.
-	if c.outstanding != 0 || c.release != nil || c.wbLen != 0 || c.awaiting != nil {
+	if c.core.Outstanding != 0 || c.core.Release.Active || c.core.WBLen != 0 || c.awaiting != nil {
 		return false
 	}
-	if c.regPending[in.Rd] || c.regPending[in.Rs1] || c.regPending[other] {
+	if c.core.RegPending[in.Rd] || c.core.RegPending[in.Rs1] || c.core.RegPending[other] {
 		return false
 	}
-	if c.regReady[in.Rd] > t || c.regReady[in.Rs1] > t || c.regReady[other] > t {
+	if c.core.RegReady[in.Rd] > t || c.core.RegReady[in.Rs1] > t || c.core.RegReady[other] > t {
 		return false
 	}
 	var p sim.Cycle
 	var syncCl bool
 	switch c.effectiveClass(in.Class) {
 	case isa.ClassPlain:
-		if c.prefetchFired {
+		if c.core.PrefetchFired {
 			return false
 		}
 		// Load at T, branch interlocks until T+loadDelay, branch delay.
@@ -127,29 +127,29 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 		return false
 	}
 	v := c.mem.ReadWord(addr)
-	a, b := v, c.regs[other]
+	a, b := v, c.core.Regs[other]
 	if br.Rs2 == in.Rd {
 		a, b = b, a
 	}
 	if !branchTaken(br.Op, a, b) {
 		return false
 	}
-	if c.pc != c.spinPC || t != c.spinNextT || p != c.spinPeriod {
+	if c.core.PC != c.core.SpinPC || t != c.core.SpinNextT || p != c.core.SpinPeriod {
 		// First sighting at this cadence: predict the next iteration's
 		// resync and engage there if it confirms.
-		c.spinPC, c.spinNextT, c.spinPeriod = c.pc, t+p, p
+		c.core.SpinPC, c.core.SpinNextT, c.core.SpinPeriod = c.core.PC, t+p, p
 		return false
 	}
-	c.spinning = true
-	c.spinStale = false
-	c.spinT0 = t
-	c.spinSync = syncCl
-	c.spinAddr = addr
-	c.spinVal = v
-	c.spinRd = in.Rd
+	c.core.Spinning = true
+	c.core.SpinStale = false
+	c.core.SpinT0 = t
+	c.core.SpinSync = syncCl
+	c.core.SpinAddr = addr
+	c.core.SpinVal = v
+	c.core.SpinRd = in.Rd
 	// The ghost stands in for the run event the caller would have
 	// scheduled: same cycle, created at the same moment.
-	c.scheduled = true
+	c.core.Scheduled = true
 	c.eng.AtEvent(t, c.spinGhostFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvSpin, Unit: int32(c.id)})
 	c.cache.WatchLine(c.cache.LineAddr(addr), c.spinNoticeFn)
 	return true
@@ -160,7 +160,7 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 // the already-scheduled ghost event does the work — so it is safe to
 // fire any number of times, at any point inside the cache's message
 // handling.
-func (c *CPU) spinNotice() { c.spinStale = true }
+func (c *CPU) spinNotice() { c.core.SpinStale = true }
 
 // spinGhost is one elided spin iteration. Flag down: the load would
 // have hit the unchanged line and looped; stand in for it and
@@ -168,38 +168,38 @@ func (c *CPU) spinNotice() { c.spinStale = true }
 // load ran before the state change, then fall through to live
 // execution of the current one.
 func (c *CPU) spinGhost() {
-	if !c.spinning {
+	if !c.core.Spinning {
 		robust.Raise(&robust.SimError{Kind: robust.Protocol, Component: "cpu", Unit: c.id,
 			Cycle: c.eng.Now(), Detail: "spin ghost event without an active spin"})
 	}
-	if !c.spinStale {
-		c.eng.AfterEvent(c.spinPeriod, c.spinGhostFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvSpin, Unit: int32(c.id)})
+	if !c.core.SpinStale {
+		c.eng.AfterEvent(c.core.SpinPeriod, c.spinGhostFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvSpin, Unit: int32(c.id)})
 		return
 	}
 	now := c.eng.Now()
-	c.spinning = false
-	c.spinStale = false
+	c.core.Spinning = false
+	c.core.SpinStale = false
 	c.cache.Unwatch()
-	// Ghost firings at spinT0 .. now-p stood in for loads that ran
+	// Ghost firings at SpinT0 .. now-p stood in for loads that ran
 	// before the state change; this firing's iteration runs live.
-	k := (now - c.spinT0) / c.spinPeriod
+	k := (now - c.core.SpinT0) / c.core.SpinPeriod
 	if k > 0 {
 		kk := uint64(k)
-		c.stats.Instructions += 2 * kk
-		if c.prog[c.spinPC].Class != isa.ClassPlain {
-			c.syncInstrs += kk // statically sync-classed spin load
+		c.core.Stats.Instructions += 2 * kk
+		if c.prog[c.core.SpinPC].Class != isa.ClassPlain {
+			c.core.SyncInstrs += kk // statically sync-classed spin load
 		}
-		if c.spinSync {
-			c.stats.SyncOps += kk
+		if c.core.SpinSync {
+			c.core.Stats.SyncOps += kk
 		} else if c.loadDelay > 1 {
-			c.stats.StallInterlock += kk * uint64(c.loadDelay-1)
+			c.core.Stats.StallInterlock += kk * uint64(c.loadDelay-1)
 		}
-		c.cache.SpinTouches(c.cache.LineAddr(c.spinAddr), kk)
+		c.cache.SpinTouches(c.cache.LineAddr(c.core.SpinAddr), kk)
 		if c.mc != nil {
 			for i := sim.Cycle(0); i < k; i++ {
-				ti := uint64(c.spinT0 + i*c.spinPeriod)
+				ti := uint64(c.core.SpinT0 + i*c.core.SpinPeriod)
 				ld := uint64(c.loadDelay)
-				if c.spinSync {
+				if c.core.SpinSync {
 					c.mc.Ref(metrics.RefSync, ti, ti+ld)
 				} else {
 					c.mc.Ref(metrics.RefReadHit, ti, ti+ld)
@@ -209,29 +209,29 @@ func (c *CPU) spinGhost() {
 				}
 			}
 		}
-		c.setReg(c.spinRd, c.spinVal, c.spinT0+(k-1)*c.spinPeriod+c.loadDelay)
+		c.setReg(c.core.SpinRd, c.core.SpinVal, c.core.SpinT0+(k-1)*c.core.SpinPeriod+c.loadDelay)
 	}
 	// If the live iteration still hits and loops (a recall that left
 	// the line Shared), its resync re-engages at now+p.
-	c.spinNextT = now + c.spinPeriod
+	c.core.SpinNextT = now + c.core.SpinPeriod
 	c.run()
 }
 
 // Spinning reports whether the processor is spin-parked on a watched
 // line (diagnostics).
-func (c *CPU) Spinning() bool { return c.spinning }
+func (c *CPU) Spinning() bool { return c.core.Spinning }
 
 // SpinVirtualInstrs returns the instructions a spin-parked processor
 // has virtually retired so far; they are credited to Stats only at
 // replay. The watchdog adds them to its progress measure so a machine
 // full of parked spinners is not mistaken for a stall.
 func (c *CPU) SpinVirtualInstrs() uint64 {
-	if !c.spinning {
+	if !c.core.Spinning {
 		return 0
 	}
 	now := c.eng.Now()
-	if now < c.spinT0 {
+	if now < c.core.SpinT0 {
 		return 0
 	}
-	return 2 * uint64((now-c.spinT0)/c.spinPeriod+1)
+	return 2 * uint64((now-c.core.SpinT0)/c.core.SpinPeriod+1)
 }

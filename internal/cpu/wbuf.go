@@ -37,12 +37,12 @@ const wbCap = 8
 
 // wbEntry is one buffered store.
 type wbEntry struct {
-	addr    uint64
-	value   uint64
-	seq     uint64 // drain sequence number (own space, distinct from missSeq)
-	pushed  sim.Cycle
-	issued  bool // drain handed to the cache, not yet retired
-	retired bool // performed and retired; awaiting prefix pop
+	Addr    uint64
+	Value   uint64
+	Seq     uint64 // drain sequence number (own space, distinct from MissSeq)
+	Pushed  sim.Cycle
+	Issued  bool // drain handed to the cache, not yet retired
+	Retired bool // performed and retired; awaiting prefix pop
 }
 
 // wbEnabled reports whether this spec has a write buffer at all. Every
@@ -52,19 +52,19 @@ func (c *CPU) wbEnabled() bool { return c.spec.WriteBuffer }
 
 // wbEmpty reports whether no buffered store remains (live or retired
 // but unpopped; popping is eager, so len is the live count).
-func (c *CPU) wbEmpty() bool { return c.wbLen == 0 }
+func (c *CPU) wbEmpty() bool { return c.core.WBLen == 0 }
 
 // wbFull reports whether the buffer has no free slot.
-func (c *CPU) wbFull() bool { return c.wbLen == wbCap }
+func (c *CPU) wbFull() bool { return c.core.WBLen == wbCap }
 
 // wbAt returns the i-th oldest entry.
-func (c *CPU) wbAt(i int) *wbEntry { return &c.wb[(c.wbHead+i)%wbCap] }
+func (c *CPU) wbAt(i int) *wbEntry { return &c.core.WB[(c.core.WBHead+i)%wbCap] }
 
 // wbPush appends a store to the buffer. The caller checked wbFull.
 func (c *CPU) wbPush(addr, value uint64, t sim.Cycle) {
-	c.wbSeq++
-	*c.wbAt(c.wbLen) = wbEntry{addr: addr, value: value, seq: c.wbSeq, pushed: t}
-	c.wbLen++
+	c.core.WBSeq++
+	*c.wbAt(c.core.WBLen) = wbEntry{Addr: addr, Value: value, Seq: c.core.WBSeq, Pushed: t}
+	c.core.WBLen++
 }
 
 // wbForward returns the value of the newest buffered store to addr, if
@@ -72,9 +72,9 @@ func (c *CPU) wbPush(addr, value uint64, t sim.Cycle) {
 // forward (their value is what memory will hold); retired entries have
 // been popped.
 func (c *CPU) wbForward(addr uint64) (uint64, bool) {
-	for i := c.wbLen - 1; i >= 0; i-- {
-		if e := c.wbAt(i); e.addr == addr {
-			return e.value, true
+	for i := c.core.WBLen - 1; i >= 0; i-- {
+		if e := c.wbAt(i); e.Addr == addr {
+			return e.Value, true
 		}
 	}
 	return 0, false
@@ -99,16 +99,16 @@ const (
 // and from reconsider (i.e. after every own-cache retirement), which
 // is also what retries entries previously refused with Conflict/Full.
 func (c *CPU) wbTick() {
-	if !c.wbEnabled() || c.wbLen == 0 {
+	if !c.wbEnabled() || c.core.WBLen == 0 {
 		return
 	}
 	// R→W order: no drain while a demand reference is outstanding.
-	if c.outstanding > 0 {
+	if c.core.Outstanding > 0 {
 		return
 	}
-	for i := 0; i < c.wbLen; i++ {
+	for i := 0; i < c.core.WBLen; i++ {
 		e := c.wbAt(i)
-		if e.issued || e.retired {
+		if e.Issued || e.Retired {
 			if c.spec.WBFIFO {
 				return // strictly one drain in flight
 			}
@@ -133,10 +133,10 @@ func (c *CPU) wbTick() {
 // wbLineBlocked reports whether an older live entry targets the same
 // cache line as entry i (PSO's per-line order).
 func (c *CPU) wbLineBlocked(i int) bool {
-	line := c.cache.LineAddr(c.wbAt(i).addr)
+	line := c.cache.LineAddr(c.wbAt(i).Addr)
 	for j := 0; j < i; j++ {
 		e := c.wbAt(j)
-		if !e.retired && c.cache.LineAddr(e.addr) == line {
+		if !e.Retired && c.cache.LineAddr(e.Addr) == line {
 			return true
 		}
 	}
@@ -146,22 +146,22 @@ func (c *CPU) wbLineBlocked(i int) bool {
 // wbIssue hands one entry's drain to the cache.
 func (c *CPU) wbIssue(e *wbEntry) wbIssueResult {
 	po := c.allocOp()
-	po.op = 0 // drains dispatch on wbd, not the opcode
-	po.addr = e.addr
-	po.value = e.value
-	po.seq = e.seq
-	po.issue = e.pushed
-	po.wbd = true
-	switch c.cache.Access(cache.Request{Kind: cache.Write, Addr: e.addr, On: po}) {
+	po.Op = 0 // drains dispatch on wbd, not the opcode
+	po.Addr = e.Addr
+	po.Value = e.Value
+	po.Seq = e.Seq
+	po.Issue = e.Pushed
+	po.WBD = true
+	switch c.cache.Access(cache.Request{Kind: cache.Write, Addr: e.Addr, On: po}) {
 	case cache.Hit:
 		c.freeOp(po)
-		c.mem.WriteWord(e.addr, e.value)
-		c.mc.Ref(metrics.RefWriteHit, e.pushed, c.eng.Now()+1)
-		e.retired = true
+		c.mem.WriteWord(e.Addr, e.Value)
+		c.mc.Ref(metrics.RefWriteHit, e.Pushed, c.eng.Now()+1)
+		e.Retired = true
 		c.wbPop()
 		return wbDrained
 	case cache.Miss:
-		e.issued = true
+		e.Issued = true
 		return wbIssued
 	case cache.Conflict, cache.Full:
 		c.freeOp(po)
@@ -173,8 +173,8 @@ func (c *CPU) wbIssue(e *wbEntry) wbIssueResult {
 // wbBindDrain performs a drained store's functional side when the
 // cache binds it (the line is owned).
 func (c *CPU) wbBindDrain(p *pendingOp) {
-	c.mem.WriteWord(p.addr, p.value)
-	c.mc.Ref(metrics.RefWriteMiss, p.issue, c.eng.Now())
+	c.mem.WriteWord(p.Addr, p.Value)
+	c.mc.Ref(metrics.RefWriteMiss, p.Issue, c.eng.Now())
 }
 
 // wbRetireDrain marks the entry retired and pops the retired prefix.
@@ -182,9 +182,9 @@ func (c *CPU) wbBindDrain(p *pendingOp) {
 // newly unblocked entries issue and a buffer-full parked processor
 // wakes.
 func (c *CPU) wbRetireDrain(seq uint64) {
-	for i := 0; i < c.wbLen; i++ {
-		if e := c.wbAt(i); e.seq == seq {
-			e.retired = true
+	for i := 0; i < c.core.WBLen; i++ {
+		if e := c.wbAt(i); e.Seq == seq {
+			e.Retired = true
 			c.wbPop()
 			return
 		}
@@ -194,10 +194,10 @@ func (c *CPU) wbRetireDrain(seq uint64) {
 
 // wbPop removes the ring's retired prefix.
 func (c *CPU) wbPop() {
-	for c.wbLen > 0 && c.wb[c.wbHead].retired {
-		c.wb[c.wbHead] = wbEntry{}
-		c.wbHead = (c.wbHead + 1) % wbCap
-		c.wbLen--
+	for c.core.WBLen > 0 && c.core.WB[c.core.WBHead].Retired {
+		c.core.WB[c.core.WBHead] = wbEntry{}
+		c.core.WBHead = (c.core.WBHead + 1) % wbCap
+		c.core.WBLen--
 	}
 }
 

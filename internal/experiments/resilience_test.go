@@ -246,32 +246,65 @@ func TestRunnerResumesFromCheckpoint(t *testing.T) {
 func TestRunnerCorruptCheckpointFallsBack(t *testing.T) {
 	p := Quick()
 	spec := quickSpec(p)
-
-	var log bytes.Buffer
-	r := NewRunner(p)
-	r.Log = &log
-	r.Ckpt = CheckpointPolicy{Dir: t.TempDir()}
-	ckpt := r.ckptPath(r.Key(spec))
-	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ckpt, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := r.Run(spec)
-	if err != nil {
-		t.Fatalf("run with corrupt checkpoint failed: %v", err)
-	}
 	want, err := NewRunner(p).Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Checksum() != want.Checksum() {
-		t.Error("fresh fallback run drifted from the control checksum")
+
+	// A version-1 file: a genuine mid-run checkpoint of this very spec,
+	// valid down to its checksum, whose header says the format this
+	// build no longer decodes.
+	m, err := NewRunner(p).Build(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(log.String(), "unreadable") && !strings.Contains(log.String(), "unusable") {
-		t.Errorf("log does not record the fallback:\n%s", log.String())
+	if _, err := m.RunControlled(machine.RunControl{Until: 1000}); !errors.Is(err, machine.ErrPaused) {
+		t.Fatalf("want ErrPaused, got %v", err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := filepath.Join(t.TempDir(), "v1.mcsp")
+	if err := machine.WriteSnapshotFile(v1, snap); err != nil {
+		t.Fatal(err)
+	}
+	v1File, err := os.ReadFile(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1File[4] = 1
+
+	for _, c := range []struct {
+		name    string
+		file    []byte
+		wantLog string
+	}{
+		{"garbage", []byte("not a snapshot"), "unreadable"},
+		{"format version 1", v1File, "format version 1, want 2"},
+	} {
+		var log bytes.Buffer
+		r := NewRunner(p)
+		r.Log = &log
+		r.Ckpt = CheckpointPolicy{Dir: t.TempDir()}
+		ckpt := r.ckptPath(r.Key(spec))
+		if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ckpt, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		res, err := r.Run(spec)
+		if err != nil {
+			t.Fatalf("%s: run with corrupt checkpoint failed: %v", c.name, err)
+		}
+		if res.Checksum() != want.Checksum() {
+			t.Errorf("%s: fresh fallback run drifted from the control checksum", c.name)
+		}
+		if !strings.Contains(log.String(), c.wantLog) || strings.Contains(log.String(), "resumed") {
+			t.Errorf("%s: log does not record the fallback (%q):\n%s", c.name, c.wantLog, log.String())
+		}
 	}
 }
 

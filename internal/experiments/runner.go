@@ -379,8 +379,13 @@ func (r *Runner) ckptPath(key string) string {
 	if r.Ckpt.Dir == "" {
 		return ""
 	}
-	name := strings.NewReplacer("/", "_", " ", "").Replace(key)
-	return filepath.Join(r.Ckpt.Dir, name+".mcsp")
+	return filepath.Join(r.Ckpt.Dir, FileName(key)+".mcsp")
+}
+
+// FileName flattens a run key into a file base name: checkpoints,
+// failure dumps and metrics reports are all named with it.
+func FileName(key string) string {
+	return strings.NewReplacer("/", "_", " ", "").Replace(key)
 }
 
 // build constructs the machine (and optional collector) for a spec.

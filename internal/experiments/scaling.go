@@ -42,14 +42,14 @@ const scalingEventBudget = 5_000_000_000
 
 // ScalingPoint is one (bench, procs) measurement.
 type ScalingPoint struct {
-	Procs     int
-	SCCycles  uint64  // SC1 run time
-	RCCycles  uint64  // RC run time
-	GainPct   float64 // 100 * (SC1 - RC) / SC1
-	SCMWPI    float64
-	RCMWPI    float64
-	Events    uint64  // engine events of the SC1 run
-	WallSecs  float64 // host seconds for the SC1 run (0 on a journal replay)
+	Procs        int
+	SCCycles     uint64  // SC1 run time
+	RCCycles     uint64  // RC run time
+	GainPct      float64 // 100 * (SC1 - RC) / SC1
+	SCMWPI       float64
+	RCMWPI       float64
+	Events       uint64  // engine events of the SC1 run
+	WallSecs     float64 // host seconds for the SC1 run (0 on a journal replay)
 	EventsPerSec float64
 	CyclesPerSec float64
 }

@@ -7,7 +7,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"memsim/internal/robust"
 )
 
 // Snapshot file format: a fixed header followed by a gob-encoded
@@ -21,16 +22,13 @@ import (
 //	offset 48 ...      gob(Snapshot)
 const (
 	snapMagic   = "MCSP"
-	snapVersion = 1
+	snapVersion = 2
 	snapHeader  = 48
 )
 
-// WriteSnapshotFile atomically and durably writes a snapshot: the
-// parent directory is created if needed, the bytes go to a temporary
-// file which is fsynced before a rename publishes it, and the
-// directory is fsynced after, so neither a crash mid-write nor a power
-// cut right after the rename leaves a partial or vanishing file at
-// path.
+// WriteSnapshotFile encodes a snapshot behind the header and publishes
+// it atomically and durably (robust.PublishFile), so a crash never
+// leaves a partial or vanishing file at path.
 func WriteSnapshotFile(path string, s *Snapshot) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
@@ -43,58 +41,10 @@ func WriteSnapshotFile(path string, s *Snapshot) error {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(payload.Len()))
 	copy(buf[16:], sum[:])
 	buf = append(buf, payload.Bytes()...)
-
-	dir := filepath.Dir(path)
-	if dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("machine: creating snapshot directory: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		os.Remove(tmp)
+	if err := robust.PublishFile(path, buf); err != nil {
 		return fmt.Errorf("machine: writing snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("machine: publishing snapshot: %w", err)
-	}
-	syncDir(filepath.Dir(path))
 	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing, so
-// the bytes are on disk before the caller publishes the file.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Best-effort: some filesystems refuse to sync directories, and the
-// rename is already atomic — durability of the entry is all a failure
-// here can cost.
-func syncDir(dir string) {
-	if dir == "" {
-		dir = "."
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }
 
 // ReadSnapshotFile reads and verifies a snapshot written by

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"memsim/internal/consistency"
@@ -233,19 +234,25 @@ func TestSnapshotFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mutate := func(name string, alter func([]byte) []byte) {
+	mutate := func(name, wantErr string, alter func([]byte) []byte) {
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, alter(append([]byte(nil), good...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadSnapshotFile(p); err == nil {
 			t.Errorf("%s: corrupt snapshot decoded without error", name)
+		} else if !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("%s: error %q does not mention %q", name, err, wantErr)
 		}
 	}
-	mutate("flipped.mcsp", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b })
-	mutate("truncated.mcsp", func(b []byte) []byte { return b[:len(b)-7] })
-	mutate("magic.mcsp", func(b []byte) []byte { b[0] = 'X'; return b })
-	mutate("version.mcsp", func(b []byte) []byte { b[4] = 99; return b })
+	mutate("flipped.mcsp", "checksum", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b })
+	mutate("truncated.mcsp", "truncated", func(b []byte) []byte { return b[:len(b)-7] })
+	mutate("magic.mcsp", "not a snapshot", func(b []byte) []byte { b[0] = 'X'; return b })
+	mutate("version.mcsp", "format version 99", func(b []byte) []byte { b[4] = 99; return b })
+	// Version skew: everything about the file is valid (the checksum
+	// covers the payload, not the header) except that it says format 1,
+	// whose payload this build no longer decodes.
+	mutate("v1.mcsp", "format version 1, want 2", func(b []byte) []byte { b[4] = 1; return b })
 	if _, err := ReadSnapshotFile(filepath.Join(dir, "missing.mcsp")); err == nil {
 		t.Error("missing snapshot file read without error")
 	}
@@ -283,6 +290,62 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	} else if err := m3.Restore(snap); err == nil {
 		t.Error("Restore into a machine with different programs succeeded")
+	}
+
+	// The processor/cache relink: every saved operation must land in
+	// the MSHR that waits on it, and exactly the awaited one be marked.
+	// Find a snapshot where some processor has two misses in flight and
+	// awaits one of them, then break each link in turn.
+	cfg.Model = consistency.RC
+	mRC, err := New(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, awaited, other := -1, -1, -1
+	for at := uint64(20); cpu < 0; at += 3 {
+		pauseAt(t, mRC, at)
+		if snap, err = mRC.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range snap.CPUs {
+			if len(c.Ops) == 2 && c.Ops[0].MSHR >= 0 && c.Ops[1].MSHR >= 0 && c.Ops[0].Awaited != c.Ops[1].Awaited {
+				cpu, awaited, other = i, 0, 1
+				if c.Ops[1].Awaited {
+					awaited, other = 1, 0
+				}
+			}
+		}
+	}
+	ops := snap.CPUs[cpu].Ops
+	good := append(ops[:0:0], ops...)
+	for _, c := range []struct {
+		name, wantErr string
+		corrupt       func()
+	}{
+		{"awaited op unmarked", "awaiting=true", func() { ops[awaited].Awaited = false }},
+		{"awaited op missing", "awaiting=true", func() { snap.CPUs[cpu].Ops = ops[other : other+1] }},
+		{"two ops awaited", "two restored ops claim", func() { ops[other].Awaited = true }},
+		{"two ops in one MSHR", "holds no unbound demand miss", func() { ops[other].MSHR = ops[awaited].MSHR }},
+		{"MSHR out of range", "binder for MSHR", func() { ops[other].MSHR = 99 }},
+		{"retired op in an MSHR", "marked retired", func() { ops[other].Op.Retired = true }},
+	} {
+		c.corrupt()
+		m4, err := New(cfg, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m4.Restore(snap); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: Restore returned %v, want an error mentioning %q", c.name, err, c.wantErr)
+		}
+		snap.CPUs[cpu].Ops = ops
+		copy(ops, good)
+	}
+	m5, err := New(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m5.Restore(snap); err != nil {
+		t.Errorf("Restore of the repaired snapshot: %v", err)
 	}
 }
 

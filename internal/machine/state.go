@@ -170,9 +170,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		if s.CPUs[i], err = m.cpus[i].Save(); err != nil {
 			return nil, fmt.Errorf("machine: saving cpu %d: %w", i, err)
 		}
-		if s.Caches[i], err = m.caches[i].Save(); err != nil {
-			return nil, fmt.Errorf("machine: saving cache %d: %w", i, err)
-		}
+		s.Caches[i] = m.caches[i].Save()
 		s.Modules[i] = m.modules[i].Save()
 	}
 	s.ReqNet = m.reqNet.Save()
@@ -217,25 +215,15 @@ func (m *Machine) Restore(s *Snapshot) error {
 	copy(m.shared, s.Shared)
 	m.halted = s.Halted
 
-	// Processors first: awaiting-op links are re-established when the
-	// caches restore their MSHR binders.
+	// Each cache before its processor: the processor hands its in-flight
+	// operations back to the loaded MSHRs and re-arms its line watch.
 	for i := 0; i < m.cfg.Procs; i++ {
+		if err := m.caches[i].Load(s.Caches[i]); err != nil {
+			return fmt.Errorf("machine: restoring cache %d: %w", i, err)
+		}
 		if err := m.cpus[i].Load(s.CPUs[i]); err != nil {
 			return fmt.Errorf("machine: restoring cpu %d: %w", i, err)
 		}
-	}
-	for i := 0; i < m.cfg.Procs; i++ {
-		c := m.cpus[i]
-		if err := m.caches[i].Load(s.Caches[i], c.RestoreBinder); err != nil {
-			return fmt.Errorf("machine: restoring cache %d: %w", i, err)
-		}
-	}
-	for i := 0; i < m.cfg.Procs; i++ {
-		if err := m.cpus[i].FinishRestore(); err != nil {
-			return fmt.Errorf("machine: %w", err)
-		}
-	}
-	for i := 0; i < m.cfg.Procs; i++ {
 		if err := m.modules[i].Load(s.Modules[i]); err != nil {
 			return fmt.Errorf("machine: restoring module %d: %w", i, err)
 		}

@@ -39,25 +39,26 @@ const (
 )
 
 // entry is one full-map directory entry plus transient transaction
-// bookkeeping.
+// bookkeeping. Like request, queued, outMsg and occupancy below it is
+// plain data that a snapshot carries verbatim.
 type entry struct {
-	state   dirState
-	sharers SharerSet // caches holding the line (Shared)
-	owner   int       // exclusive owner (Dirty)
+	State   dirState
+	Sharers SharerSet // caches holding the line (Shared)
+	Owner   int       // exclusive owner (Dirty)
 
 	// Busy transaction state.
-	tx        txKind
-	acksLeft  int
-	requester int
-	grant     MsgKind  // DataShared or DataExclusive to send when done
-	nextState dirState // state to install on completion
-	pending   []request
+	Tx        txKind
+	AcksLeft  int
+	Requester int
+	Grant     MsgKind  // DataShared or DataExclusive to send when done
+	NextState dirState // state to install on completion
+	Pending   []request
 }
 
-// request is a queued protocol request.
+// request is a parked protocol request.
 type request struct {
-	src int
-	msg Msg
+	Src int
+	Msg Msg
 }
 
 // Stats counts module activity.
@@ -79,9 +80,20 @@ type busyAction uint8
 
 const (
 	actNone    busyAction = iota
-	actSendOne            // send busyMsg to busyDst (recall messages)
-	actSendInv            // send Invalidate(busyMsg.Line) to every bit of busyTargets
+	actSendOne            // send occ.Msg to occ.Dst (recall messages)
+	actSendInv            // send Invalidate(occ.Msg.Line) to every bit of occ.Targets
 )
+
+// occupancy is the module's current service slot: whether it is taken,
+// since when, and the post-occupancy action unbusy consumes.
+type occupancy struct {
+	Busy    bool
+	Since   sim.Cycle
+	Act     busyAction
+	Dst     int
+	Msg     Msg
+	Targets SharerSet
+}
 
 // Module is one global memory module with its directory slice.
 //
@@ -97,15 +109,9 @@ type Module struct {
 	send      func(dst int, m Msg) bool
 	whenSpace func(fn func())
 
-	dir  map[uint64]*entry
-	inq  ring[queued] // requests waiting for the module, in service order
-	busy bool
-
-	// Post-occupancy action, consumed by unbusy (see busyAction).
-	busyAct     busyAction
-	busyDst     int
-	busyMsg     Msg
-	busyTargets SharerSet
+	dir map[uint64]*entry
+	inq ring[queued] // requests waiting for the module, in service order
+	occ occupancy
 
 	// outq holds messages waiting for response-network buffer space.
 	outq ring[outMsg]
@@ -114,19 +120,21 @@ type Module struct {
 	drainFn  func() // prebuilt m.drainOut, registered with whenSpace
 	headFree *headEvt
 
-	stats     Stats
-	busySince sim.Cycle
-	mc        *metrics.Collector // nil: no metrics collection
+	stats Stats
+	mc    *metrics.Collector // nil: no metrics collection
 }
 
+// queued is one input-queue entry: a request and its arrival cycle.
 type queued struct {
-	req request
-	at  sim.Cycle
+	Src int
+	Msg Msg
+	At  sim.Cycle
 }
 
+// outMsg is one output-queue entry awaiting network space.
 type outMsg struct {
-	dst int
-	msg Msg
+	Dst int
+	Msg Msg
 }
 
 // headEvt is a pooled one-shot event firing when the first word of a
@@ -163,7 +171,7 @@ func (h *headEvt) run() {
 	h.link = m.headFree
 	m.headFree = h
 	if e != nil {
-		e.state = next
+		e.State = next
 	}
 	m.enqueueOut(dst, msg)
 	if e != nil {
@@ -211,7 +219,7 @@ func (m *Module) fail(op string, line uint64, format string, args ...interface{}
 func (m *Module) Receive(src int, msg Msg) {
 	switch msg.Kind {
 	case ReadReq, WriteReq, WriteBack, FlushInv, FlushShare, InvAck:
-		m.inq.pushBack(queued{request{src, msg}, m.eng.Now()})
+		m.inq.pushBack(queued{src, msg, m.eng.Now()})
 		m.kick()
 	default:
 		m.fail(msg.Kind.String(), msg.Line, "module received response-class message from cache %d", src)
@@ -223,42 +231,42 @@ func (m *Module) Receive(src int, msg Msg) {
 // line, so the loop passes over any run of parked requests and stops
 // at the first one served.
 func (m *Module) kick() {
-	for !m.busy && m.inq.len() > 0 {
+	for !m.occ.Busy && m.inq.len() > 0 {
 		q := m.inq.popFront()
-		wait := uint64(m.eng.Now() - q.at)
+		wait := uint64(m.eng.Now() - q.At)
 		m.stats.QueuedCycles += wait
 		m.mc.ModuleWait(m.eng.Now(), wait)
-		m.process(q.req)
+		m.process(request{q.Src, q.Msg})
 	}
 }
 
 // setBusy occupies the module for d cycles; when the occupancy ends,
-// unbusy performs act (using the busyDst/busyMsg/busyTargets fields the
+// unbusy performs act (using the occ.Dst/Msg/Targets fields the
 // caller set beforehand) and kicks the input queue.
 func (m *Module) setBusy(d sim.Cycle, act busyAction) {
-	if m.busy {
+	if m.occ.Busy {
 		robust.Raise(&robust.SimError{Kind: robust.Protocol, Component: "memory", Unit: m.id,
 			Cycle: m.eng.Now(), Detail: "module occupied while already busy"})
 	}
-	m.busy = true
-	m.busySince = m.eng.Now()
-	m.busyAct = act
+	m.occ.Busy = true
+	m.occ.Since = m.eng.Now()
+	m.occ.Act = act
 	m.eng.AfterEvent(d, m.unbusyFn, m.evdesc(modEvUnbusy))
 }
 
 // unbusy ends the current occupancy, performs the deferred action, and
 // resumes input processing.
 func (m *Module) unbusy() {
-	m.busy = false
-	m.stats.BusyCycles += uint64(m.eng.Now() - m.busySince)
-	act := m.busyAct
-	m.busyAct = actNone
+	m.occ.Busy = false
+	m.stats.BusyCycles += uint64(m.eng.Now() - m.occ.Since)
+	act := m.occ.Act
+	m.occ.Act = actNone
 	switch act {
 	case actSendOne:
-		m.enqueueOut(m.busyDst, m.busyMsg)
+		m.enqueueOut(m.occ.Dst, m.occ.Msg)
 	case actSendInv:
-		msg := m.busyMsg
-		m.busyTargets.ForEach(func(t int) { m.enqueueOut(t, msg) })
+		msg := m.occ.Msg
+		m.occ.Targets.ForEach(func(t int) { m.enqueueOut(t, msg) })
 	}
 	m.kick()
 }
@@ -267,7 +275,7 @@ func (m *Module) unbusy() {
 func (m *Module) entryFor(line uint64) *entry {
 	e := m.dir[line]
 	if e == nil {
-		e = &entry{state: uncached}
+		e = &entry{State: uncached}
 		m.dir[line] = e
 	}
 	return e
@@ -276,14 +284,14 @@ func (m *Module) entryFor(line uint64) *entry {
 // process handles one dequeued request, leaving the module occupied
 // unless the request parks.
 func (m *Module) process(r request) {
-	e := m.entryFor(r.msg.Line)
-	if e.state == busySt && (r.msg.Kind == ReadReq || r.msg.Kind == WriteReq) {
+	e := m.entryFor(r.Msg.Line)
+	if e.State == busySt && (r.Msg.Kind == ReadReq || r.Msg.Kind == WriteReq) {
 		// The line is mid-transaction; park the request. Write-backs
 		// and completions must still reach the busy entry.
-		e.pending = append(e.pending, r)
+		e.Pending = append(e.Pending, r)
 		return
 	}
-	switch r.msg.Kind {
+	switch r.Msg.Kind {
 	case ReadReq:
 		m.stats.Reads++
 		m.processRead(r, e)
@@ -294,86 +302,86 @@ func (m *Module) process(r request) {
 		m.stats.WriteBacks++
 		m.processWriteBack(r, e)
 	case FlushInv, FlushShare, InvAck:
-		m.completion(r.src, r.msg)
+		m.completion(r.Src, r.Msg)
 	default:
-		m.fail(r.msg.Kind.String(), r.msg.Line, "unprocessable request from cache %d", r.src)
+		m.fail(r.Msg.Kind.String(), r.Msg.Line, "unprocessable request from cache %d", r.Src)
 	}
 }
 
 func (m *Module) processRead(r request, e *entry) {
-	line := r.msg.Line
-	switch e.state {
+	line := r.Msg.Line
+	switch e.State {
 	case uncached, sharedSt:
-		e.state = sharedSt
-		e.sharers.Add(r.src)
-		m.serveData(r.src, Msg{DataShared, line})
+		e.State = sharedSt
+		e.Sharers.Add(r.Src)
+		m.serveData(r.Src, Msg{DataShared, line})
 	case dirtySt:
 		// Recall the dirty line; the owner downgrades to Shared.
 		m.stats.Recalls++
-		owner := e.owner
-		e.state = busySt
-		e.tx = txAwaitFlush
-		e.requester = r.src
-		e.grant = DataShared
-		e.nextState = sharedSt
-		e.sharers = SharerSet{}
-		e.sharers.Add(owner)
-		e.sharers.Add(r.src)
-		m.busyDst = owner
-		m.busyMsg = Msg{RecallShare, line}
+		owner := e.Owner
+		e.State = busySt
+		e.Tx = txAwaitFlush
+		e.Requester = r.Src
+		e.Grant = DataShared
+		e.NextState = sharedSt
+		e.Sharers = SharerSet{}
+		e.Sharers.Add(owner)
+		e.Sharers.Add(r.Src)
+		m.occ.Dst = owner
+		m.occ.Msg = Msg{RecallShare, line}
 		m.setBusy(LookupCycles, actSendOne)
 	default:
-		m.fail(r.msg.Kind.String(), line, "read dequeued against a busy directory entry")
+		m.fail(r.Msg.Kind.String(), line, "read dequeued against a busy directory entry")
 	}
 }
 
 func (m *Module) processWrite(r request, e *entry) {
-	line := r.msg.Line
-	switch e.state {
+	line := r.Msg.Line
+	switch e.State {
 	case uncached:
-		e.state = dirtySt
-		e.owner = r.src
-		m.serveData(r.src, Msg{DataExclusive, line})
+		e.State = dirtySt
+		e.Owner = r.Src
+		m.serveData(r.Src, Msg{DataExclusive, line})
 	case sharedSt:
 		// Invalidate every sharer except the requester (which dropped
 		// its own copy before requesting ownership), then grant.
-		others := e.sharers
-		others.Remove(r.src)
+		others := e.Sharers
+		others.Remove(r.Src)
 		if others.Empty() {
-			e.state = dirtySt
-			e.owner = r.src
-			e.sharers = SharerSet{}
-			m.serveData(r.src, Msg{DataExclusive, line})
+			e.State = dirtySt
+			e.Owner = r.Src
+			e.Sharers = SharerSet{}
+			m.serveData(r.Src, Msg{DataExclusive, line})
 			return
 		}
-		e.state = busySt
-		e.tx = txAwaitAck
-		e.requester = r.src
-		e.grant = DataExclusive
-		e.nextState = dirtySt
+		e.State = busySt
+		e.Tx = txAwaitAck
+		e.Requester = r.Src
+		e.Grant = DataExclusive
+		e.NextState = dirtySt
 		n := others.Count()
-		e.acksLeft = n
-		e.sharers = SharerSet{}
-		e.owner = r.src
+		e.AcksLeft = n
+		e.Sharers = SharerSet{}
+		e.Owner = r.Src
 		m.stats.Invalidates += uint64(n)
-		m.busyMsg = Msg{Invalidate, line}
-		m.busyTargets = others
+		m.occ.Msg = Msg{Invalidate, line}
+		m.occ.Targets = others
 		m.setBusy(LookupCycles, actSendInv)
 	case dirtySt:
 		m.stats.Recalls++
-		owner := e.owner
-		e.state = busySt
-		e.tx = txAwaitFlush
-		e.requester = r.src
-		e.grant = DataExclusive
-		e.nextState = dirtySt
-		e.owner = r.src
-		e.sharers = SharerSet{}
-		m.busyDst = owner
-		m.busyMsg = Msg{RecallInv, line}
+		owner := e.Owner
+		e.State = busySt
+		e.Tx = txAwaitFlush
+		e.Requester = r.Src
+		e.Grant = DataExclusive
+		e.NextState = dirtySt
+		e.Owner = r.Src
+		e.Sharers = SharerSet{}
+		m.occ.Dst = owner
+		m.occ.Msg = Msg{RecallInv, line}
 		m.setBusy(LookupCycles, actSendOne)
 	default:
-		m.fail(r.msg.Kind.String(), line, "write dequeued against a busy directory entry")
+		m.fail(r.Msg.Kind.String(), line, "write dequeued against a busy directory entry")
 	}
 }
 
@@ -382,25 +390,25 @@ func (m *Module) processWriteBack(r request, e *entry) {
 	// with a recall (the directory may already be Busy awaiting the
 	// flush); in that case the data has now arrived and the pending
 	// InvAck from the ex-owner will complete the transaction.
-	switch e.state {
+	switch e.State {
 	case dirtySt:
-		if e.owner != r.src {
-			m.fail(r.msg.Kind.String(), r.msg.Line, "write-back from cache %d but owner is %d", r.src, e.owner)
+		if e.Owner != r.Src {
+			m.fail(r.Msg.Kind.String(), r.Msg.Line, "write-back from cache %d but owner is %d", r.Src, e.Owner)
 		}
-		e.state = uncached
-		e.owner = 0
-		e.sharers = SharerSet{}
+		e.State = uncached
+		e.Owner = 0
+		e.Sharers = SharerSet{}
 		m.setBusy(sim.Cycle(LookupCycles+InitiateCycles+m.words), actNone)
 	case busySt:
 		// Race: the directory recalled the line while this write-back
 		// was in flight. Count the RAM write time but leave the
 		// transaction waiting for the ex-owner's InvAck.
-		if e.tx != txAwaitFlush {
-			m.fail(r.msg.Kind.String(), r.msg.Line, "write-back from cache %d during an invalidation transaction", r.src)
+		if e.Tx != txAwaitFlush {
+			m.fail(r.Msg.Kind.String(), r.Msg.Line, "write-back from cache %d during an invalidation transaction", r.Src)
 		}
 		m.setBusy(sim.Cycle(LookupCycles+InitiateCycles+m.words), actNone)
 	default:
-		m.fail(r.msg.Kind.String(), r.msg.Line, "write-back from cache %d in directory state %d", r.src, e.state)
+		m.fail(r.Msg.Kind.String(), r.Msg.Line, "write-back from cache %d in directory state %d", r.Src, e.State)
 	}
 }
 
@@ -416,20 +424,20 @@ func (m *Module) serveData(dst int, msg Msg) {
 // completion handles FlushInv/FlushShare/InvAck for a busy entry.
 func (m *Module) completion(src int, msg Msg) {
 	e := m.dir[msg.Line]
-	if e == nil || e.state != busySt {
+	if e == nil || e.State != busySt {
 		m.fail(msg.Kind.String(), msg.Line, "completion from cache %d for a line with no transaction in progress", src)
 	}
 	switch msg.Kind {
 	case FlushInv, FlushShare:
-		if e.tx != txAwaitFlush {
+		if e.Tx != txAwaitFlush {
 			m.fail(msg.Kind.String(), msg.Line, "flush from cache %d without a recall in progress", src)
 		}
 		m.finishTx(e, msg.Line)
 	case InvAck:
-		switch e.tx {
+		switch e.Tx {
 		case txAwaitAck:
-			e.acksLeft--
-			if e.acksLeft > 0 {
+			e.AcksLeft--
+			if e.AcksLeft > 0 {
 				// Acks are dispatched from the idle input queue, so the
 				// module is free to absorb each one directly; setBusy fails
 				// loudly if that invariant ever breaks.
@@ -456,8 +464,8 @@ func (m *Module) completion(src int, msg Msg) {
 // module idle (completions dispatch from the input queue), so the
 // occupancy starts immediately — setBusy fails loudly otherwise.
 func (m *Module) finishTx(e *entry, line uint64) {
-	h := m.allocHead(e.requester, Msg{e.grant, line}, e, e.nextState)
-	e.tx = txNone
+	h := m.allocHead(e.Requester, Msg{e.Grant, line}, e, e.NextState)
+	e.Tx = txNone
 	m.setBusy(sim.Cycle(LookupCycles+InitiateCycles+m.words), actNone)
 	m.eng.AfterEvent(sim.Cycle(LookupCycles+InitiateCycles), h.fn, m.headDesc(h))
 }
@@ -466,13 +474,13 @@ func (m *Module) finishTx(e *entry, line uint64) {
 // front of the input queue, in arrival order. The entry keeps its
 // waiter list's backing array for the line's next transaction.
 func (m *Module) replayPending(e *entry) {
-	if len(e.pending) == 0 {
+	if len(e.Pending) == 0 {
 		return
 	}
-	p, now := e.pending, m.eng.Now()
-	e.pending = p[:0]
+	p, now := e.Pending, m.eng.Now()
+	e.Pending = p[:0]
 	for i := len(p) - 1; i >= 0; i-- {
-		m.inq.pushFront(queued{p[i], now})
+		m.inq.pushFront(queued{p[i].Src, p[i].Msg, now})
 	}
 	m.kick()
 }
@@ -489,7 +497,7 @@ func (m *Module) enqueueOut(dst int, msg Msg) {
 func (m *Module) drainOut() {
 	for m.outq.len() > 0 {
 		o := m.outq.at(0)
-		if !m.send(o.dst, o.msg) {
+		if !m.send(o.Dst, o.Msg) {
 			m.whenSpace(m.drainFn)
 			return
 		}

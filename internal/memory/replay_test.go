@@ -179,7 +179,7 @@ func saveLoadMidReplay(t *testing.T, head int) (wrapped bool) {
 	}
 	parked := func() (n int) {
 		for _, e := range h.mod.dir {
-			n += len(e.pending)
+			n += len(e.Pending)
 		}
 		return n
 	}

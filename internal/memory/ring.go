@@ -18,6 +18,18 @@ func (r *ring[T]) len() int { return r.n }
 // at returns the i-th element from the front (0 <= i < len).
 func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 
+// items returns a copy of the queue, front first (nil when empty).
+func (r *ring[T]) items() []T {
+	if r.n == 0 {
+		return nil
+	}
+	out := make([]T, r.n)
+	for i := range out {
+		out[i] = r.at(i)
+	}
+	return out
+}
+
 func (r *ring[T]) pushBack(v T) {
 	if r.n == len(r.buf) {
 		r.grow()

@@ -27,8 +27,8 @@ func (s dirState) label() string {
 }
 
 func (m *Module) snapshotEntry(line uint64, e *entry) DirSnapshot {
-	return DirSnapshot{Line: line, State: e.state.label(), Sharers: e.sharers,
-		Owner: e.owner, Pending: len(e.pending)}
+	return DirSnapshot{Line: line, State: e.State.label(), Sharers: e.Sharers,
+		Owner: e.Owner, Pending: len(e.Pending)}
 }
 
 // SnapshotDir returns every directory entry. Intended for post-run
@@ -53,8 +53,8 @@ func (m *Module) DirEntry(line uint64) (DirSnapshot, bool) {
 
 // QueueDepth reports the module's input-queue occupancy and whether it
 // is currently busy (diagnostics).
-func (m *Module) QueueDepth() (queued int, busy bool) { return m.inq.len(), m.busy }
+func (m *Module) QueueDepth() (queued int, busy bool) { return m.inq.len(), m.occ.Busy }
 
 // Idle reports whether the module has no queued work and no occupancy
 // (used to assert full quiescence after a run).
-func (m *Module) Idle() bool { return !m.busy && m.inq.len() == 0 && m.outq.len() == 0 }
+func (m *Module) Idle() bool { return !m.occ.Busy && m.inq.len() == 0 && m.outq.len() == 0 }

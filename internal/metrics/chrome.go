@@ -43,15 +43,15 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		Args: map[string]interface{}{"name": "memsim utilization"}})
 
 	if c != nil {
-		for cpu := range c.stalls {
+		for cpu := range c.st.Stalls {
 			add(chromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: cpu,
 				Args: map[string]interface{}{"name": fmt.Sprintf("cpu%d", cpu)}})
 		}
-		for _, s := range c.slices {
+		for _, s := range c.st.Slices {
 			add(chromeEvent{Name: s.Cause.String(), Ph: "X", Cat: "stall",
 				Ts: s.Start, Dur: s.Dur, Pid: 0, Tid: s.CPU})
 		}
-		for _, u := range utilRows(c.samples, c.epoch) {
+		for _, u := range utilRows(c.st.Samples, c.st.Epoch) {
 			var avg, max float64
 			for _, b := range u.ModuleBusy {
 				avg += b

@@ -4,13 +4,14 @@ import "math/bits"
 
 // Hist is a log2-bucketed latency histogram. Bucket 0 holds the value
 // 0; bucket i (i >= 1) holds values in [2^(i-1), 2^i - 1]. The zero
-// value is ready to use.
+// value is ready to use. It is plain data: a snapshot carries it
+// verbatim (N and Total are named apart from the Count and Sum methods).
 type Hist struct {
-	counts [65]uint64
-	count  uint64
-	sum    uint64
-	min    uint64
-	max    uint64
+	Counts [65]uint64
+	N      uint64 // observations
+	Total  uint64 // sum of all observations
+	Min    uint64
+	Max    uint64
 }
 
 // bucketOf returns the bucket index for a value: 0 for 0, otherwise
@@ -38,29 +39,29 @@ func BucketHi(i int) uint64 {
 
 // Add records one observation.
 func (h *Hist) Add(v uint64) {
-	h.counts[bucketOf(v)]++
-	if h.count == 0 || v < h.min {
-		h.min = v
+	h.Counts[bucketOf(v)]++
+	if h.N == 0 || v < h.Min {
+		h.Min = v
 	}
-	if v > h.max {
-		h.max = v
+	if v > h.Max {
+		h.Max = v
 	}
-	h.count++
-	h.sum += v
+	h.N++
+	h.Total += v
 }
 
 // Count returns the number of observations.
-func (h *Hist) Count() uint64 { return h.count }
+func (h *Hist) Count() uint64 { return h.N }
 
 // Sum returns the total of all observations.
-func (h *Hist) Sum() uint64 { return h.sum }
+func (h *Hist) Sum() uint64 { return h.Total }
 
 // Mean returns the average observation, or 0 when empty.
 func (h *Hist) Mean() float64 {
-	if h.count == 0 {
+	if h.N == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(h.count)
+	return float64(h.Total) / float64(h.N)
 }
 
 // Bucket is one populated histogram bucket; Hi is inclusive.
@@ -82,8 +83,8 @@ type HistReport struct {
 
 // Report summarizes the histogram, emitting only populated buckets.
 func (h *Hist) Report() HistReport {
-	r := HistReport{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Mean: h.Mean()}
-	for i, n := range h.counts {
+	r := HistReport{Count: h.N, Sum: h.Total, Min: h.Min, Max: h.Max, Mean: h.Mean()}
+	for i, n := range h.Counts {
 		if n != 0 {
 			r.Buckets = append(r.Buckets, Bucket{Lo: BucketLo(i), Hi: BucketHi(i), Count: n})
 		}

@@ -133,22 +133,31 @@ type Slice struct {
 // The collector is sized lazily: machine.AttachMetrics grows the
 // per-processor tables to the machine's processor count.
 type Collector struct {
-	epoch     uint64
-	maxSlices int
-
-	stalls     [][NumCauses]uint64
-	refs       [NumClasses]Hist
-	fill       Hist              // cache line-fill latency, request sent -> line installed
-	modWait    Hist              // memory-module input-queue wait
-	netWait    [numNets]Hist     // network queue delay per serviced message
-	netRetries [numNets][]uint64 // per-source entrance-buffer rejections
-
-	slices  []Slice
-	dropped uint64
-
+	st      CollectorState
 	sampler func() Sample
-	next    uint64
-	samples []Sample
+}
+
+// CollectorState is everything a Collector has accumulated, as plain
+// data: the collector holds one and a snapshot carries a copy of it.
+// The sampler callback is not part of it: machine.AttachMetrics
+// re-installs one on restore, and SetSampler preserves a restored
+// epoch phase.
+type CollectorState struct {
+	Epoch     uint64
+	MaxSlices int
+
+	Stalls     [][NumCauses]uint64
+	Refs       [NumClasses]Hist
+	Fill       Hist              // cache line-fill latency, request sent -> line installed
+	ModWait    Hist              // memory-module input-queue wait
+	NetWait    [numNets]Hist     // network queue delay per serviced message
+	NetRetries [numNets][]uint64 // per-source entrance-buffer rejections
+
+	Slices  []Slice
+	Dropped uint64
+
+	Next    uint64
+	Samples []Sample
 }
 
 // Defaults. The epoch is in cycles; the slice cap bounds timeline
@@ -161,7 +170,7 @@ const (
 
 // New creates an empty collector with default epoch and timeline cap.
 func New() *Collector {
-	return &Collector{epoch: DefaultEpoch, maxSlices: DefaultMaxSlices}
+	return &Collector{st: CollectorState{Epoch: DefaultEpoch, MaxSlices: DefaultMaxSlices}}
 }
 
 // SetEpoch sets the utilization sampling interval in cycles (clamped
@@ -173,7 +182,7 @@ func (c *Collector) SetEpoch(cycles uint64) {
 	if cycles < minEpoch {
 		cycles = minEpoch
 	}
-	c.epoch = cycles
+	c.st.Epoch = cycles
 }
 
 // SetMaxSlices bounds the number of retained timeline slices; further
@@ -183,22 +192,22 @@ func (c *Collector) SetMaxSlices(n int) {
 	if c == nil || n < 0 {
 		return
 	}
-	c.maxSlices = n
+	c.st.MaxSlices = n
 }
 
 // EnsureProcs grows the per-processor tables to hold at least procs
 // entries. The machine calls this when a collector is attached.
 func (c *Collector) EnsureProcs(procs int) {
-	if c == nil || procs <= len(c.stalls) {
+	if c == nil || procs <= len(c.st.Stalls) {
 		return
 	}
 	grown := make([][NumCauses]uint64, procs)
-	copy(grown, c.stalls)
-	c.stalls = grown
-	for i := range c.netRetries {
+	copy(grown, c.st.Stalls)
+	c.st.Stalls = grown
+	for i := range c.st.NetRetries {
 		g := make([]uint64, procs)
-		copy(g, c.netRetries[i])
-		c.netRetries[i] = g
+		copy(g, c.st.NetRetries[i])
+		c.st.NetRetries[i] = g
 	}
 }
 
@@ -211,8 +220,8 @@ func (c *Collector) SetSampler(fn func() Sample) {
 		return
 	}
 	c.sampler = fn
-	if c.next == 0 {
-		c.next = c.epoch
+	if c.st.Next == 0 {
+		c.st.Next = c.st.Epoch
 	}
 }
 
@@ -221,11 +230,11 @@ func (c *Collector) tick(now uint64) {
 	if c.sampler == nil {
 		return
 	}
-	for now >= c.next {
+	for now >= c.st.Next {
 		s := c.sampler()
-		s.At = c.next
-		c.samples = append(c.samples, s)
-		c.next += c.epoch
+		s.At = c.st.Next
+		c.st.Samples = append(c.st.Samples, s)
+		c.st.Next += c.st.Epoch
 	}
 }
 
@@ -237,14 +246,14 @@ func (c *Collector) Stall(cpu int, cause StallCause, start, cycles uint64) {
 		return
 	}
 	c.tick(start + cycles)
-	if cycles == 0 || cpu >= len(c.stalls) {
+	if cycles == 0 || cpu >= len(c.st.Stalls) {
 		return
 	}
-	c.stalls[cpu][cause] += cycles
-	if len(c.slices) < c.maxSlices {
-		c.slices = append(c.slices, Slice{CPU: cpu, Cause: cause, Start: start, Dur: cycles})
+	c.st.Stalls[cpu][cause] += cycles
+	if len(c.st.Slices) < c.st.MaxSlices {
+		c.st.Slices = append(c.st.Slices, Slice{CPU: cpu, Cause: cause, Start: start, Dur: cycles})
 	} else {
-		c.dropped++
+		c.st.Dropped++
 	}
 }
 
@@ -254,7 +263,7 @@ func (c *Collector) Ref(class RefClass, issue, done uint64) {
 		return
 	}
 	c.tick(done)
-	c.refs[class].Add(done - issue)
+	c.st.Refs[class].Add(done - issue)
 }
 
 // Fill records a cache line fill: request sent to line installed.
@@ -263,7 +272,7 @@ func (c *Collector) Fill(issue, done uint64) {
 		return
 	}
 	c.tick(done)
-	c.fill.Add(done - issue)
+	c.st.Fill.Add(done - issue)
 }
 
 // ModuleWait records how long a request sat in a memory module's
@@ -273,7 +282,7 @@ func (c *Collector) ModuleWait(at, wait uint64) {
 		return
 	}
 	c.tick(at)
-	c.modWait.Add(wait)
+	c.st.ModWait.Add(wait)
 }
 
 // NetWait records a message's queue delay when a network port begins
@@ -283,7 +292,7 @@ func (c *Collector) NetWait(n Net, at, wait uint64) {
 		return
 	}
 	c.tick(at)
-	c.netWait[n].Add(wait)
+	c.st.NetWait[n].Add(wait)
 }
 
 // NetRetry records an entrance-buffer rejection: back-pressure from
@@ -293,8 +302,8 @@ func (c *Collector) NetRetry(n Net, src int, at uint64) {
 		return
 	}
 	c.tick(at)
-	if src < len(c.netRetries[n]) {
-		c.netRetries[n][src]++
+	if src < len(c.st.NetRetries[n]) {
+		c.st.NetRetries[n][src]++
 	}
 }
 
@@ -303,7 +312,7 @@ func (c *Collector) Slices() []Slice {
 	if c == nil {
 		return nil
 	}
-	return c.slices
+	return c.st.Slices
 }
 
 // Samples returns the recorded epoch samples (tests and exporters).
@@ -311,5 +320,5 @@ func (c *Collector) Samples() []Sample {
 	if c == nil {
 		return nil
 	}
-	return c.samples
+	return c.st.Samples
 }

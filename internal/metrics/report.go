@@ -72,17 +72,17 @@ func (c *Collector) Report(cycles uint64) *Report {
 	if c == nil {
 		return r
 	}
-	r.Procs = len(c.stalls)
+	r.Procs = len(c.st.Stalls)
 	r.Cycles = cycles
-	r.Epoch = c.epoch
+	r.Epoch = c.st.Epoch
 
 	for cause := StallCause(0); cause < NumCauses; cause++ {
 		r.Stalls.Causes = append(r.Stalls.Causes, cause.String())
 	}
 	r.Stalls.Total = make([]uint64, NumCauses)
-	for i := range c.stalls {
+	for i := range c.st.Stalls {
 		row := make([]uint64, NumCauses)
-		for j, v := range c.stalls[i] {
+		for j, v := range c.st.Stalls[i] {
 			row[j] = v
 			r.Stalls.Total[j] += v
 			r.Stalls.TotalStalled += v
@@ -91,20 +91,20 @@ func (c *Collector) Report(cycles uint64) *Report {
 	}
 
 	for class := RefClass(0); class < NumClasses; class++ {
-		r.Latency[class.String()] = c.refs[class].Report()
+		r.Latency[class.String()] = c.st.Refs[class].Report()
 	}
-	r.LineFill = c.fill.Report()
-	r.ModuleQueueWait = c.modWait.Report()
+	r.LineFill = c.st.Fill.Report()
+	r.ModuleQueueWait = c.st.ModWait.Report()
 	for n := Net(0); n < numNets; n++ {
-		r.NetQueueWait[n.String()] = c.netWait[n].Report()
-		p := NetPressure{PerSource: c.netRetries[n]}
-		for _, v := range c.netRetries[n] {
+		r.NetQueueWait[n.String()] = c.st.NetWait[n].Report()
+		p := NetPressure{PerSource: c.st.NetRetries[n]}
+		for _, v := range c.st.NetRetries[n] {
 			p.Retries += v
 		}
 		r.Backpressure[n.String()] = p
 	}
-	r.Timeline = TimelineSummary{Slices: len(c.slices), Dropped: c.dropped}
-	r.Utilization = utilRows(c.samples, c.epoch)
+	r.Timeline = TimelineSummary{Slices: len(c.st.Slices), Dropped: c.st.Dropped}
+	r.Utilization = utilRows(c.st.Samples, c.st.Epoch)
 	return r
 }
 

@@ -1,43 +1,18 @@
 package metrics
 
-// HistState is one histogram's serializable state.
-type HistState struct {
-	Counts [65]uint64
-	Count  uint64
-	Sum    uint64
-	Min    uint64
-	Max    uint64
-}
+import "slices"
 
-func (h *Hist) save() HistState {
-	return HistState{Counts: h.counts, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-}
-
-func (h *Hist) load(st HistState) {
-	h.counts = st.Counts
-	h.count = st.Count
-	h.sum = st.Sum
-	h.min = st.Min
-	h.max = st.Max
-}
-
-// CollectorState is the complete serializable state of a Collector.
-// The sampler callback is not part of it: machine.AttachMetrics
-// re-installs one on restore, and SetSampler preserves a restored
-// epoch phase.
-type CollectorState struct {
-	Epoch      uint64
-	MaxSlices  int
-	Stalls     [][NumCauses]uint64
-	Refs       [NumClasses]HistState
-	Fill       HistState
-	ModWait    HistState
-	NetWait    [numNets]HistState
-	NetRetries [numNets][]uint64
-	Slices     []Slice
-	Dropped    uint64
-	Next       uint64
-	Samples    []Sample
+// clone returns a copy of st that shares no mutable slice with it, so a
+// snapshot and the live collector never write through to each other.
+// (A recorded Sample's own slices are never modified again.)
+func (st CollectorState) clone() CollectorState {
+	st.Stalls = slices.Clone(st.Stalls)
+	for i := range st.NetRetries {
+		st.NetRetries[i] = slices.Clone(st.NetRetries[i])
+	}
+	st.Slices = slices.Clone(st.Slices)
+	st.Samples = slices.Clone(st.Samples)
+	return st
 }
 
 // Save captures all accumulated observations. Safe on a nil receiver
@@ -46,48 +21,14 @@ func (c *Collector) Save() CollectorState {
 	if c == nil {
 		return CollectorState{}
 	}
-	st := CollectorState{
-		Epoch:     c.epoch,
-		MaxSlices: c.maxSlices,
-		Stalls:    append([][NumCauses]uint64(nil), c.stalls...),
-		Fill:      c.fill.save(),
-		ModWait:   c.modWait.save(),
-		Slices:    append([]Slice(nil), c.slices...),
-		Dropped:   c.dropped,
-		Next:      c.next,
-		Samples:   append([]Sample(nil), c.samples...),
-	}
-	for i := range c.refs {
-		st.Refs[i] = c.refs[i].save()
-	}
-	for i := range c.netWait {
-		st.NetWait[i] = c.netWait[i].save()
-		st.NetRetries[i] = append([]uint64(nil), c.netRetries[i]...)
-	}
-	return st
+	return c.st.clone()
 }
 
 // Load restores accumulated observations into this collector,
 // replacing whatever it held. The sampler is left as is; a subsequent
 // (or prior) SetSampler keeps the restored epoch phase.
 func (c *Collector) Load(st CollectorState) {
-	if c == nil {
-		return
-	}
-	c.epoch = st.Epoch
-	c.maxSlices = st.MaxSlices
-	c.stalls = append([][NumCauses]uint64(nil), st.Stalls...)
-	c.fill.load(st.Fill)
-	c.modWait.load(st.ModWait)
-	c.slices = append([]Slice(nil), st.Slices...)
-	c.dropped = st.Dropped
-	c.next = st.Next
-	c.samples = append([]Sample(nil), st.Samples...)
-	for i := range c.refs {
-		c.refs[i].load(st.Refs[i])
-	}
-	for i := range c.netWait {
-		c.netWait[i].load(st.NetWait[i])
-		c.netRetries[i] = append([]uint64(nil), st.NetRetries[i]...)
+	if c != nil {
+		c.st = st.clone()
 	}
 }

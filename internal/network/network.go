@@ -96,15 +96,22 @@ func (p *port) pushFront(t *transit) {
 	p.queue[0] = t
 }
 
+// waiting is what a snapshot carries of a message queued at a port:
+// the message and when it joined the queue. The hop is implied by which
+// port holds it.
+type waiting struct {
+	Msg    Message
+	Queued sim.Cycle // when it joined the current queue (for QueueDelay)
+}
+
 // transit is a message in flight plus its progress bookkeeping.
 // Transits are pooled on the Network (free list through next) and
 // carry a prebuilt advance callback, so injecting and forwarding a
 // message allocates nothing in steady state.
 type transit struct {
-	msg       Message
-	hop       int       // next hop index to be serviced: 0=entrance, 1..n=stages
-	queued    sim.Cycle // when it joined the current queue (for QueueDelay)
-	next      *transit  // free-list link
+	waiting
+	hop       int      // next hop index to be serviced: 0=entrance, 1..n=stages
+	next      *transit // free-list link
 	advanceFn func()
 }
 
@@ -193,16 +200,16 @@ func (n *Network) allocTransit(m Message) *transit {
 	} else {
 		n.tfree = t.next
 	}
-	t.msg = m
+	t.Msg = m
 	t.hop = 0
-	t.queued = n.eng.Now()
+	t.Queued = n.eng.Now()
 	t.next = nil
 	return t
 }
 
 // freeTransit recycles a delivered transit.
 func (n *Network) freeTransit(t *transit) {
-	t.msg = Message{}
+	t.Msg = Message{}
 	t.next = n.tfree
 	n.tfree = t
 }
@@ -305,10 +312,10 @@ func (n *Network) TrySend(m Message) bool {
 // Hop 0 is the entrance buffer; hop 1..stages are switch output links.
 func (n *Network) portAt(t *transit) *port {
 	if t.hop == 0 {
-		return &n.entrance[t.msg.Src]
+		return &n.entrance[t.Msg.Src]
 	}
 	stage := t.hop - 1
-	return &n.links[stage][n.linkAfter(t.msg.Src, t.msg.Dst, stage)]
+	return &n.links[stage][n.linkAfter(t.Msg.Src, t.Msg.Dst, stage)]
 }
 
 // kick starts service on a port if it is idle and has queued traffic.
@@ -320,9 +327,9 @@ func (n *Network) kick(p *port, entranceSrc int) {
 	}
 	t := p.pop()
 	p.busy = true
-	n.stats.QueueDelay += uint64(n.eng.Now() - t.queued)
-	n.mc.NetWait(n.netid, n.eng.Now(), uint64(n.eng.Now()-t.queued))
-	flits := sim.Cycle(t.msg.Flits)
+	n.stats.QueueDelay += uint64(n.eng.Now() - t.Queued)
+	n.mc.NetWait(n.netid, n.eng.Now(), uint64(n.eng.Now()-t.Queued))
+	flits := sim.Cycle(t.Msg.Flits)
 
 	// Fault injection stretches this service: the head advances and
 	// the port frees `extra` cycles late. Because the stretch applies
@@ -356,12 +363,12 @@ func (n *Network) advance(t *transit) {
 	if t.hop > n.stages {
 		n.stats.Messages++
 		n.inFlight--
-		dst, msg := t.msg.Dst, t.msg
+		dst, msg := t.Msg.Dst, t.Msg
 		n.freeTransit(t)
 		n.deliver(dst, msg)
 		return
 	}
-	t.queued = n.eng.Now()
+	t.Queued = n.eng.Now()
 	p := n.portAt(t)
 	p.queue = append(p.queue, t)
 	n.kick(p, -1)

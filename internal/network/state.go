@@ -38,12 +38,12 @@ func (n *Network) desc(kind uint8) sim.EventDesc {
 // everything needed to rebuild it.
 func (n *Network) advanceDesc(t *transit) sim.EventDesc {
 	d := n.desc(netEvAdvance)
-	d.A = t.msg.Payload.Line
-	d.B = uint64(t.msg.Payload.Kind) | uint64(t.hop)<<16
-	if t.msg.Bypass {
+	d.A = t.Msg.Payload.Line
+	d.B = uint64(t.Msg.Payload.Kind) | uint64(t.hop)<<16
+	if t.Msg.Bypass {
 		d.B |= 1 << 8
 	}
-	d.C = uint64(t.msg.Src) | uint64(t.msg.Dst)<<16 | uint64(t.msg.Flits)<<32
+	d.C = uint64(t.Msg.Src) | uint64(t.Msg.Dst)<<16 | uint64(t.Msg.Flits)<<32
 	return d
 }
 
@@ -51,12 +51,12 @@ func (n *Network) advanceDesc(t *transit) sim.EventDesc {
 func (n *Network) freeDesc(t *transit) sim.EventDesc {
 	d := n.desc(netEvFree)
 	if t.hop == 0 {
-		d.B = uint64(t.msg.Src)
+		d.B = uint64(t.Msg.Src)
 		return d
 	}
 	stage := t.hop - 1
 	d.A = uint64(t.hop)
-	d.B = uint64(n.linkAfter(t.msg.Src, t.msg.Dst, stage))
+	d.B = uint64(n.linkAfter(t.Msg.Src, t.Msg.Dst, stage))
 	return d
 }
 
@@ -107,22 +107,12 @@ func (n *Network) RestoreEvent(d sim.EventDesc, space func(src int) func()) (fun
 	return nil, fmt.Errorf("network: unknown event kind %d", d.Kind)
 }
 
-// TransitState is one queued message in a snapshot. The hop is implied
-// by which port queue holds it.
-type TransitState struct {
-	Src, Dst, Flits int
-	Bypass          bool
-	Kind            uint8
-	Line            uint64
-	Queued          sim.Cycle
-}
-
 // PortState is one link resource's snapshot: its busy flag and waiting
 // queue (head first). The message currently in service, if any, lives
 // in the engine as a pending advance event, not here.
 type PortState struct {
 	Busy  bool
-	Queue []TransitState
+	Queue []waiting
 }
 
 // NetState is the complete serializable state of a Network.
@@ -134,17 +124,10 @@ type NetState struct {
 	Stats    Stats
 }
 
-func saveTransit(t *transit) TransitState {
-	return TransitState{
-		Src: t.msg.Src, Dst: t.msg.Dst, Flits: t.msg.Flits, Bypass: t.msg.Bypass,
-		Kind: uint8(t.msg.Payload.Kind), Line: t.msg.Payload.Line, Queued: t.queued,
-	}
-}
-
 func savePort(p *port) PortState {
 	st := PortState{Busy: p.busy}
-	for i := p.head; i < len(p.queue); i++ {
-		st.Queue = append(st.Queue, saveTransit(p.queue[i]))
+	for _, t := range p.queue[p.head:] {
+		st.Queue = append(st.Queue, t.waiting)
 	}
 	return st
 }
@@ -175,13 +158,10 @@ func (n *Network) Save() NetState {
 // this queue are waiting for.
 func (n *Network) loadPort(p *port, st PortState, hop int) {
 	p.busy = st.Busy
-	for _, ts := range st.Queue {
-		t := n.allocTransit(Message{
-			Src: ts.Src, Dst: ts.Dst, Flits: ts.Flits, Bypass: ts.Bypass,
-			Payload: memory.Msg{Kind: memory.MsgKind(ts.Kind), Line: ts.Line},
-		})
+	for _, w := range st.Queue {
+		t := n.allocTransit(w.Msg)
+		t.waiting = w
 		t.hop = hop
-		t.queued = ts.Queued
 		p.queue = append(p.queue, t)
 	}
 }

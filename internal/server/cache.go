@@ -11,6 +11,7 @@ import (
 
 	"memsim/internal/experiments"
 	"memsim/internal/machine"
+	"memsim/internal/robust"
 )
 
 // jobID content-addresses a run: SHA-256 over the parameter preset
@@ -110,7 +111,10 @@ func (c *Cache) Put(e *CacheEntry) error {
 	if err != nil {
 		return fmt.Errorf("server: encoding cache entry: %w", err)
 	}
-	return atomicWriteFile(c.path(e.ID), buf)
+	if err := robust.PublishFile(c.path(e.ID), buf); err != nil {
+		return fmt.Errorf("server: persisting cache entry: %w", err)
+	}
+	return nil
 }
 
 // Len reports how many entries are resident in memory.
@@ -118,37 +122,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.mem)
-}
-
-// atomicWriteFile durably publishes data at path: temp file, fsync,
-// rename, directory fsync.
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: writing %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("server: writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("server: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: publishing %s: %w", path, err)
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync() // best-effort: entry durability, not atomicity
-		d.Close()
-	}
-	return nil
 }
