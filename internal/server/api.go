@@ -1,12 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
 	"memsim/internal/consistency"
 	"memsim/internal/experiments"
-	"memsim/internal/machine"
 	"memsim/internal/workloads"
 )
 
@@ -84,15 +84,18 @@ func parseRelaxSched(name string) (workloads.RelaxSchedule, error) {
 }
 
 // JobResponse describes a job's current state. Result is present only
-// when Status is "done".
+// when Status is "done": the run's machine.Result in the canonical
+// encoding Checksum is the SHA-256 of.
 type JobResponse struct {
 	ID       string          `json:"id"`
 	Key      string          `json:"key"`
 	Status   string          `json:"status"`
 	Cached   bool            `json:"cached,omitempty"`
 	Checksum string          `json:"checksum,omitempty"`
-	Result   *machine.Result `json:"result,omitempty"`
+	Result   json.RawMessage `json:"result,omitempty"`
 	Error    string          `json:"error,omitempty"`
+
+	body []byte // the reply's finished encoding, when a cache entry holds it
 }
 
 // SweepRequest submits a batch of runs in one call.

@@ -28,15 +28,43 @@ func jobID(paramsJSON []byte, key string) string {
 }
 
 // CacheEntry is one completed run: the spec that produced it, its
-// Result, and the Result's own canonical checksum. The checksum is
-// stored redundantly so a loaded entry proves itself: an entry whose
-// Result no longer reproduces Checksum is corrupt and is never served.
+// Result in canonical encoding, and that encoding's checksum
+// (machine.Result.Encode). A run is encoded once, when it completes or
+// when its file is loaded and verified; every reply that carries the
+// result afterwards serves these bytes.
 type CacheEntry struct {
 	ID       string              `json:"id"`
 	Key      string              `json:"key"`
 	Spec     experiments.RunSpec `json:"spec"`
 	Checksum string              `json:"checksum"`
-	Result   machine.Result      `json:"result"`
+	Result   json.RawMessage     `json:"result"`
+
+	hit []byte // the finished body of a cache hit's 200 reply
+}
+
+// newCacheEntry makes a run's one encoding: the canonical Result, its
+// checksum, and the hit reply around them.
+func newCacheEntry(id, key string, spec experiments.RunSpec, res machine.Result) *CacheEntry {
+	e := &CacheEntry{ID: id, Key: key, Spec: spec}
+	e.Result, e.Checksum = res.Encode()
+	hit, err := json.Marshal(e.response(true))
+	if err != nil {
+		// Strings and bytes Encode just produced: Marshal cannot fail.
+		panic(fmt.Sprintf("server: hit reply for %s not JSON-encodable: %v", key, err))
+	}
+	e.hit = append(hit, '\n')
+	return e
+}
+
+// response is the wire reply of a done job. A cached one carries its
+// finished encoding, so serving it copies bytes and encodes nothing.
+func (e *CacheEntry) response(cached bool) JobResponse {
+	r := JobResponse{ID: e.ID, Key: e.Key, Status: string(experiments.StatusDone),
+		Cached: cached, Checksum: e.Checksum, Result: e.Result}
+	if cached {
+		r.body = e.hit
+	}
+	return r
 }
 
 // Cache is the content-addressed result store: an in-memory map over
@@ -83,17 +111,21 @@ func (c *Cache) Get(id string) (*CacheEntry, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var loaded CacheEntry
-	if err := json.Unmarshal(buf, &loaded); err != nil {
+	var stored CacheEntry
+	var res machine.Result
+	if json.Unmarshal(buf, &stored) != nil || stored.ID != id || json.Unmarshal(stored.Result, &res) != nil {
 		return nil, false
 	}
-	if loaded.ID != id || loaded.Checksum == "" || loaded.Result.Checksum() != loaded.Checksum {
-		return nil, false // corrupt or mislabeled: a miss, never a wrong result
+	// The entry served is re-encoded from the decoded Result, never the
+	// file's own bytes, and only if it reproduces the stored checksum.
+	e = newCacheEntry(id, stored.Key, stored.Spec, res)
+	if e.Checksum != stored.Checksum {
+		return nil, false // corrupt: a miss, never a wrong result
 	}
 	c.mu.Lock()
-	c.mem[id] = &loaded
+	c.mem[id] = e
 	c.mu.Unlock()
-	return &loaded, true
+	return e, true
 }
 
 // Put stores an entry in memory and, when the cache is disk-backed,

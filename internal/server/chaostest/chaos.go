@@ -9,8 +9,10 @@
 //   - no job is double-completed: the journal holds at most one done
 //     record per key across every server incarnation;
 //   - every served result is byte-identical to what a direct
-//     experiments.Runner produces for the same spec (checksum
-//     equality over the canonical Result encoding);
+//     experiments.Runner produces for the same spec: each done reply's
+//     result is decoded and must itself reproduce the direct run's
+//     checksum over the canonical Result encoding, whatever the
+//     reply's checksum string says;
 //   - overload sheds with 429 + Retry-After while cache hits keep
 //     being served, and a stalled client never blocks other requests.
 //
@@ -151,6 +153,21 @@ var (
 	gtRunner *experiments.Runner
 )
 
+// checkServed holds one done reply to the ground truth. The served
+// result is decoded and re-checksummed, so a stale or mismatched
+// pre-encoded body cannot pass on the strength of its checksum string.
+func checkServed(t *testing.T, what string, jr server.JobResponse, req server.SubmitRequest) {
+	t.Helper()
+	want := groundTruth(t, req)
+	var res machine.Result
+	if err := json.Unmarshal(jr.Result, &res); err != nil {
+		t.Errorf("%s %s: undecodable result: %v", what, jr.ID, err)
+	} else if got := res.Checksum(); got != want || jr.Checksum != want {
+		t.Errorf("%s %s: served result checksums to %s under checksum %q, direct Runner gives %s",
+			what, jr.ID, got, jr.Checksum, want)
+	}
+}
+
 func groundTruth(t *testing.T, req server.SubmitRequest) string {
 	t.Helper()
 	gtOnce.Do(func() { gtRunner = experiments.NewRunner(experiments.Quick()) })
@@ -255,6 +272,9 @@ func (w *world) submit(req server.SubmitRequest) (server.JobResponse, int, http.
 		if _, ok := w.accepted[jr.ID]; !ok {
 			w.accepted[jr.ID] = req
 			w.order = append(w.order, jr.ID)
+		}
+		if jr.Status == string(experiments.StatusDone) {
+			checkServed(w.t, "submit reply", jr, req)
 		}
 	}
 	return jr, resp.StatusCode, resp.Header
@@ -407,9 +427,7 @@ func (w *world) recoverAndVerify() {
 			t.Errorf("job %s ended %s after recovery (%s)", id, final.Status, final.Error)
 			continue
 		}
-		if want := groundTruth(t, w.accepted[id]); final.Checksum != want {
-			t.Errorf("job %s checksum %s != direct Runner %s", id, final.Checksum, want)
-		}
+		checkServed(t, "final reply", final, w.accepted[id])
 	}
 
 	// Zero duplicated jobs: across every incarnation the journal holds

@@ -5,27 +5,25 @@ import (
 	"sync"
 
 	"memsim/internal/experiments"
-	"memsim/internal/machine"
 )
 
 // Job is one submitted run's lifecycle record. Its status walks
 // queued → running → done|failed, with running → queued again on
-// preemption; a failed job resubmitted by a client is reset to queued.
-// The done channel is closed when the job reaches a terminal state, so
-// long-polling handlers can wait without spinning; a reset replaces
-// the channel for the next generation of waiters.
+// preemption; a failed job resubmitted by a client is replaced by a
+// fresh one. The done channel is closed when the job reaches a terminal
+// state, so long-polling handlers can wait without spinning. A done
+// job holds the run's cache entry, the one copy of result and checksum.
 type Job struct {
 	id   string
 	key  string
 	spec experiments.RunSpec
 
-	mu       sync.Mutex
-	status   experiments.Status
-	result   *machine.Result
-	checksum string
-	errmsg   string
-	cancel   context.CancelFunc // set while running; preempt calls it
-	done     chan struct{}
+	mu     sync.Mutex
+	status experiments.Status
+	entry  *CacheEntry // set when done
+	errmsg string
+	cancel context.CancelFunc // set while running; preempt calls it
+	done   chan struct{}
 }
 
 func newJob(id, key string, spec experiments.RunSpec) *Job {
@@ -38,7 +36,7 @@ func newJob(id, key string, spec experiments.RunSpec) *Job {
 func doneJob(e *CacheEntry) *Job {
 	j := newJob(e.ID, e.Key, e.Spec)
 	j.status = experiments.StatusDone
-	j.result, j.checksum = &e.Result, e.Checksum
+	j.entry = e
 	close(j.done)
 	return j
 }
@@ -61,10 +59,10 @@ func (j *Job) start(cancel context.CancelFunc) {
 }
 
 // complete records a successful result and wakes waiters.
-func (j *Job) complete(res machine.Result, checksum string) {
+func (j *Job) complete(e *CacheEntry) {
 	j.mu.Lock()
 	j.status = experiments.StatusDone
-	j.result, j.checksum = &res, checksum
+	j.entry = e
 	j.cancel = nil
 	close(j.done)
 	j.mu.Unlock()
@@ -89,17 +87,6 @@ func (j *Job) requeued() {
 	j.mu.Unlock()
 }
 
-// reset returns a terminal failed job to queued for a fresh attempt.
-// The old done channel was closed at failure time; waiters from the
-// new submission get a new one.
-func (j *Job) reset() {
-	j.mu.Lock()
-	j.status = experiments.StatusQueued
-	j.errmsg = ""
-	j.done = make(chan struct{})
-	j.mu.Unlock()
-}
-
 // preempt requests checkpoint-and-requeue of a running job. It
 // reports whether the job was running (and therefore cancelable).
 func (j *Job) preempt() bool {
@@ -113,13 +100,6 @@ func (j *Job) preempt() bool {
 	return running
 }
 
-// waitChan returns the current terminal-state channel.
-func (j *Job) waitChan() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.done
-}
-
 // Status returns the job's current status.
 func (j *Job) Status() experiments.Status {
 	j.mu.Lock()
@@ -131,13 +111,8 @@ func (j *Job) Status() experiments.Status {
 func (j *Job) response(cached bool) JobResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobResponse{
-		ID:       j.id,
-		Key:      j.key,
-		Status:   string(j.status),
-		Cached:   cached,
-		Checksum: j.checksum,
-		Result:   j.result,
-		Error:    j.errmsg,
+	if j.entry != nil {
+		return j.entry.response(cached)
 	}
+	return JobResponse{ID: j.id, Key: j.key, Status: string(j.status), Error: j.errmsg}
 }

@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,8 +281,7 @@ func (s *Server) submit(spec experiments.RunSpec) (JobResponse, int) {
 	id := jobID(s.paramsJSON, key)
 	if e, ok := s.cache.Get(id); ok {
 		s.cacheHits.Add(1)
-		return JobResponse{ID: id, Key: key, Status: string(experiments.StatusDone),
-			Cached: true, Checksum: e.Checksum, Result: &e.Result}, http.StatusOK
+		return e.response(true), http.StatusOK
 	}
 
 	s.mu.Lock()
@@ -291,35 +291,29 @@ func (s *Server) submit(spec experiments.RunSpec) (JobResponse, int) {
 		case experiments.StatusDone:
 			return j.response(true), http.StatusOK
 		case experiments.StatusFailed:
-			// A resubmitted failure retries (failures are never cached),
-			// passing back through admission control.
-			if s.draining {
-				return JobResponse{ID: id, Key: key, Error: "server is draining"}, http.StatusServiceUnavailable
-			}
-			nj := newJob(id, key, spec)
-			if !s.queue.TryAdmit(nj) {
-				s.shed.Add(1)
-				return JobResponse{ID: id, Key: key, Error: "queue full"}, http.StatusTooManyRequests
-			}
-			s.jobs[id] = nj
-			s.admitted.Add(1)
-			s.journalAppend(experiments.JournalEntry{Key: key, Spec: spec, Status: experiments.StatusQueued})
-			return nj.response(false), http.StatusAccepted
+			// A resubmitted failure retries (failures are never cached) as
+			// a fresh job, passing back through admission control.
 		default:
 			return j.response(false), http.StatusAccepted
 		}
 	}
+	return s.admit(newJob(id, key, spec))
+}
+
+// admit passes a new job through admission control: refused while
+// draining, shed when the queue is full, else journaled and queued.
+// The caller holds s.mu.
+func (s *Server) admit(j *Job) (JobResponse, int) {
 	if s.draining {
-		return JobResponse{ID: id, Key: key, Error: "server is draining"}, http.StatusServiceUnavailable
+		return JobResponse{ID: j.id, Key: j.key, Error: "server is draining"}, http.StatusServiceUnavailable
 	}
-	j := newJob(id, key, spec)
 	if !s.queue.TryAdmit(j) {
 		s.shed.Add(1)
-		return JobResponse{ID: id, Key: key, Error: "queue full"}, http.StatusTooManyRequests
+		return JobResponse{ID: j.id, Key: j.key, Error: "queue full"}, http.StatusTooManyRequests
 	}
-	s.jobs[id] = j
+	s.jobs[j.id] = j
 	s.admitted.Add(1)
-	s.journalAppend(experiments.JournalEntry{Key: key, Spec: spec, Status: experiments.StatusQueued})
+	s.journalAppend(experiments.JournalEntry{Key: j.key, Spec: j.spec, Status: experiments.StatusQueued})
 	return j.response(false), http.StatusAccepted
 }
 
@@ -348,13 +342,13 @@ func (s *Server) runJob(j *Job) {
 	res, err := s.protectedRun(ctx, j)
 	switch {
 	case err == nil:
-		sum := res.Checksum()
-		if cerr := s.cache.Put(&CacheEntry{ID: j.id, Key: j.key, Spec: j.spec, Checksum: sum, Result: res}); cerr != nil {
+		e := newCacheEntry(j.id, j.key, j.spec, res)
+		if cerr := s.cache.Put(e); cerr != nil {
 			s.logf("cache write for %s: %v", j.key, cerr)
 		}
 		s.journalAppend(experiments.JournalEntry{Key: j.key, Spec: j.spec,
-			Status: experiments.StatusDone, Checksum: sum})
-		j.complete(res, sum)
+			Status: experiments.StatusDone, Checksum: e.Checksum})
+		j.complete(e)
 		s.completed.Add(1)
 	case errors.Is(err, context.Canceled):
 		s.preempted.Add(1)
@@ -534,7 +528,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{resp.Error})
 		return
 	}
-	writeJSON(w, code, resp)
+	writeJob(w, code, resp)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -572,9 +566,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		// Not in the live job table: completed in a previous incarnation?
 		if e, ok := s.cache.Get(id); ok {
 			s.cacheHits.Add(1)
-			writeJSON(w, http.StatusOK, JobResponse{ID: e.ID, Key: e.Key,
-				Status: string(experiments.StatusDone), Cached: true,
-				Checksum: e.Checksum, Result: &e.Result})
+			writeJob(w, http.StatusOK, e.response(true))
 			return
 		}
 		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("unknown job %q", id)})
@@ -592,12 +584,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		select {
-		case <-j.waitChan():
+		case <-j.done:
 		case <-t.C:
 		case <-r.Context().Done():
 		}
 	}
-	writeJSON(w, http.StatusOK, j.response(false))
+	writeJob(w, http.StatusOK, j.response(false))
 }
 
 func (s *Server) handlePreempt(w http.ResponseWriter, r *http.Request) {
@@ -613,11 +605,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// decodeJSON reads a bounded JSON body.
+// decodeJSON reads a bounded JSON body strictly: a field the request
+// type lacks (a misspelt "proc" would otherwise run, and content-
+// address, the default) and anything after the value are errors.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("server: decoding request: trailing data after the JSON value")
 	}
 	return nil
 }
@@ -625,9 +623,21 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
+}
+
+// writeJob serves a job reply: the bytes it carries when its cache
+// entry already encoded it, else through the encoder, which splices
+// Result (a RawMessage) rather than reflecting over a machine.Result.
+func writeJob(w http.ResponseWriter, code int, resp JobResponse) {
+	if resp.body == nil {
+		writeJSON(w, code, resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
+	w.WriteHeader(code)
+	w.Write(resp.body)
 }
 
 func retryAfterSeconds(d time.Duration) string {

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"memsim/internal/experiments"
+	"memsim/internal/machine"
 )
 
 // gate lets tests hold worker goroutines at the run boundary to make
@@ -417,7 +421,9 @@ func TestServerPreemptRequeues(t *testing.T) {
 }
 
 // TestCacheRejectsCorruptEntries corrupts an on-disk entry and
-// requires the cache to miss rather than serve it.
+// requires the cache to miss rather than serve it, first at the cache
+// and then through HTTP: the job reruns and the mangled bytes never
+// reach a client.
 func TestCacheRejectsCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -430,8 +436,8 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &CacheEntry{ID: "deadbeef", Key: "k", Spec: spec, Checksum: res.Checksum(), Result: res}
-	if err := cache.Put(e); err != nil {
+	canonical, sum := res.Encode()
+	if err := cache.Put(newCacheEntry("deadbeef", "k", spec, res)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -441,23 +447,282 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 		t.Fatal("verified entry did not load from disk")
 	}
 
-	// Corrupt the stored result: flip the cycle count.
+	// A file that spells the same entry differently still verifies, and
+	// what is served is the canonical encoding, not the file's spelling.
 	path := filepath.Join(dir, "deadbeef.json")
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mangled := bytes.Replace(buf, []byte(fmt.Sprintf(`"Cycles":%d`, res.Cycles)),
-		[]byte(fmt.Sprintf(`"Cycles":%d`, res.Cycles+1)), 1)
-	if bytes.Equal(mangled, buf) {
-		t.Fatalf("corruption did not apply; body: %.200s", buf)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, buf, "", "\t"); err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, mangled, 0o644); err != nil {
+	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cache3, _ := NewCache(dir)
-	if _, ok := cache3.Get("deadbeef"); ok {
+	if e, ok := cache3.Get("deadbeef"); !ok {
+		t.Error("re-spelt entry did not verify")
+	} else if !bytes.Equal(e.Result, canonical) || e.Checksum != sum {
+		t.Errorf("re-spelt entry serves %.80s..., want the canonical encoding", e.Result)
+	}
+
+	// Corrupt the stored result: flip the cycle count.
+	mangle := func(path string) {
+		t.Helper()
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mangled := bytes.Replace(buf, []byte(fmt.Sprintf(`"Cycles":%d`, res.Cycles)),
+			[]byte(fmt.Sprintf(`"Cycles":%d`, res.Cycles+1)), 1)
+		if bytes.Equal(mangled, buf) {
+			t.Fatalf("corruption did not apply; body: %.200s", buf)
+		}
+		if err := os.WriteFile(path, mangled, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mangle(path)
+	cache4, _ := NewCache(dir)
+	if _, ok := cache4.Get("deadbeef"); ok {
 		t.Fatal("corrupt entry served from disk")
+	}
+
+	// The same through HTTP: complete the job, drain, mangle its file.
+	// The next incarnation must rerun it and serve the true result.
+	state := t.TempDir()
+	s, err := New(Config{Params: experiments.Quick(), StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClient(t, s)
+	jr, _ := c.submit(gaussReq)
+	c.waitDone(jr.ID, 30*time.Second)
+	s.Drain()
+	mangle(filepath.Join(state, "cache", jr.ID+".json"))
+
+	var log syncBuffer
+	s2, err := New(Config{Params: experiments.Quick(), StateDir: state, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain()
+	c2 := newTestClient(t, s2)
+	_, body := c2.get("/api/v1/jobs/" + jr.ID + "?wait=30s")
+	var final JobResponse
+	if err := json.Unmarshal(body, &final); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	if final.Status != string(experiments.StatusDone) || final.Checksum != sum || !bytes.Equal(final.Result, canonical) {
+		t.Errorf("after corruption: status %s checksum %s, want done %s with the true result", final.Status, final.Checksum, sum)
+	}
+	if bytes.Contains(body, []byte(fmt.Sprintf(`"Cycles":%d`, res.Cycles+1))) {
+		t.Error("mangled bytes were served")
+	}
+	if n := strings.Count(log.String(), "  ran "); n != 1 {
+		t.Errorf("%d fresh simulations after the corruption, want the one rerun:\n%s", n, log.String())
+	}
+}
+
+// TestDoneRepliesShareOneEncoding visits every site that serves a done
+// result and requires each reply to name the job correctly and to carry
+// the one canonical encoding of the Result, which reproduces the
+// checksum a direct Runner gives.
+func TestDoneRepliesShareOneEncoding(t *testing.T) {
+	res, err := experiments.NewRunner(experiments.Quick()).Run(mustSpec(t, gaussReq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, sum := res.Encode()
+	var id, key string
+	checkBody := func(site string, body []byte, cached bool) {
+		t.Helper()
+		var jr JobResponse
+		if err := json.Unmarshal(body, &jr); err != nil {
+			t.Fatalf("%s: decoding %.200s: %v", site, body, err)
+		}
+		want := JobResponse{ID: id, Key: key, Status: string(experiments.StatusDone), Cached: cached, Checksum: sum}
+		got := jr
+		got.Result = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v, want %+v", site, got, want)
+		}
+		if !bytes.Equal(jr.Result, canonical) {
+			t.Errorf("%s: result is not the canonical encoding: %.120s", site, jr.Result)
+		}
+		var served machine.Result
+		if err := json.Unmarshal(jr.Result, &served); err != nil || served.Checksum() != sum {
+			t.Errorf("%s: served result does not reproduce checksum %s (%v)", site, sum, err)
+		}
+	}
+	check := func(site string, resp *http.Response, body []byte, cached bool) {
+		t.Helper()
+		checkBody(site, body, cached)
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+			t.Errorf("%s: HTTP %d, Content-Type %q", site, resp.StatusCode, ct)
+		}
+		if cached && resp.ContentLength != int64(len(body)) {
+			t.Errorf("%s: Content-Length %d on a %d-byte pre-encoded body", site, resp.ContentLength, len(body))
+		}
+	}
+
+	state := t.TempDir()
+	s, err := New(Config{Params: experiments.Quick(), StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestClient(t, s)
+	first, _ := c.submit(gaussReq)
+	id, key = first.ID, first.Key
+	c.waitDone(id, 30*time.Second)
+	resp, body := c.postJSON("/api/v1/jobs", gaussReq)
+	check("POST hit from memory", resp, body, true)
+	resp, body = c.get("/api/v1/jobs/" + id)
+	check("GET of a live done job", resp, body, false)
+	resp, body = c.postJSON("/api/v1/sweep", SweepRequest{Specs: []SubmitRequest{gaussReq}})
+	var sweep struct {
+		Jobs []json.RawMessage `json:"jobs"`
+	}
+	var item struct {
+		Code int `json:"code"`
+	}
+	if err := json.Unmarshal(body, &sweep); err != nil || resp.StatusCode != http.StatusOK || len(sweep.Jobs) != 1 {
+		t.Fatalf("sweep: HTTP %d %.200s (%v)", resp.StatusCode, body, err)
+	}
+	if err := json.Unmarshal(sweep.Jobs[0], &item); err != nil || item.Code != http.StatusOK {
+		t.Errorf("sweep item: code %d (%v), want 200", item.Code, err)
+	}
+	checkBody("sweep item", sweep.Jobs[0], true)
+	s.Drain()
+
+	// A second incarnation recalls the job from journal and cache file.
+	s2, err := New(Config{Params: experiments.Quick(), StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := newTestClient(t, s2)
+	resp, body = c2.postJSON("/api/v1/jobs", gaussReq)
+	check("POST hit loaded from disk", resp, body, true)
+	resp, body = c2.get("/api/v1/jobs/" + id)
+	check("GET of a done job replayed from the journal", resp, body, false)
+	s2.Drain()
+
+	// A third, with the journal gone, knows the job only by its cache file.
+	if err := os.Remove(filepath.Join(state, "journal.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := New(Config{Params: experiments.Quick(), StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Drain()
+	resp, body = newTestClient(t, s3).get("/api/v1/jobs/" + id)
+	check("GET of a recalled job", resp, body, true)
+}
+
+// TestRequestStrictness: a body the request type does not describe
+// exactly is refused with a 400 that says why, never run as something
+// else.
+func TestRequestStrictness(t *testing.T) {
+	s, err := New(Config{Params: experiments.Quick()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	c := newTestClient(t, s)
+	const good = `{"bench":"Gauss","model":"SC1","cacheSize":1024,"lineSize":8}`
+	for _, row := range []struct {
+		name, path, body string
+		code             int
+		errHas           string
+	}{
+		{"well-formed", "/api/v1/jobs", good, http.StatusAccepted, ""},
+		{"trailing whitespace", "/api/v1/jobs", good + "\n ", http.StatusAccepted, ""},
+		{"unknown field", "/api/v1/jobs", `{"bench":"Gauss","model":"SC1","cacheSize":1024,"lineSize":8,"proc":32}`, http.StatusBadRequest, `"proc"`},
+		{"unknown field in a sweep spec", "/api/v1/sweep", `{"specs":[{"bench":"Gauss","modle":"SC1"}]}`, http.StatusBadRequest, `"modle"`},
+		{"trailing garbage", "/api/v1/jobs", good + " x", http.StatusBadRequest, "trailing data"},
+		{"second value", "/api/v1/jobs", good + good, http.StatusBadRequest, "trailing data"},
+		{"stray brace", "/api/v1/sweep", `{"specs":[]}}`, http.StatusBadRequest, "trailing data"},
+		{"oversized body", "/api/v1/jobs", `{"bench":"` + strings.Repeat("G", 1<<20) + `"}`, http.StatusBadRequest, "too large"},
+	} {
+		resp, err := http.Post(c.ts.URL+row.path, "application/json", strings.NewReader(row.body))
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		var reply errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != row.code || !strings.Contains(reply.Error, row.errHas) {
+			t.Errorf("%s: HTTP %d error %q (%v), want %d mentioning %q", row.name, resp.StatusCode, reply.Error, err, row.code, row.errHas)
+		}
+	}
+}
+
+// TestHitPathAllocBudget: a pass of service-mix is 12 000 cache hits,
+// so what one hit allocates between request and reply is the workload's
+// running cost. A hit goes through Handler() into a recorder, and the
+// same request answered with the same bytes by a handler that does
+// nothing else is subtracted, which leaves the service's own share (the
+// request decoder, the spec key, the content address) and takes out
+// httptest's buffers. Measured: 1 313 B with go1.24 on amd64; the
+// ceiling is about twice that. The commit before this one, which
+// reflect-encoded and indented the Result on every hit, ran to
+// 35 696 B by the same measure.
+func TestHitPathAllocBudget(t *testing.T) {
+	s, err := New(Config{Params: experiments.Quick()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	body, err := json.Marshal(gaussReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func(h http.Handler) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/jobs", bytes.NewReader(body)))
+		return rec
+	}
+	var first JobResponse
+	if err := json.Unmarshal(hit(s.Handler()).Body.Bytes(), &first); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.jobs[first.ID].done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never completed")
+	}
+	warm := hit(s.Handler())
+	var reply JobResponse
+	if err := json.Unmarshal(warm.Body.Bytes(), &reply); err != nil || warm.Code != http.StatusOK || !reply.Cached {
+		t.Fatalf("warm request is not a cache hit: %d %.200s (%v)", warm.Code, warm.Body, err)
+	}
+	echo := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(warm.Body.Bytes())
+	})
+
+	allocated := func(h http.Handler) uint64 {
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			hit(h)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	perHit, harness := allocated(s.Handler()), allocated(echo)
+	t.Logf("cache hit through Handler(): %d B, of which the harness %d B", perHit, harness)
+	const ceiling = 2_600
+	if perHit > harness+ceiling {
+		t.Errorf("a cache hit allocates %d B beyond the harness's %d B, ceiling %d", perHit-harness, harness, ceiling)
 	}
 }
 
