@@ -84,16 +84,9 @@ func main() {
 	diag = diagF
 	flag.Parse()
 
-	var params experiments.Params
-	switch *preset {
-	case "quick":
-		params = experiments.Quick()
-	case "scaled":
-		params = experiments.Scaled()
-	case "paper":
-		params = experiments.Paper()
-	default:
-		fatal(fmt.Errorf("unknown preset %q", *preset))
+	params, err := experiments.Preset(*preset)
+	if err != nil {
+		fatal(err)
 	}
 	if *resume && *stateDir == "" {
 		fatal(errors.New("-resume requires -state"))

@@ -177,7 +177,7 @@ func TestCompareDeterministic(t *testing.T) {
 // TestVerifyOnHardware replays the SC/TSO witness on the simulated
 // machines: store buffering must show up on TSO hardware and never on
 // SC1, and both sides must stay inside their engine-allowed sets.
-// Run counts are kept CI-sized; cmd/compare defaults to 1000.
+// Run counts are kept CI-sized; check compare defaults to 1000.
 func TestVerifyOnHardware(t *testing.T) {
 	runs := 120
 	if testing.Short() {
@@ -187,7 +187,7 @@ func TestVerifyOnHardware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(nil, VerifyConfig{Runs: runs, Seed: 1}); err != nil {
+	if err := res.Verify(litmus.Config{Runs: runs, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	p := res.Pair("TSO", "SC1")
@@ -239,7 +239,7 @@ func TestWitnessRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Replay(nil, w, VerifyConfig{Runs: 60, Seed: 7})
+	v, err := Replay(w, litmus.Config{Runs: 60, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,9 @@ import (
 // bypassing), SC1/SC2/bSC1 only in performance dials, so each group
 // shares one entry in the lattice.
 type Class struct {
-	Name   string            `json:"name"`   // representative model name
-	Models []string          `json:"models"` // all member models, presentation order
-	Sig    string            `json:"sig"`    // behavioral signature
-	rep    consistency.Model // representative for hardware runs
+	Name   string   `json:"name"`   // representative model name
+	Models []string `json:"models"` // all member models, presentation order
+	Sig    string   `json:"sig"`    // behavioral signature
 	spec   consistency.Spec
 }
 
@@ -92,7 +91,7 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 		sig := litmus.Signature(spec)
 		c, ok := bySig[sig]
 		if !ok {
-			c = &Class{Name: m.String(), Sig: sig, rep: m, spec: spec}
+			c = &Class{Name: m.String(), Sig: sig, spec: spec}
 			bySig[sig] = c
 			classes = append(classes, c)
 		}
@@ -192,18 +191,6 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 // sorted outcome keys.
 func Outcomes(t *litmus.Test, spec consistency.Spec) ([]string, error) {
 	return t.Outcomes(spec)
-}
-
-// ClassOf returns the lattice class containing model name, or nil.
-func (r *Result) ClassOf(model string) *Class {
-	for i := range r.Classes {
-		for _, m := range r.Classes[i].Models {
-			if m == model {
-				return &r.Classes[i]
-			}
-		}
-	}
-	return nil
 }
 
 // Pair returns the ordered-pair verdict for two class names.

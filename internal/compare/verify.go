@@ -1,24 +1,14 @@
 package compare
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 
 	"memsim/internal/consistency"
 	"memsim/internal/litmus"
+	"memsim/internal/robust"
 )
-
-// VerifyConfig controls hardware replay of engine-found witnesses.
-type VerifyConfig struct {
-	Runs int   // perturbed runs per side per candidate
-	Seed int64 // base seed
-}
-
-// DefaultVerify matches the acceptance bar: 1000 perturbed runs on
-// each of the pair's two models.
-func DefaultVerify() VerifyConfig { return VerifyConfig{Runs: 1000, Seed: 1} }
 
 // Verification is the hardware replay record attached to a witness.
 //
@@ -48,18 +38,19 @@ type Verification struct {
 	Verified         bool   `json:"verified"`
 }
 
-// verifyWitness replays one candidate on both models: one litmus.Run
-// per side, each checked against that side's own engine-allowed set.
-func verifyWitness(ctx context.Context, w *Witness, weak, strong consistency.Model, cfg VerifyConfig) (*Verification, error) {
+// verifyWitness runs one candidate on both models: one litmus.Run of
+// cfg.Runs perturbed runs per side, each checked against that side's
+// own engine-allowed set.
+func verifyWitness(w *Witness, weak, strong consistency.Model, cfg litmus.Config) (*Verification, error) {
 	t, _ := litmus.SynthTest(w.Threads)
 	t.Name = fmt.Sprintf("witness-%s-not-%s", w.Weak, w.Strong)
 	run := func(side string, m consistency.Model) (*litmus.Report, error) {
-		rep, err := litmus.Run(t, m, litmus.Config{Runs: cfg.Runs, Seed: cfg.Seed, Ctx: ctx})
+		rep, err := litmus.Run(t, m, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s side %s: %w", side, m, err)
 		}
 		if rep.Interrupted {
-			return nil, ctx.Err()
+			return nil, cfg.Ctx.Err()
 		}
 		return rep, nil
 	}
@@ -91,7 +82,7 @@ func verifyWitness(ctx context.Context, w *Witness, weak, strong consistency.Mod
 // primary witness. If none verifies (typically because the weak-side
 // outcome needs a timing window the machine rarely opens), the
 // minimal candidate stays primary with its replay record attached.
-func (r *Result) Verify(ctx context.Context, cfg VerifyConfig) error {
+func (r *Result) Verify(cfg litmus.Config) error {
 	reps := make(map[string]consistency.Model)
 	for _, c := range r.Classes {
 		m, err := consistency.ParseModel(c.Name)
@@ -107,7 +98,7 @@ func (r *Result) Verify(ctx context.Context, cfg VerifyConfig) error {
 		}
 		var first *Witness
 		for _, cand := range p.Candidates {
-			v, err := verifyWitness(ctx, cand, reps[p.Weak], reps[p.Strong], cfg)
+			v, err := verifyWitness(cand, reps[p.Weak], reps[p.Strong], cfg)
 			if err != nil {
 				return err
 			}
@@ -131,9 +122,6 @@ func (r *Result) Verify(ctx context.Context, cfg VerifyConfig) error {
 // replayable JSON file under dir, named <weak>-not-<strong>.json, and
 // returns the file count.
 func (r *Result) WriteWitnesses(dir string) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
 	n := 0
 	for _, p := range r.Pairs {
 		if !p.Separated {
@@ -144,7 +132,7 @@ func (r *Result) WriteWitnesses(dir string) (int, error) {
 			return n, err
 		}
 		path := fmt.Sprintf("%s/%s-not-%s.json", dir, p.Weak, p.Strong)
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		if err := robust.PublishFile(path, append(data, '\n')); err != nil {
 			return n, err
 		}
 		n++
@@ -169,7 +157,7 @@ func LoadWitness(path string) (*Witness, error) {
 }
 
 // Replay re-verifies a loaded witness on its recorded model pair.
-func Replay(ctx context.Context, w *Witness, cfg VerifyConfig) (*Verification, error) {
+func Replay(w *Witness, cfg litmus.Config) (*Verification, error) {
 	weak, err := consistency.ParseModel(w.Weak)
 	if err != nil {
 		return nil, err
@@ -178,5 +166,5 @@ func Replay(ctx context.Context, w *Witness, cfg VerifyConfig) (*Verification, e
 	if err != nil {
 		return nil, err
 	}
-	return verifyWitness(ctx, w, weak, strong, cfg)
+	return verifyWitness(w, weak, strong, cfg)
 }

@@ -211,7 +211,7 @@ func (s Spec) Relaxations() Relaxation {
 }
 
 // Summary is a one-line description of the spec's hardware, used by
-// cmd/litmus -models and cmd/compare listings.
+// `check list` and `check compare` listings.
 func (s Spec) Summary() string {
 	var parts []string
 	switch {

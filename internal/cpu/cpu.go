@@ -219,7 +219,7 @@ type Config struct {
 	LoadDelay   int
 	BranchDelay int
 	MSHRs       int  // machine MSHR count; bounds relaxed-model outstanding
-	NoSpinSkip  bool // disable spin fast-forward (required under fault injection)
+	NoSpinSkip  bool // disable spin fast-forward
 	OnHalt      func(id int)
 }
 

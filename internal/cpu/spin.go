@@ -52,9 +52,11 @@ import (
 //     else can change (the engagement predicate verifies readiness and
 //     quiescence), so every skipped iteration takes exactly p cycles.
 //
-// Fault injection stretches delivery timing in ways the replay's
-// batched bookkeeping does not model; machines with faults enabled
-// construct their processors with NoSpinSkip.
+// Fault injection needs no exception: a jittered delivery is still one
+// engine event at one cycle, and it orders against the ghost exactly as
+// it would against the live resynchronization event the ghost stands
+// in for, so the fast-forward runs on faulted machines too
+// (TestIdleSkipAB holds the two to equal checksums).
 
 // spinTry runs at the load's resynchronization point, before an event
 // for future cycle t is scheduled. It returns true when it scheduled a

@@ -33,10 +33,7 @@ func (c CheckConfig) withDefaults() CheckConfig {
 // Report is the verdict of one program across a model set: one
 // litmus.Run report per model, each Allowed set the engine's.
 type Report struct {
-	Program Program          `json:"program"`
-	Text    string           `json:"text"` // litmus notation
-	Runs    int              `json:"runs"`
-	Models  []*litmus.Report `json:"models"`
+	Models []*litmus.Report
 }
 
 // OK reports whether every model's every observed outcome was allowed.
@@ -66,26 +63,22 @@ func (p Program) test() *litmus.Test {
 // only ever adds outcomes by relaxing order). A mismatch is an engine
 // soundness bug and comes back as a typed Conformance error.
 func crossCheck(p Program, spec consistency.Spec, engine, oracle []string) error {
-	engineSet := litmus.KeySet(engine)
-	for _, k := range oracle {
-		if !engineSet[k] {
-			return &robust.SimError{
-				Kind:      robust.Conformance,
-				Component: "difftest",
-				Unit:      -1,
-				Detail: fmt.Sprintf("engine under %s drops SC-reachable outcome %q of program %s",
-					spec.Name, k, litmus.FormatProgram(p.Threads)),
-			}
-		}
-	}
-	if spec.SequentiallyConsistent() && len(engine) != len(oracle) {
+	unsound := func(format string, args ...any) error {
 		return &robust.SimError{
 			Kind:      robust.Conformance,
 			Component: "difftest",
 			Unit:      -1,
-			Detail: fmt.Sprintf("engine under SC spec %s allows %d outcomes, oracle %d, on program %s",
-				spec.Name, len(engine), len(oracle), litmus.FormatProgram(p.Threads)),
+			Detail:    fmt.Sprintf(format, args...) + " program " + litmus.FormatProgram(p.Threads),
 		}
+	}
+	engineSet := litmus.KeySet(engine)
+	for _, k := range oracle {
+		if !engineSet[k] {
+			return unsound("engine under %s drops SC-reachable outcome %q of", spec.Name, k)
+		}
+	}
+	if spec.SequentiallyConsistent() && len(engine) != len(oracle) {
+		return unsound("engine under SC spec %s allows %d outcomes, oracle %d, on", spec.Name, len(engine), len(oracle))
 	}
 	return nil
 }
@@ -113,11 +106,7 @@ func AllowedSet(p Program, spec consistency.Spec) ([]string, error) {
 // and enumerated once.
 func CheckProgram(ctx context.Context, p Program, models []consistency.Model, cfg CheckConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rep := &Report{
-		Program: p,
-		Text:    litmus.FormatProgram(p.Threads),
-		Runs:    cfg.Runs,
-	}
+	rep := &Report{}
 	t := p.test()
 	oracle, err := t.OracleKeys()
 	if err != nil {

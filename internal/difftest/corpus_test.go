@@ -17,7 +17,7 @@ import (
 // and the same minimized programs must run clean on the real
 // (unmutated) models.
 
-func corpusBundles(t *testing.T) []*Bundle {
+func corpusBundles(t *testing.T) []*Verdict {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.json"))
 	if err != nil {
@@ -26,14 +26,18 @@ func corpusBundles(t *testing.T) []*Bundle {
 	if len(paths) == 0 {
 		t.Fatal("no corpus bundles under testdata/corpus")
 	}
-	var bundles []*Bundle
+	var bundles []*Verdict
 	for _, path := range paths {
-		b, err := LoadBundle(path)
+		vs, err := ReadVerdicts(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Version != BundleVersion {
-			t.Fatalf("%s: bundle version %d, tool speaks %d", path, b.Version, BundleVersion)
+		if len(vs) != 1 || vs[0].Program == nil || len(vs[0].Program.Threads) == 0 || len(vs[0].Violations) == 0 {
+			t.Fatalf("%s: want one bundle: a failing report with its program attached", path)
+		}
+		b := vs[0]
+		if b.Name() != filepath.Base(path) {
+			t.Fatalf("%s: bundle names itself %s", path, b.Name())
 		}
 		if b.Mutate == "" {
 			t.Fatalf("%s: corpus bundle has no seeded mutation (a real-model violation does not belong in the regression corpus)", path)
@@ -49,15 +53,17 @@ func corpusBundles(t *testing.T) []*Bundle {
 // current model contract.
 func TestCorpusStillReproduces(t *testing.T) {
 	for _, b := range corpusBundles(t) {
-		res, err := ReplayBundle(context.Background(), b)
+		res, err := b.Replay(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
-		if !res.Reproduced {
-			t.Errorf("%s: recorded %q, replay produced %q", b.Name(), b.Observed, res.Key)
-		}
-		if !res.StillForbidden {
-			t.Errorf("%s: recorded outcome %q is now inside the allowed set %v", b.Name(), b.Observed, res.Allowed)
+		for _, r := range res {
+			if r.Key != r.Outcome {
+				t.Errorf("%s: recorded %q (seed %d), replay produced %q", b.Name(), r.Outcome, r.Seed, r.Key)
+			}
+			if !r.Forbidden {
+				t.Errorf("%s: recorded outcome %q is now inside the allowed set", b.Name(), r.Outcome)
+			}
 		}
 	}
 }
@@ -76,8 +82,7 @@ func TestCorpusMutantsStillCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Program{Seed: b.GenSeed, Threads: b.Threads, Stride: b.Stride}
-		rep, err := CheckModel(context.Background(), p, model, CheckConfig{Runs: b.Runs, Seed: b.CheckSeed, Mutate: mut})
+		rep, err := CheckModel(context.Background(), *b.Program, model, CheckConfig{Runs: b.Runs, Seed: b.CheckSeed, Mutate: mut})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,15 +98,14 @@ func TestCorpusMutantsStillCaught(t *testing.T) {
 func TestCorpusRealModelsPass(t *testing.T) {
 	cfg := CheckConfig{Runs: 15, Seed: 1}
 	for _, b := range corpusBundles(t) {
-		p := Program{Seed: b.GenSeed, Threads: b.Threads, Stride: b.Stride}
-		rep, err := CheckProgram(context.Background(), p, consistency.Models, cfg)
+		rep, err := CheckProgram(context.Background(), *b.Program, consistency.Models, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mr := range rep.Models {
 			for _, v := range mr.Violations {
 				t.Errorf("%s: unmutated %s produced forbidden %q on the corpus program %s",
-					b.Name(), mr.Model, v.Outcome, litmus.FormatProgram(b.Threads))
+					b.Name(), mr.Model, v.Outcome, litmus.FormatProgram(b.Program.Threads))
 			}
 		}
 	}
@@ -112,7 +116,7 @@ func TestCorpusRealModelsPass(t *testing.T) {
 func TestBundleRoundTrip(t *testing.T) {
 	g := DefaultGen()
 	cfg := CheckConfig{Runs: 40, Seed: 1, Mutate: consistency.MutWBNoDrain}
-	var bundle *Bundle
+	var bundle *Verdict
 	for seed := int64(1); seed <= 80 && bundle == nil; seed++ {
 		p := Generate(g, seed)
 		for _, m := range consistency.Models {
@@ -121,7 +125,7 @@ func TestBundleRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !rep.OK() {
-				bundle = NewBundle(p, nil, rep, &g, cfg)
+				bundle = &Verdict{Report: rep, Program: &p, Gen: &g, CheckSeed: cfg.Seed}
 				break
 			}
 		}
@@ -135,16 +139,21 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadBundle(path)
+	loaded, err := ReadVerdicts(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayBundle(context.Background(), loaded)
+	if len(loaded) != 1 || len(loaded[0].Violations) != len(bundle.Violations) {
+		t.Fatalf("wrote one bundle with %d violations, read back %d verdicts", len(bundle.Violations), len(loaded))
+	}
+	res, err := loaded[0].Replay(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() {
-		t.Fatalf("round-tripped bundle failed to replay: reproduced=%t still-forbidden=%t key=%q recorded=%q",
-			res.Reproduced, res.StillForbidden, res.Key, loaded.Observed)
+	for _, r := range res {
+		if r.Status() != "REPRO" {
+			t.Fatalf("round-tripped bundle failed to replay: %s still-forbidden=%t key=%q recorded=%q",
+				r.Status(), r.Forbidden, r.Key, r.Outcome)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"memsim/internal/litmus"
+	"memsim/internal/robust"
 )
 
 // Hard capacity limits, derived from the rest of the system:
@@ -75,16 +76,6 @@ type Program struct {
 	Stride  uint64          `json:"stride,omitempty"` // location stride; 8 = false sharing, 0 = default spread
 }
 
-// splitmix64 steps the generator's private PRNG stream (same
-// generator the litmus perturbation driver uses).
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Generate draws one random program from the dials, deterministically
 // from the seed. Programs that cannot communicate across threads (no
 // location both stored and touched by a second thread) are redrawn
@@ -92,7 +83,7 @@ func splitmix64(x *uint64) uint64 {
 // distinguish hardware behaviors.
 func Generate(g GenConfig, seed int64) Program {
 	x := uint64(seed)
-	splitmix64(&x) // decorrelate consecutive seeds
+	robust.SplitMix64(&x) // decorrelate consecutive seeds
 	var p Program
 	for attempt := 0; ; attempt++ {
 		p = draw(g, &x)
@@ -106,19 +97,19 @@ func Generate(g GenConfig, seed int64) Program {
 
 // draw produces one candidate program from the stream.
 func draw(g GenConfig, x *uint64) Program {
-	pct := func(p int) bool { return int(splitmix64(x)%100) < p }
+	pct := func(p int) bool { return int(robust.SplitMix64(x)%100) < p }
 
 	nthreads := 2
 	if g.Threads > 2 {
-		nthreads += int(splitmix64(x) % uint64(g.Threads-1))
+		nthreads += int(robust.SplitMix64(x) % uint64(g.Threads-1))
 	}
 	minOps := nthreads
 	if g.Ops < minOps {
 		minOps = g.Ops
 		nthreads = g.Ops
 	}
-	nops := minOps + int(splitmix64(x)%uint64(g.Ops-minOps+1))
-	nlocs := 1 + int(splitmix64(x)%uint64(g.Locs))
+	nops := minOps + int(robust.SplitMix64(x)%uint64(g.Ops-minOps+1))
+	nlocs := 1 + int(robust.SplitMix64(x)%uint64(g.Locs))
 
 	// Split the ops among the threads, at least one each.
 	counts := make([]int, nthreads)
@@ -126,7 +117,7 @@ func draw(g GenConfig, x *uint64) Program {
 		counts[i] = 1
 	}
 	for i := nthreads; i < nops; i++ {
-		counts[splitmix64(x)%uint64(nthreads)]++
+		counts[robust.SplitMix64(x)%uint64(nthreads)]++
 	}
 
 	threads := make([]litmus.Thread, nthreads)
@@ -136,14 +127,14 @@ func draw(g GenConfig, x *uint64) Program {
 		for oi := 0; oi < counts[ti]; oi++ {
 			sync := pct(g.SyncPct)
 			// A third of the sync draws become standalone fences.
-			if sync && splitmix64(x)%3 == 0 {
+			if sync && robust.SplitMix64(x)%3 == 0 {
 				th = append(th, litmus.Op{Kind: litmus.OpFence, Ann: litmus.AnnSync})
 				continue
 			}
 			isStore := pct(g.StorePct) || loads >= MaxThreadLoads
-			loc := int(splitmix64(x) % uint64(nlocs))
+			loc := int(robust.SplitMix64(x) % uint64(nlocs))
 			if isStore {
-				op := litmus.Op{Kind: litmus.OpStore, Loc: loc, Val: 1 + splitmix64(x)%maxStoreVal}
+				op := litmus.Op{Kind: litmus.OpStore, Loc: loc, Val: 1 + robust.SplitMix64(x)%maxStoreVal}
 				if sync {
 					op.Ann = litmus.AnnRelease
 				}
@@ -201,11 +192,8 @@ func communicates(threads []litmus.Thread) bool {
 
 // Ops counts the program's total operations.
 func (p Program) Ops() int {
-	n := 0
-	for _, th := range p.Threads {
-		n += len(th)
-	}
-	return n
+	_, ops := litmus.SynthTest(p.Threads)
+	return ops
 }
 
 // NLocs counts the program's distinct locations (max index + 1).

@@ -59,26 +59,28 @@ func (f *Figure2) String() string {
 
 // GainFigure reproduces Figures 4 and 5 (and, restricted to Gauss at
 // 32 processors, Figure 6): the percent performance gain of each
-// relaxed model over SC1 at the same line size.
+// relaxed model over SC1 at the same line size. Figures 7 and 8 are
+// the same grid over the blocking-load baseline bSC1.
 type GainFigure struct {
 	Params    Params
 	Title     string
+	Base      consistency.Model // the baseline every gain is over
 	CacheSize int
 	Procs     int
 	Benches   []Bench
 	Models    []consistency.Model
-	// GainPct[bench][model][line] = 100 * (SC1 - model)/SC1.
+	// GainPct[bench][model][line] = 100 * (Base - model)/Base.
 	GainPct map[Bench]map[consistency.Model]map[int]float64
 }
 
 // RunFigure4 is the small-cache gain grid (paper Figure 4).
 func RunFigure4(r *Runner) (*GainFigure, error) {
-	return runGainFigure(r, "Figure 4", r.Params.SmallCache, 0, Benches, consistency.RelaxedModels)
+	return runGainFigure(r, "Figure 4", consistency.SC1, r.Params.SmallCache, 0, Benches, consistency.RelaxedModels)
 }
 
 // RunFigure5 is the large-cache gain grid (paper Figure 5).
 func RunFigure5(r *Runner) (*GainFigure, error) {
-	return runGainFigure(r, "Figure 5", r.Params.LargeCache, 0, Benches, consistency.RelaxedModels)
+	return runGainFigure(r, "Figure 5", consistency.SC1, r.Params.LargeCache, 0, Benches, consistency.RelaxedModels)
 }
 
 // RunFigure6 is Gauss at 32 processors (paper Figure 6; the paper
@@ -86,21 +88,21 @@ func RunFigure5(r *Runner) (*GainFigure, error) {
 // GainFigure per cache size.
 func RunFigure6(r *Runner) (*GainFigure, *GainFigure, error) {
 	models := []consistency.Model{consistency.SC2, consistency.WO1, consistency.RC}
-	small, err := runGainFigure(r, "Figure 6 (small cache)", r.Params.SmallCache, 32, []Bench{BGauss}, models)
+	small, err := runGainFigure(r, "Figure 6 (small cache)", consistency.SC1, r.Params.SmallCache, 32, []Bench{BGauss}, models)
 	if err != nil {
 		return nil, nil, err
 	}
-	large, err := runGainFigure(r, "Figure 6 (large cache)", r.Params.LargeCache, 32, []Bench{BGauss}, models)
+	large, err := runGainFigure(r, "Figure 6 (large cache)", consistency.SC1, r.Params.LargeCache, 32, []Bench{BGauss}, models)
 	if err != nil {
 		return nil, nil, err
 	}
 	return small, large, nil
 }
 
-func runGainFigure(r *Runner, title string, cache, procs int, benches []Bench, models []consistency.Model) (*GainFigure, error) {
+func runGainFigure(r *Runner, title string, baseline consistency.Model, cache, procs int, benches []Bench, models []consistency.Model) (*GainFigure, error) {
 	p := r.Params
 	f := &GainFigure{
-		Params: p, Title: title, CacheSize: cache, Procs: procs,
+		Params: p, Title: title, Base: baseline, CacheSize: cache, Procs: procs,
 		Benches: benches, Models: models,
 		GainPct: map[Bench]map[consistency.Model]map[int]float64{},
 	}
@@ -110,7 +112,7 @@ func runGainFigure(r *Runner, title string, cache, procs int, benches []Bench, m
 			f.GainPct[bench][model] = map[int]float64{}
 		}
 		for _, line := range p.LineSizes {
-			base, err := r.Run(RunSpec{Bench: bench, Model: consistency.SC1,
+			base, err := r.Run(RunSpec{Bench: bench, Model: baseline,
 				CacheSize: cache, LineSize: line, Procs: procs})
 			if err != nil {
 				return nil, err
@@ -130,7 +132,11 @@ func runGainFigure(r *Runner, title string, cache, procs int, benches []Bench, m
 
 func (f *GainFigure) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s: %% gain over SC1, cache %dK (%s preset", f.Title, f.CacheSize>>10, f.Params.Name)
+	over := f.Base.String()
+	if f.Base == consistency.BSC1 {
+		over += " (blocking loads)"
+	}
+	fmt.Fprintf(&sb, "%s: %% gain over %s, cache %dK (%s preset", f.Title, over, f.CacheSize>>10, f.Params.Name)
 	if f.Procs != 0 {
 		fmt.Fprintf(&sb, ", %d processors", f.Procs)
 	}
@@ -152,74 +158,18 @@ func (f *GainFigure) String() string {
 	return sb.String()
 }
 
-// BlockingFigure reproduces Figures 7 and 8: gains of SC1, bWO1 and
-// WO1 over the blocking-load baseline bSC1.
-type BlockingFigure struct {
-	Params    Params
-	Title     string
-	CacheSize int
-	Models    []consistency.Model
-	GainPct   map[Bench]map[consistency.Model]map[int]float64
-}
+// blockingModels are the rows of Figures 7 and 8.
+var blockingModels = []consistency.Model{consistency.SC1, consistency.BWO1, consistency.WO1}
 
-// RunFigure7 is the small-cache blocking-load grid.
-func RunFigure7(r *Runner) (*BlockingFigure, error) {
-	return runBlockingFigure(r, "Figure 7", r.Params.SmallCache)
+// RunFigure7 is the small-cache blocking-load grid: gains of SC1, bWO1
+// and WO1 over the blocking-load baseline bSC1.
+func RunFigure7(r *Runner) (*GainFigure, error) {
+	return runGainFigure(r, "Figure 7", consistency.BSC1, r.Params.SmallCache, 0, Benches, blockingModels)
 }
 
 // RunFigure8 is the large-cache blocking-load grid.
-func RunFigure8(r *Runner) (*BlockingFigure, error) {
-	return runBlockingFigure(r, "Figure 8", r.Params.LargeCache)
-}
-
-func runBlockingFigure(r *Runner, title string, cache int) (*BlockingFigure, error) {
-	p := r.Params
-	models := []consistency.Model{consistency.SC1, consistency.BWO1, consistency.WO1}
-	f := &BlockingFigure{
-		Params: p, Title: title, CacheSize: cache, Models: models,
-		GainPct: map[Bench]map[consistency.Model]map[int]float64{},
-	}
-	for _, bench := range Benches {
-		f.GainPct[bench] = map[consistency.Model]map[int]float64{}
-		for _, model := range models {
-			f.GainPct[bench][model] = map[int]float64{}
-		}
-		for _, line := range p.LineSizes {
-			base, err := r.Run(RunSpec{Bench: bench, Model: consistency.BSC1, CacheSize: cache, LineSize: line})
-			if err != nil {
-				return nil, err
-			}
-			for _, model := range models {
-				res, err := r.Run(RunSpec{Bench: bench, Model: model, CacheSize: cache, LineSize: line})
-				if err != nil {
-					return nil, err
-				}
-				f.GainPct[bench][model][line] = 100 * res.GainOver(base)
-			}
-		}
-	}
-	return f, nil
-}
-
-func (f *BlockingFigure) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s: %% gain over bSC1 (blocking loads), cache %dK (%s preset)\n",
-		f.Title, f.CacheSize>>10, f.Params.Name)
-	fmt.Fprintf(&sb, "%-7s %-5s |", "Bench", "Model")
-	for _, line := range f.Params.LineSizes {
-		fmt.Fprintf(&sb, " %5dB", line)
-	}
-	sb.WriteString("\n")
-	for _, bench := range Benches {
-		for _, model := range f.Models {
-			fmt.Fprintf(&sb, "%-7s %-5s |", bench, model)
-			for _, line := range f.Params.LineSizes {
-				fmt.Fprintf(&sb, " %5.1f%%", f.GainPct[bench][model][line])
-			}
-			sb.WriteString("\n")
-		}
-	}
-	return sb.String()
+func RunFigure8(r *Runner) (*GainFigure, error) {
+	return runGainFigure(r, "Figure 8", consistency.BSC1, r.Params.LargeCache, 0, Benches, blockingModels)
 }
 
 // Figure9 reproduces the paper's Figure 9: the run-time effect of

@@ -176,11 +176,11 @@ func writeWitnessSection(w io.Writer) error {
 		"**Claim:** the FIFO write buffer is architecturally visible: each CPU\n"+
 		"can read the old value of the other's flag while its own store is\n"+
 		"still buffered, an outcome sequential consistency forbids.\n\n"+
-		"The comparator (`cmd/compare`, DESIGN.md §13) searches every\n"+
+		"The comparator (`check compare`, DESIGN.md §13) searches every\n"+
 		"canonical program of at most %d operations and returns the minimal\n"+
 		"distinguishing witness — it rediscovers the classic store-buffering\n"+
 		"(`sb`) shape:\n\n```\n%s\noutcome: %s   (allowed on TSO, forbidden on SC1)\n```\n\n"+
-		"**Assessment:** `compare -models SC1,TSO -verify` replays this witness\n"+
+		"**Assessment:** `check compare -models SC1,TSO -verify` runs this witness\n"+
 		"1000× per side on the simulated hardware: the outcome is witnessed\n"+
 		"under TSO, appears zero times under SC1, and every observed outcome\n"+
 		"stays inside its model's engine-allowed set.\n\n",

@@ -15,6 +15,8 @@
 // Psim, 16K/64K caches); expect hours of CPU time.
 package experiments
 
+import "fmt"
+
 // Params fixes the benchmark and machine sizes for one evaluation.
 type Params struct {
 	Name  string
@@ -37,6 +39,16 @@ type Params struct {
 
 	// MaxEvents bounds each simulation run.
 	MaxEvents uint64
+}
+
+// Preset returns the named preset: quick, scaled or paper.
+func Preset(name string) (Params, error) {
+	for _, p := range []Params{Quick(), Scaled(), Paper()} {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Params{}, fmt.Errorf("experiments: unknown preset %q (valid: quick, scaled, paper)", name)
 }
 
 // Scaled returns the default scaled-down preset (see package comment).

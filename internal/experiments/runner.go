@@ -105,19 +105,36 @@ type Runner struct {
 	OnResult  func(key string, spec RunSpec, res machine.Result)
 	OnFailure func(key string, spec RunSpec, err error)
 
+	*memo
+}
+
+// memo is a Runner's single-flight result memo and its locks. It sits
+// behind a pointer so WithParams copies every exported field of a
+// Runner at once, whatever fields later changes add.
+type memo struct {
 	mu       sync.Mutex
 	cache    map[RunSpec]machine.Result
 	inflight map[RunSpec]chan struct{}
 	logMu    sync.Mutex
 }
 
-// NewRunner builds a Runner for the preset.
-func NewRunner(p Params) *Runner {
-	return &Runner{
-		Params:   p,
+func newMemo() *memo {
+	return &memo{
 		cache:    make(map[RunSpec]machine.Result),
 		inflight: make(map[RunSpec]chan struct{}),
 	}
+}
+
+// NewRunner builds a Runner for the preset.
+func NewRunner(p Params) *Runner { return &Runner{Params: p, memo: newMemo()} }
+
+// WithParams derives a Runner for other Params: the same log, sinks,
+// context, retry and checkpoint policy and hooks, and an empty memo,
+// since a result under other Params is another result.
+func (r *Runner) WithParams(p Params) *Runner {
+	nr := *r
+	nr.Params, nr.memo = p, newMemo()
+	return &nr
 }
 
 // logf writes one line to Log under the log mutex.

@@ -72,11 +72,7 @@ func RunScaling(r *Runner) (*ScalingFigure, error) {
 		// Derive a runner with a raised event ceiling. The big sizes are
 		// unique to this experiment, so no memoization is lost.
 		p.MaxEvents = scalingEventBudget
-		nr := NewRunner(p)
-		nr.Log, nr.MetricsSink = r.Log, r.MetricsSink
-		nr.BaseCtx, nr.Timeout, nr.Retries, nr.Backoff, nr.Ckpt = r.BaseCtx, r.Timeout, r.Retries, r.Backoff, r.Ckpt
-		nr.OnStart, nr.OnResult, nr.OnFailure = r.OnStart, r.OnResult, r.OnFailure
-		r = nr
+		r = r.WithParams(p)
 	}
 	// The smallest line size is the one that separates the models:
 	// with big lines these workloads hit 95-99% and there is almost no

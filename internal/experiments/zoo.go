@@ -28,7 +28,7 @@ var zooFigureModels = []consistency.Model{
 // RunZoo gathers the zoo comparison grid.
 func RunZoo(r *Runner) (*Zoo, error) {
 	p := r.Params
-	gain, err := runGainFigure(r, "Zoo", p.SmallCache, 0, Benches, zooFigureModels)
+	gain, err := runGainFigure(r, "Zoo", consistency.SC1, p.SmallCache, 0, Benches, zooFigureModels)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ func TestRunSpecRoundTrip(t *testing.T) {
 // TestViolationReplay: a verdict recorded under a seeded defect embeds
 // a replay spec, and Reproduce brings back the forbidden outcome
 // bit-exactly — including after a JSON round trip of the whole report,
-// which is how `litmus -replay` consumes it.
+// which is how `check replay` consumes it.
 func TestViolationReplay(t *testing.T) {
 	sbf, err := TestByName("sb+fence")
 	if err != nil {

@@ -105,15 +105,6 @@ func (r *Report) Unwitnessed() []string {
 	return missing
 }
 
-// splitmix64 steps the driver's private PRNG stream.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // variation is one drawn machine configuration.
 type variation struct {
 	cacheSize int
@@ -138,7 +129,7 @@ func (v variation) String() string {
 
 // drawVariation derives run i's configuration from the seed stream.
 func drawVariation(x *uint64, threads int) variation {
-	pick := func(vals []int) int { return vals[splitmix64(x)%uint64(len(vals))] }
+	pick := func(vals []int) int { return vals[robust.SplitMix64(x)%uint64(len(vals))] }
 	v := variation{
 		cacheSize: pick([]int{512, 1024, 2048}),
 		lineSize:  pick([]int{8, 16, 32, 64}),
@@ -148,7 +139,7 @@ func drawVariation(x *uint64, threads int) variation {
 		stagger:   make([]int, threads),
 		// A word-granular base offset reshuffles which home module
 		// each location maps to, run by run.
-		layout: Layout{Base: locBase + 8*(splitmix64(x)%32)},
+		layout: Layout{Base: locBase + 8*(robust.SplitMix64(x)%32)},
 		warm:   make([]uint64, threads),
 	}
 	// Per-thread warm mask: 1/4 cold, 1/4 fully warmed, 1/2 a random
@@ -157,24 +148,24 @@ func drawVariation(x *uint64, threads int) variation {
 	// mixes hit-early and miss-late loads within one thread, which is
 	// what reorders a thread's own loads (load buffering, IRIW).
 	for t := range v.warm {
-		switch splitmix64(x) % 4 {
+		switch robust.SplitMix64(x) % 4 {
 		case 0:
 			v.warm[t] = 0
 		case 1:
 			v.warm[t] = 0xff // every location (tests use far fewer than 8)
 		default:
-			v.warm[t] = splitmix64(x) & 0xff
+			v.warm[t] = robust.SplitMix64(x) & 0xff
 		}
 	}
-	if splitmix64(x)%2 == 0 {
+	if robust.SplitMix64(x)%2 == 0 {
 		v.faults = robust.Faults{
-			Seed:          int64(splitmix64(x)),
-			DelayProb:     []float64{0.1, 0.25, 0.5}[splitmix64(x)%3],
-			MaxExtraDelay: int(splitmix64(x)%8) + 1,
+			Seed:          int64(robust.SplitMix64(x)),
+			DelayProb:     []float64{0.1, 0.25, 0.5}[robust.SplitMix64(x)%3],
+			MaxExtraDelay: int(robust.SplitMix64(x)%8) + 1,
 		}
 	}
 	for t := range v.stagger {
-		v.stagger[t] = int(splitmix64(x) % 8)
+		v.stagger[t] = int(robust.SplitMix64(x) % 8)
 	}
 	return v
 }
@@ -244,7 +235,7 @@ func (rs RunSpec) MarshalJSON() ([]byte, error) {
 // test's programs, and returns the serializable RunSpec.
 func Setup(t *Test, model consistency.Model, seed int64, mutate consistency.Mutation) (*RunSpec, error) {
 	x := uint64(seed)
-	splitmix64(&x) // decorrelate consecutive seeds
+	robust.SplitMix64(&x) // decorrelate consecutive seeds
 	threads := t.NumThreads()
 	v := drawVariation(&x, threads)
 	v.layout.Stride = t.Stride

@@ -55,7 +55,7 @@ type Config struct {
 	// every spin-wait iteration to execute live. Results are
 	// bit-identical either way — this knob exists for A/B verification
 	// of that claim and for wall-clock benchmarking, so it is excluded
-	// from Result checksums like Mutate. Fault injection implies it.
+	// from Result checksums like Mutate.
 	NoSpinSkip bool `json:"-"`
 }
 
@@ -328,10 +328,7 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 			LoadDelay:   cfg.LoadDelay,
 			BranchDelay: cfg.BranchDelay,
 			MSHRs:       cfg.MSHRs,
-			// Fault injection stretches delivery timing, which invalidates
-			// spin fast-forward's iteration-boundary argument (cpu/spin.go);
-			// faulty machines run every spin iteration live.
-			NoSpinSkip: cfg.NoSpinSkip || cfg.Faults.Enabled(),
+			NoSpinSkip:  cfg.NoSpinSkip,
 			OnHalt: func(id int) {
 				m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.CPUHalt, Src: id})
 				m.halted++

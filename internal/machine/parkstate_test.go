@@ -9,6 +9,7 @@ import (
 	"memsim/internal/isa"
 	"memsim/internal/machine"
 	"memsim/internal/progb"
+	"memsim/internal/robust"
 	"memsim/internal/sim"
 	"memsim/internal/workloads"
 )
@@ -109,7 +110,10 @@ func fillDue(s *machine.Snapshot) bool {
 // a cycle fillDue picks), and the first snapshot to show each park
 // state goes through a file into a fresh machine, which must finish
 // with the uninterrupted run's checksum. Each model must show the
-// states listed for it; between them the three show all seven.
+// states listed for it; between them the three show all seven. The
+// fourth row is a machine under fault injection, where spin
+// fast-forward stays on: its spin-parked snapshot carries the fault
+// stream's position and must resume to the same checksum too.
 func TestSnapshotEveryParkState(t *testing.T) {
 	const procs, lineSize, lines, rounds = 16, 32, 48, 2
 	const (
@@ -128,18 +132,21 @@ func TestSnapshotEveryParkState(t *testing.T) {
 	prog := parkProgram(lock, counter, bar, region, lines, lineSize, rounds)
 
 	for _, c := range []struct {
-		model consistency.Model
-		want  []string
+		model  consistency.Model
+		faults robust.Faults
+		want   []string
 	}{
-		{consistency.SC1, []string{spinning, spaceWait, dirWaiters}},
-		{consistency.RC, []string{spinning, release, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
-		{consistency.TSO, []string{spinning, wbDrain, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
+		{consistency.SC1, robust.Faults{}, []string{spinning, spaceWait, dirWaiters}},
+		{consistency.RC, robust.Faults{}, []string{spinning, release, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
+		{consistency.TSO, robust.Faults{}, []string{spinning, wbDrain, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
+		{consistency.RC, abFaults, []string{spinning, release, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
 	} {
 		build := func() *machine.Machine {
 			progs := make([][]isa.Inst, procs)
 			progs[0] = prog
 			m, err := machine.New(machine.Config{
 				Procs: procs, Model: c.model, CacheSize: 1 << 10, LineSize: lineSize, SharedWords: a.WordsUsed(),
+				Faults: c.faults,
 			}, progs)
 			if err != nil {
 				t.Fatal(err)

@@ -49,9 +49,13 @@ func NewInjector(f Faults) *Injector {
 	return &Injector{cfg: f, state: uint64(f.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 }
 
-func (in *Injector) next() uint64 {
-	in.state += 0x9e3779b97f4a7c15
-	z := in.state
+// SplitMix64 steps a splitmix64 stream held in *x and returns the next
+// value. Every seeded choice in the repo — fault delays, litmus
+// perturbations, generated programs, chaos schedules — draws from one
+// of these, each from its own private state.
+func SplitMix64(x *uint64) uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := *x
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -90,10 +94,10 @@ func (in *Injector) ExtraDelay() int {
 	if in == nil || !in.cfg.Enabled() {
 		return 0
 	}
-	if float64(in.next()>>11)/(1<<53) >= in.cfg.DelayProb {
+	if float64(SplitMix64(&in.state)>>11)/(1<<53) >= in.cfg.DelayProb {
 		return 0
 	}
-	d := 1 + int(in.next()%uint64(in.cfg.MaxExtraDelay))
+	d := 1 + int(SplitMix64(&in.state)%uint64(in.cfg.MaxExtraDelay))
 	in.Injected++
 	in.Extra += uint64(d)
 	return d

@@ -38,17 +38,9 @@ import (
 
 	"memsim/internal/experiments"
 	"memsim/internal/machine"
+	"memsim/internal/robust"
 	"memsim/internal/server"
 )
-
-// splitmix64 steps the schedule's private PRNG stream.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // Snapshot-write fault modes.
 const (
@@ -310,7 +302,7 @@ func (w *world) waitDone(id string, timeout time.Duration) server.JobResponse {
 // Schedule operations.
 
 func (w *world) opSubmit(x *uint64) {
-	req := pool[splitmix64(x)%uint64(len(pool))]
+	req := pool[robust.SplitMix64(x)%uint64(len(pool))]
 	_, code, _ := w.submit(req)
 	switch code {
 	case http.StatusOK, http.StatusAccepted, http.StatusTooManyRequests:
@@ -323,7 +315,7 @@ func (w *world) opPreempt(x *uint64) {
 	if len(w.order) == 0 {
 		return
 	}
-	id := w.order[splitmix64(x)%uint64(len(w.order))]
+	id := w.order[robust.SplitMix64(x)%uint64(len(w.order))]
 	resp, err := http.Post(w.ts.URL+"/api/v1/jobs/"+id+"/preempt", "application/json", nil)
 	if err != nil {
 		w.t.Fatal(err)
@@ -341,7 +333,7 @@ func (w *world) opPanic(x *uint64) {
 }
 
 func (w *world) opSnapFault(x *uint64) {
-	w.inj.snapMode.Store(int32(splitmix64(x) % 3))
+	w.inj.snapMode.Store(int32(robust.SplitMix64(x) % 3))
 }
 
 // opOverload wedges the workers and floods distinct specs until the
@@ -473,7 +465,7 @@ func RunSeed(t *testing.T, seed uint64) {
 	x := seed
 	const ops = 14
 	for op := 0; op < ops; op++ {
-		switch pick := splitmix64(&x) % 12; {
+		switch pick := robust.SplitMix64(&x) % 12; {
 		case pick < 4:
 			w.opSubmit(&x)
 		case pick < 6:

@@ -112,7 +112,8 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	draining bool
-	killed   bool
+	// killed is read by journalAppend, whose callers may hold mu.
+	killed atomic.Bool
 
 	admitted, shed, cacheHits  atomic.Uint64
 	completed, failed          atomic.Uint64
@@ -263,13 +264,8 @@ func (s *Server) journalAppend(e experiments.JournalEntry) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.Append(e); err != nil {
-		s.mu.Lock()
-		killed := s.killed
-		s.mu.Unlock()
-		if !killed {
-			s.logf("journal: %v", err)
-		}
+	if err := s.journal.Append(e); err != nil && !s.killed.Load() {
+		s.logf("journal: %v", err)
 	}
 }
 
@@ -442,13 +438,13 @@ func (s *Server) Drain() {
 // distinguish.
 func (s *Server) Kill() {
 	s.mu.Lock()
-	if s.killed {
+	if s.killed.Load() {
 		s.mu.Unlock()
 		s.wg.Wait()
 		return
 	}
 	s.draining = true
-	s.killed = true
+	s.killed.Store(true)
 	s.mu.Unlock()
 	if s.journal != nil {
 		s.journal.Close()

@@ -269,6 +269,47 @@ func TestServerShedsUnderOverload(t *testing.T) {
 	// The deferred gate-open + Drain reap the wedged and queued jobs.
 }
 
+// TestJournalFailureDoesNotWedge: a journal append that fails on a
+// live server (a full disk; here a journal closed underneath it) is
+// logged and lost, and the server keeps answering. Admission journals
+// with s.mu held, so the failure path must not take the lock again:
+// the submission's reply and a following stats request — which needs
+// the same lock — must both arrive within the deadline.
+func TestJournalFailureDoesNotWedge(t *testing.T) {
+	var log syncBuffer
+	s, err := New(Config{Params: experiments.Quick(), StateDir: t.TempDir(), Workers: 1, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.journal.Close()
+
+	body, err := json.Marshal(gaussReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make(chan [2]int, 1)
+	go func() {
+		// Straight into the handlers: a wedged one must cost the test its
+		// deadline, not an httptest.Server that never finishes closing.
+		submit, stats := httptest.NewRecorder(), httptest.NewRecorder()
+		s.Handler().ServeHTTP(submit, httptest.NewRequest("POST", "/api/v1/jobs", bytes.NewReader(body)))
+		s.Handler().ServeHTTP(stats, httptest.NewRequest("GET", "/api/v1/stats", nil))
+		codes <- [2]int{submit.Code, stats.Code}
+	}()
+	select {
+	case got := <-codes:
+		if want := [2]int{http.StatusAccepted, http.StatusOK}; got != want {
+			t.Errorf("submit, stats answered %v, want %v", got, want)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a failed journal append wedged the server: no reply to a submission and a stats request in 20s")
+	}
+	s.Drain()
+	if !strings.Contains(log.String(), "journal: ") {
+		t.Errorf("the lost append was not logged:\n%s", log.String())
+	}
+}
+
 func mustSpec(t *testing.T, r SubmitRequest) experiments.RunSpec {
 	t.Helper()
 	s, err := r.Spec()
