@@ -247,36 +247,57 @@ type Config struct {
 
 // New builds a cache. send/whenSpace attach it to the request network.
 func New(eng *sim.Engine, id int, cfg Config, send func(msg memory.Msg, bypass bool) bool, whenSpace func(fn func())) *Cache {
+	c := &Cache{eng: eng, id: id, send: send, whenSpace: whenSpace, invalidated: make(map[uint64]bool)}
+	c.drainFn = c.drainOut
+	c.Reset(cfg)
+	return c
+}
+
+// Reset returns the cache to the state New leaves it in, under any
+// configuration: every way Invalid, every MSHR free, nothing queued,
+// counters zero, no line watch, no collector. The attachments stand,
+// and the slabs and the output queue where they are big enough.
+func (c *Cache) Reset(cfg Config) {
 	if cfg.LineSize <= 0 || cfg.LineSize%8 != 0 {
 		panic(fmt.Sprintf("cache: bad line size %d", cfg.LineSize))
 	}
 	if cfg.Assoc <= 0 || cfg.Size%(cfg.LineSize*cfg.Assoc) != 0 {
 		panic(fmt.Sprintf("cache: size %d not divisible into %d-way sets of %dB lines", cfg.Size, cfg.Assoc, cfg.LineSize))
 	}
-	numSets := cfg.Size / (cfg.LineSize * cfg.Assoc)
-	c := &Cache{
-		eng:         eng,
-		id:          id,
-		lineSize:    cfg.LineSize,
-		words:       cfg.LineSize / 8,
-		numSets:     numSets,
-		assoc:       cfg.Assoc,
-		lines:       make([]line, numSets*cfg.Assoc),
-		mshr:        make([]mshr, cfg.MSHRs),
-		send:        send,
-		whenSpace:   whenSpace,
-		invalidated: make(map[uint64]bool),
+	c.lineSize = cfg.LineSize
+	c.words = cfg.LineSize / 8
+	c.assoc = cfg.Assoc
+	c.numSets = cfg.Size / (cfg.LineSize * cfg.Assoc)
+
+	if n := c.numSets * c.assoc; n <= cap(c.lines) {
+		c.lines = c.lines[:n]
+		clear(c.lines)
+	} else {
+		c.lines = make([]line, n)
 	}
-	c.drainFn = c.drainOut
-	// Each MSHR carries its fill callbacks prebuilt so data arrival
-	// schedules engine events without allocating.
-	for i := range c.mshr {
-		m := &c.mshr[i]
-		m.idx = i
-		m.bindFn = func() { m.on.Bind() }
-		m.fillFn = func() { c.finishFill(m) }
+	if cfg.MSHRs <= cap(c.mshr) {
+		c.mshr = c.mshr[:cfg.MSHRs]
+		for i := range c.mshr {
+			c.mshr[i].clear()
+		}
+	} else {
+		// Each MSHR carries its fill callbacks prebuilt so data arrival
+		// schedules engine events without allocating. They point into
+		// the slab: a bigger one needs new ones.
+		c.mshr = make([]mshr, cfg.MSHRs)
+		for i := range c.mshr {
+			m := &c.mshr[i]
+			m.idx = i
+			m.bindFn = func() { m.on.Bind() }
+			m.fillFn = func() { c.finishFill(m) }
+		}
 	}
-	return c
+	c.outq, c.outHead = c.outq[:0], 0
+	clear(c.invalidated)
+	c.watchLine, c.watchFn = 0, nil
+	c.lruClock = 0
+	c.stats = Stats{}
+	c.mc = nil
 }
 
 // Stats returns a copy of the counters.

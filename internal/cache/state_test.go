@@ -7,29 +7,29 @@ import (
 )
 
 // TestStateComplete: every field of the live cache is either carried
-// by CacheState or deliberately not; a field added without deciding
-// fails here.
+// by CacheState or deliberately not, and then says what Reset does with
+// it; a field added without deciding fails here.
 func TestStateComplete(t *testing.T) {
-	statecheck.Fields(t, Cache{}, CacheState{}, map[string]string{
-		"eng":         "engine pointer",
-		"id":          "construction constant",
-		"lineSize":    "construction constant",
-		"words":       "construction constant",
-		"numSets":     "construction constant",
-		"assoc":       "construction constant",
-		"send":        "network attachment, wired at construction",
-		"whenSpace":   "network attachment, wired at construction",
-		"outHead":     "Save writes outq from here; a loaded queue starts at 0",
-		"drainFn":     "prebuilt callback",
-		"onRetireAny": "registered by the processor at construction",
-		"watchLine":   "re-armed by the spinning processor's Load",
-		"watchFn":     "re-armed by the spinning processor's Load",
-		"mc":          "collector attachment; the machine saves the collector",
+	statecheck.Resettable(t, Cache{}, CacheState{}, map[string]string{
+		"eng":         "kept: engine pointer",
+		"id":          "kept: construction constant",
+		"lineSize":    "reset: from the configuration",
+		"words":       "reset: from the configuration",
+		"numSets":     "reset: from the configuration",
+		"assoc":       "reset: from the configuration",
+		"send":        "kept: network attachment, wired at construction",
+		"whenSpace":   "kept: network attachment, wired at construction",
+		"outHead":     "reset: to 0. Save writes outq from here; a loaded queue starts at 0",
+		"drainFn":     "kept: prebuilt callback",
+		"onRetireAny": "kept: registered by the processor when it is first attached",
+		"watchLine":   "reset: no watch. Re-armed by the spinning processor's Load",
+		"watchFn":     "reset: no watch. Re-armed by the spinning processor's Load",
+		"mc":          "reset: detached. The machine saves the collector",
 	})
-	statecheck.Fields(t, mshr{}, miss{}, map[string]string{
-		"idx":    "construction constant",
-		"on":     "saved by its owner through Binders, re-linked by LinkBinder",
-		"bindFn": "prebuilt callback",
-		"fillFn": "prebuilt callback",
+	statecheck.Resettable(t, mshr{}, miss{}, map[string]string{
+		"idx":    "kept: position in the slab",
+		"on":     "reset: nil. Saved by its owner through Binders, re-linked by LinkBinder",
+		"bindFn": "kept: prebuilt callback, built again only with a bigger slab",
+		"fillFn": "kept: prebuilt callback, built again only with a bigger slab",
 	})
 }

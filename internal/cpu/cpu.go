@@ -226,33 +226,43 @@ type Config struct {
 // New builds a CPU. Registers are zeroed except the conventional RID,
 // RNP and RSP values which the machine sets via SetReg after reset.
 func New(eng *sim.Engine, cfg Config) *CPU {
-	if cfg.LoadDelay < 1 || cfg.BranchDelay < 1 {
-		panic("cpu: delays must be >= 1")
-	}
-	maxOut := cfg.Spec.MaxOutstanding
-	if maxOut == 0 {
-		maxOut = cfg.MSHRs
-	}
-	c := &CPU{
-		eng:         eng,
-		id:          cfg.ID,
-		spec:        cfg.Spec,
-		prog:        cfg.Prog,
-		cache:       cfg.Cache,
-		mem:         cfg.Mem,
-		priv:        NewPrivMem(),
-		loadDelay:   sim.Cycle(cfg.LoadDelay),
-		branchDelay: sim.Cycle(cfg.BranchDelay),
-		maxOut:      maxOut,
-		spinFF:      !cfg.NoSpinSkip,
-		core:        core{SpinPC: -1},
-		onHalt:      cfg.OnHalt,
-	}
+	c := &CPU{eng: eng, priv: NewPrivMem()}
 	c.runFn = c.run
 	c.spinGhostFn = c.spinGhost
 	c.spinNoticeFn = c.spinNotice
-	c.cache.OnRetireAny(func() { c.reconsider() })
+	c.Reset(cfg)
 	return c
+}
+
+// Reset returns the processor to the state New(eng, cfg) leaves it in,
+// whatever it was doing: pc 0, registers and private memory zero,
+// nothing outstanding, awaited or parked, counters zero, no collector.
+// Any field of cfg may differ from the last run's; a cache new to the
+// processor gets its retirement listener.
+func (c *CPU) Reset(cfg Config) {
+	if cfg.LoadDelay < 1 || cfg.BranchDelay < 1 {
+		panic("cpu: delays must be >= 1")
+	}
+	c.id = cfg.ID
+	c.spec = cfg.Spec
+	c.prog = cfg.Prog
+	c.mem = cfg.Mem
+	c.onHalt = cfg.OnHalt
+	if c.cache != cfg.Cache {
+		c.cache = cfg.Cache
+		c.cache.OnRetireAny(func() { c.reconsider() })
+	}
+	c.loadDelay = sim.Cycle(cfg.LoadDelay)
+	c.branchDelay = sim.Cycle(cfg.BranchDelay)
+	c.maxOut = cfg.Spec.MaxOutstanding
+	if c.maxOut == 0 {
+		c.maxOut = cfg.MSHRs
+	}
+	c.spinFF = !cfg.NoSpinSkip
+	c.core = core{SpinPC: -1}
+	c.awaiting = nil
+	clear(c.priv.pages)
+	c.mc = nil
 }
 
 // SetReg initializes a register before the run starts.

@@ -7,29 +7,29 @@ import (
 )
 
 // TestStateComplete: every field of the live processor is either
-// carried by CPUState or deliberately not; a field added without
-// deciding fails here.
+// carried by CPUState or deliberately not, and then says what Reset
+// does with it; a field added without deciding fails here.
 func TestStateComplete(t *testing.T) {
-	statecheck.Fields(t, CPU{}, CPUState{}, map[string]string{
-		"eng":          "engine pointer",
-		"id":           "construction constant",
-		"spec":         "construction constant",
-		"prog":         "construction constant (Restore checks the program hash)",
-		"cache":        "component pointer",
-		"mem":          "component pointer",
-		"loadDelay":    "construction constant",
-		"branchDelay":  "construction constant",
-		"maxOut":       "construction constant",
-		"spinFF":       "construction constant",
-		"opFree":       "free list",
-		"runFn":        "prebuilt callback",
-		"spinGhostFn":  "prebuilt callback",
-		"spinNoticeFn": "prebuilt callback",
-		"onHalt":       "machine callback, wired at construction",
-		"mc":           "collector attachment; the machine saves the collector",
+	statecheck.Resettable(t, CPU{}, CPUState{}, map[string]string{
+		"eng":          "kept: engine pointer",
+		"id":           "reset: from the configuration",
+		"spec":         "reset: from the configuration",
+		"prog":         "reset: from the configuration (Restore checks the program hash)",
+		"cache":        "reset: from the configuration; a new one gets the retirement listener",
+		"mem":          "reset: from the configuration",
+		"loadDelay":    "reset: from the configuration",
+		"branchDelay":  "reset: from the configuration",
+		"maxOut":       "reset: from the configuration",
+		"spinFF":       "reset: from the configuration",
+		"opFree":       "kept: free list",
+		"runFn":        "kept: prebuilt callback",
+		"spinGhostFn":  "kept: prebuilt callback",
+		"spinNoticeFn": "kept: prebuilt callback",
+		"onHalt":       "reset: from the configuration",
+		"mc":           "reset: detached. The machine saves the collector",
 	})
-	statecheck.Fields(t, pendingOp{}, opData{}, map[string]string{
-		"c":    "owner pointer, set by allocOp",
-		"next": "free-list link",
+	statecheck.Resettable(t, pendingOp{}, opData{}, map[string]string{
+		"c":    "kept: owner pointer, set by allocOp",
+		"next": "kept: free-list link",
 	})
 }

@@ -2,14 +2,13 @@ package litmus
 
 import (
 	"fmt"
-	"strings"
 
-	"memsim/internal/asm"
 	"memsim/internal/isa"
 )
 
 // Code generation for declarative tests. Each abstract thread becomes
-// a short assembly program via internal/asm:
+// a short program, emitted as instructions (asm.Disassemble renders it
+// where a replay record is read as text):
 //
 //	nop ×stagger            ; per-thread start skew
 //	li  r8+loc, <addr>      ; one address register per location
@@ -23,6 +22,7 @@ import (
 // r3 is store-value scratch (safe: store operands are captured at
 // issue, and no generated load writes r3).
 const (
+	storeReg isa.Reg = 3
 	obsBase  isa.Reg = 4
 	addrBase isa.Reg = 8
 	warmBase isa.Reg = 12
@@ -65,20 +65,20 @@ func (l Layout) Addr(loc int) uint64 {
 	return l.Base + uint64(loc)*s
 }
 
-// annSuffix renders an annotation as asm syntax.
-func annSuffix(a Ann) string {
+// class maps an annotation to the ISA access class.
+func (a Ann) class() isa.Class {
 	switch a {
 	case AnnAcquire:
-		return " !acquire"
+		return isa.ClassAcquire
 	case AnnRelease:
-		return " !release"
+		return isa.ClassRelease
 	case AnnSync:
-		return " !sync"
+		return isa.ClassSync
 	}
-	return ""
+	return isa.ClassPlain
 }
 
-// threadAsm renders one thread's ops as assembly source. warm is a
+// emitThread appends one thread's instructions to code. warm is a
 // bitmask over location indexes: each loaded location with its bit
 // set is first fetched into the cache, followed by an ALU instruction
 // reading the warmup sinks — a register-interlock barrier
@@ -90,71 +90,77 @@ func annSuffix(a Ann) string {
 // hit-early and miss-late binds, which is what reorders two loads of
 // the same thread (load buffering, IRIW). Cold locations instead
 // explore late out-of-order binding of pending misses.
-func (t *Test) threadAsm(lay Layout, th Thread, stagger int, warm uint64) string {
-	var b strings.Builder
+func (t *Test) emitThread(code []isa.Inst, lay Layout, th Thread, stagger int, warm uint64) []isa.Inst {
 	for i := 0; i < stagger; i++ {
-		b.WriteString("nop\n")
+		code = append(code, isa.Inst{Op: isa.NOP})
 	}
-	used := make([]bool, t.NLocs)
-	warmed := make([]bool, t.NLocs)
+	var used, loaded uint64 // bitmasks over location indexes, like warm
 	for _, op := range th {
 		if op.Kind == OpFence {
 			continue
 		}
-		used[op.Loc] = true
-		if op.Kind == OpLoad && warm&(1<<uint(op.Loc)) != 0 {
-			warmed[op.Loc] = true
+		if op.Loc < 0 || op.Loc >= t.NLocs {
+			panic(fmt.Sprintf("litmus: %s: op on location %d, test has %d", t.Name, op.Loc, t.NLocs))
+		}
+		used |= 1 << uint(op.Loc)
+		if op.Kind == OpLoad {
+			loaded |= 1 << uint(op.Loc)
 		}
 	}
-	for loc, u := range used {
-		if u {
-			fmt.Fprintf(&b, "li r%d, %d\n", addrBase+isa.Reg(loc), lay.Addr(loc))
+	warmed := loaded & warm
+	for loc := 0; loc < t.NLocs; loc++ {
+		if used&(1<<uint(loc)) != 0 {
+			code = append(code, isa.Inst{Op: isa.LI, Rd: addrBase + isa.Reg(loc), Imm: int64(lay.Addr(loc))})
 		}
 	}
-	for loc, w := range warmed {
-		if w {
-			fmt.Fprintf(&b, "ld r%d, 0(r%d)\n", warmBase+isa.Reg(loc), addrBase+isa.Reg(loc))
+	for loc := 0; loc < t.NLocs; loc++ {
+		if warmed&(1<<uint(loc)) != 0 {
+			code = append(code, isa.Inst{Op: isa.LD, Rd: warmBase + isa.Reg(loc), Rs1: addrBase + isa.Reg(loc)})
 		}
 	}
-	for loc, w := range warmed {
-		if w {
+	for loc := 0; loc < t.NLocs; loc++ {
+		if warmed&(1<<uint(loc)) != 0 {
 			// Interlock: stalls until the warmup fill arrives.
-			fmt.Fprintf(&b, "add r3, r%d, r%d\n", warmBase+isa.Reg(loc), warmBase+isa.Reg(loc))
+			sink := warmBase + isa.Reg(loc)
+			code = append(code, isa.Inst{Op: isa.ADD, Rd: storeReg, Rs1: sink, Rs2: sink})
 		}
 	}
 	k := 0
 	for _, op := range th {
 		switch op.Kind {
 		case OpLoad:
-			fmt.Fprintf(&b, "ld r%d, 0(r%d)%s\n",
-				obsBase+isa.Reg(k), addrBase+isa.Reg(op.Loc), annSuffix(op.Ann))
+			code = append(code, isa.Inst{Op: isa.LD, Rd: obsBase + isa.Reg(k), Rs1: addrBase + isa.Reg(op.Loc), Class: op.Ann.class()})
 			k++
 		case OpStore:
-			fmt.Fprintf(&b, "li r3, %d\n", op.Val)
-			fmt.Fprintf(&b, "st r3, 0(r%d)%s\n", addrBase+isa.Reg(op.Loc), annSuffix(op.Ann))
+			code = append(code,
+				isa.Inst{Op: isa.LI, Rd: storeReg, Imm: int64(op.Val)},
+				isa.Inst{Op: isa.ST, Rs1: addrBase + isa.Reg(op.Loc), Rs2: storeReg, Class: op.Ann.class()})
 		case OpFence:
-			b.WriteString("fence !sync\n")
+			code = append(code, isa.Inst{Op: isa.FENCE, Class: isa.ClassSync})
 		}
 	}
-	b.WriteString("halt\n")
-	return b.String()
+	return append(code, isa.Inst{Op: isa.HALT})
 }
 
-// Programs assembles the test's per-thread programs against a
-// location layout. stagger gives each thread a start-skew nop count;
-// warm gives each thread a prefetch bitmask over locations (both
-// len == NumThreads).
+// Programs generates the test's per-thread programs against a location
+// layout. stagger gives each thread a start-skew nop count; warm gives
+// each thread a prefetch bitmask over locations (both len ==
+// NumThreads). The programs are new on every call, the caller's to
+// keep, and share one array sized for the longest a thread can come to.
 func (t *Test) Programs(lay Layout, stagger []int, warm []uint64) ([][]isa.Inst, []LoadRef, error) {
 	if t.Threads == nil {
 		return t.Build(lay, stagger)
 	}
+	n := 0
+	for ti, th := range t.Threads {
+		n += stagger[ti] + 3*t.NLocs + 2*len(th) + 1
+	}
+	code := make([]isa.Inst, 0, n)
 	progs := make([][]isa.Inst, len(t.Threads))
 	for ti, th := range t.Threads {
-		p, err := asm.Assemble(t.threadAsm(lay, th, stagger[ti], warm[ti]))
-		if err != nil {
-			return nil, nil, fmt.Errorf("litmus: %s thread %d: %w", t.Name, ti, err)
-		}
-		progs[ti] = p
+		start := len(code)
+		code = t.emitThread(code, lay, th, stagger[ti], warm[ti])
+		progs[ti] = code[start:len(code):len(code)]
 	}
 	return progs, t.loadRefs(), nil
 }

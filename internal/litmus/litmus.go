@@ -21,6 +21,7 @@ package litmus
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"memsim/internal/consistency"
@@ -154,23 +155,30 @@ func (t *Test) Key(refs []LoadRef, o Outcome) string {
 // FormatKey renders an outcome key from its raw parts, so a replay
 // bundle can reproduce keys without the Test that produced them.
 func FormatKey(refs []LoadRef, locNames []string, o Outcome) string {
-	var b strings.Builder
+	b := make([]byte, 0, 64)
 	for i, r := range refs {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "P%d:r%d=%d", r.Thread, r.Reg, o.Loads[i])
+		b = append(b, 'P')
+		b = strconv.AppendInt(b, int64(r.Thread), 10)
+		b = append(b, ":r"...)
+		b = strconv.AppendUint(b, uint64(r.Reg), 10)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, o.Loads[i], 10)
 	}
 	if len(refs) > 0 {
-		b.WriteString(" | ")
+		b = append(b, " | "...)
 	}
 	for i, v := range o.Mem {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", locNames[i], v)
+		b = append(b, locNames[i]...)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, v, 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // AllowedKeys returns the allowed outcome keys under a spec, sorted:

@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"memsim/internal/consistency"
@@ -90,6 +91,41 @@ func TestViolationReplay(t *testing.T) {
 		}
 		if !ok {
 			t.Fatalf("violation %d (seed %d): recorded %q, replay produced %q", i, v.Seed, v.Outcome, key)
+		}
+	}
+}
+
+// TestViolationOwnsItsPrograms: the spec a violation keeps holds the
+// compiled programs of its own run. Run goes on to generate and execute
+// every later seed's programs, on the same machine, before it returns;
+// each recorded violation must then still replay from the record it
+// holds, with no trip through text, on a machine of its own.
+func TestViolationOwnsItsPrograms(t *testing.T) {
+	sbf, err := TestByName("sb+fence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(sbf, consistency.TSO, Config{Runs: 150, Seed: 1, Mutate: consistency.MutWBNoDrain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) < 2 || rep.Violations[0].Seed == 150 {
+		t.Fatalf("want several violations, the first before the last run; got %d", len(rep.Violations))
+	}
+	for i := range rep.Violations {
+		v := &rep.Violations[i]
+		if v.Replay.progs == nil {
+			t.Fatalf("violation %d (seed %d) holds no compiled programs", i, v.Seed)
+		}
+		want, err := Setup(sbf, consistency.TSO, v.Seed, consistency.MutWBNoDrain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(v.Replay.progs, want.progs) {
+			t.Errorf("violation %d: the programs it holds are no longer seed %d's", i, v.Seed)
+		}
+		if key, ok, err := v.Reproduce(nil); err != nil || !ok {
+			t.Errorf("violation %d (seed %d): recorded %q, replay produced %q (%v)", i, v.Seed, v.Outcome, key, err)
 		}
 	}
 }

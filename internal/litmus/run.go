@@ -276,12 +276,18 @@ func Setup(t *Test, model consistency.Model, seed int64, mutate consistency.Muta
 	return rs, nil
 }
 
-// Execute runs the spec on the simulated machine and returns the
-// observed outcome key. A spec decoded from JSON re-assembles its
+// Execute runs the spec on a newly built simulated machine and returns
+// the observed outcome key. A spec decoded from JSON re-assembles its
 // embedded program text; one fresh from Setup reuses the compiled
 // programs. A nil ctx runs uninterruptible; a canceled ctx surfaces
 // as a Canceled SimError unwrapping to the context error.
 func (rs *RunSpec) Execute(ctx context.Context) (string, error) {
+	return rs.executeOn(ctx, new(machine.Machine))
+}
+
+// executeOn is Execute on a machine the caller keeps: m is reset to
+// the spec's configuration and programs, whatever ran on it before.
+func (rs *RunSpec) executeOn(ctx context.Context, m *machine.Machine) (string, error) {
 	progs := rs.progs
 	if progs == nil {
 		progs = make([][]isa.Inst, len(rs.Programs))
@@ -300,16 +306,12 @@ func (rs *RunSpec) Execute(ctx context.Context) (string, error) {
 	}
 	cfg.Mutate = mu // Config.Mutate is json:"-"; the string field is authoritative
 
-	all := make([][]isa.Inst, cfg.Procs)
-	for i := range all {
-		if i < len(progs) {
-			all[i] = progs[i]
-		} else {
-			all[i] = haltProg
-		}
+	// The machine keeps its own list, so this one stays on the stack.
+	all := append(make([][]isa.Inst, 0, 8), progs...)
+	for len(all) < cfg.Procs {
+		all = append(all, haltProg)
 	}
-	m, err := machine.New(cfg, all)
-	if err != nil {
+	if err := m.Reset(cfg, all); err != nil {
 		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
 	}
 	if _, err := m.RunControlled(machine.RunControl{MaxEvents: runBudget, Ctx: ctx}); err != nil {
@@ -356,6 +358,9 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 	if cfg.Mutate != consistency.MutNone {
 		rep.Mutate = cfg.Mutate.String()
 	}
+	// One machine serves every run, reset to each run's configuration:
+	// a run then costs its simulation, not a construction.
+	m := new(machine.Machine)
 	for i := 0; i < cfg.Runs; i++ {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			rep.Runs, rep.Interrupted = i, true
@@ -368,7 +373,7 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		key, err := rs.Execute(cfg.Ctx)
+		key, err := rs.executeOn(cfg.Ctx, m)
 		if err != nil {
 			if cfg.Ctx != nil && cfg.Ctx.Err() != nil && errors.Is(err, cfg.Ctx.Err()) {
 				// Canceled mid-run: the partial coverage so far is the

@@ -15,7 +15,7 @@ import (
 )
 
 // The host-allocation budgets (DESIGN.md §9). The engine's zero-alloc
-// test (internal/sim) covers the event queue alone; these two cover the
+// test (internal/sim) covers the event queue alone; these cover the
 // assembled machine, where a per-transaction make in the directory and
 // a 64 KB event pool per two-processor machine once hid for ten PRs.
 
@@ -109,27 +109,39 @@ func allocatedBytes(f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
-// TestConstructionBudget: the conformance checkers build, run and drop
-// a two-processor machine some 9 000 times a pass, so what a machine
-// costs to make is their running cost. The ceilings are what the commit
-// that added them measured (35 216 B and 43 304 B with go1.24 on
-// amd64) plus about a quarter; 16 KB of shared image and 8 KB of
-// calendar ring are the floor under both. The commit before it, with
-// the engine's 64 KB event pool and the eager replay text, ran to
-// 112 895 B.
+// TestConstructionBudget: the conformance checkers run a two-processor
+// machine some 9 000 times a pass, so what a run costs beyond its
+// simulation is their running cost. Three figures. A warm machine reset
+// and run again — what litmus.Run pays per run — allocates its Result
+// and the directory entries of the lines it touches, nothing that
+// scales with the machine. A machine made anew still costs 16 KB of
+// shared image and 8 KB of calendar ring before anything else, which
+// is what litmus.Run no longer pays per run; and a fresh Setup +
+// Execute is that plus the run's programs and replay record. The
+// ceilings are what the commit that set them measured (720 B, 35 000 B
+// and 39 832 B with go1.24 on amd64) plus about a quarter; machine.New
+// keeps the 44 000 B it had. Before Reset, when a run's programs went
+// through assembly text, Setup + Execute measured 43 304 B — and every
+// run paid it.
 func TestConstructionBudget(t *testing.T) {
 	sb, err := litmus.TestByName("sb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := litmus.Setup(sb, consistency.RC, 1, consistency.MutNone)
-	if err != nil {
-		t.Fatal(err)
-	}
 	halt := []isa.Inst{{Op: isa.HALT}}
+	cfg, progs := litmusRun(t, sb, consistency.RC, 1, 0)
+	warm := new(machine.Machine)
 
+	resetBytes := allocatedBytes(func() {
+		if err := warm.Reset(cfg, progs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := warm.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	})
 	newBytes := allocatedBytes(func() {
-		if _, err := machine.New(rs.Machine, [][]isa.Inst{halt, halt}); err != nil {
+		if _, err := machine.New(cfg, [][]isa.Inst{halt, halt}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -142,10 +154,13 @@ func TestConstructionBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("machine.New %d B, litmus Setup+Execute %d B", newBytes, runBytes)
-	const newCeiling, runCeiling = 44_000, 54_000
+	t.Logf("Reset+Run %d B, machine.New %d B, litmus Setup+Execute %d B", resetBytes, newBytes, runBytes)
+	const resetCeiling, newCeiling, runCeiling = 900, 44_000, 49_800
+	if resetBytes > resetCeiling {
+		t.Errorf("Reset and run of a warm machine (sb/RC seed 1) allocates %d B, ceiling %d", resetBytes, resetCeiling)
+	}
 	if newBytes > newCeiling {
-		t.Errorf("machine.New for %+v allocates %d B, ceiling %d", rs.Machine, newBytes, newCeiling)
+		t.Errorf("machine.New for %+v allocates %d B, ceiling %d", cfg, newBytes, newCeiling)
 	}
 	if runBytes > runCeiling {
 		t.Errorf("litmus Setup+Execute (sb/RC seed 1) allocates %d B, ceiling %d", runBytes, runCeiling)

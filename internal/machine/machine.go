@@ -166,21 +166,24 @@ type Machine struct {
 	respNet *network.Network
 
 	halted int
+	haltFn func(id int) // every processor's OnHalt, built once
 	tracer *trace.Recorder
 	mc     *metrics.Collector
 
 	words    int       // line size in 8-byte words (data-tail latency)
 	tailFree *tailRecv // free list of pooled data-tail delivery events
 
-	faults     *robust.Injector
+	faults     *robust.Injector // &injector under fault injection, else nil
+	injector   robust.Injector
 	watchdog   *robust.Watchdog
 	watchdogFn func() // self-rescheduling tagged watchdog tick
 	checkFn    func() // self-rescheduling tagged invariant-check tick
 
 	started bool // watchdog/checker armed and processors started
 
-	// progs is the slice New was given. Programs are immutable after
-	// New: the processors execute these very slices, and programHash
+	// progs is the machine's own list of the programs it was given, nil
+	// slots filled in. The programs are immutable while it runs them:
+	// the processors execute these very slices, and programHash
 	// fingerprints them only when a snapshot first needs it.
 	progs    [][]isa.Inst
 	progHash *[32]byte // nil until the first Snapshot or Restore
@@ -221,51 +224,131 @@ func (t *tailRecv) run() {
 
 // New builds a machine running the given per-processor programs.
 // len(progs) must equal cfg.Procs; a nil program slot reuses progs[0]
-// (the common SPMD case).
+// (the common SPMD case). It is Reset on a zero Machine.
 func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	m := new(Machine)
+	if err := m.Reset(cfg, progs); err != nil {
 		return nil, err
 	}
-	if len(progs) != cfg.Procs {
-		return nil, fmt.Errorf("machine: %d programs for %d processors", len(progs), cfg.Procs)
+	return m, nil
+}
+
+// Reset returns the machine to exactly the state New(cfg, progs) would
+// produce, whatever it was doing: finished, paused with events pending,
+// failed. With the processor count it was built for, what a run sized
+// stays at its high-water mark (the engine's node pool, the shared
+// image, cache and MSHR slabs, directory maps, queue rings, network
+// ports, pooled records, prebuilt callbacks) and only what cfg decides
+// is derived again; another count builds anew. Tracer and collector are
+// detached, watchdog and checker disarmed, as on a new machine. A
+// refused Reset leaves the machine as it was.
+func (m *Machine) Reset(cfg Config, progs [][]isa.Inst) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return err
 	}
-	for i := range progs {
-		if progs[i] == nil {
-			if i == 0 {
-				return nil, fmt.Errorf("machine: program 0 must be non-nil")
-			}
-			progs[i] = progs[0]
-		}
-		if err := isa.ValidateProgram(progs[i]); err != nil {
-			return nil, fmt.Errorf("machine: program %d: %w", i, err)
+	if len(progs) != cfg.Procs {
+		return fmt.Errorf("machine: %d programs for %d processors", len(progs), cfg.Procs)
+	}
+	if progs[0] == nil {
+		return fmt.Errorf("machine: program 0 must be non-nil")
+	}
+	for i, p := range progs {
+		if err := isa.ValidateProgram(p); err != nil {
+			return fmt.Errorf("machine: program %d: %w", i, err)
 		}
 	}
 
-	m := &Machine{
-		cfg:    cfg,
-		spec:   cfg.Mutate.Apply(consistency.SpecFor(cfg.Model)),
-		shared: make([]uint64, cfg.SharedWords),
-		progs:  progs,
-	}
+	m.cfg = cfg
+	m.spec = cfg.Mutate.Apply(consistency.SpecFor(cfg.Model))
 	m.words = cfg.LineSize / 8
+	m.progs = m.progs[:0]
+	for _, p := range progs {
+		if p == nil {
+			p = progs[0]
+		}
+		m.progs = append(m.progs, p)
+	}
+	m.progHash = nil
+	if cfg.SharedWords <= cap(m.shared) {
+		m.shared = m.shared[:cfg.SharedWords]
+		clear(m.shared)
+	} else {
+		m.shared = make([]uint64, cfg.SharedWords)
+	}
+	m.faults = nil
 	if cfg.Faults.Enabled() {
-		m.faults = robust.NewInjector(cfg.Faults)
+		m.injector.Reset(cfg.Faults)
+		m.faults = &m.injector
+	}
+	m.halted, m.started = 0, false
+	m.tracer, m.mc = nil, nil
+	m.watchdog, m.watchdogFn, m.checkFn = nil, nil, nil
+
+	m.Eng.Reset()
+	if len(m.cpus) != cfg.Procs {
+		m.build()
+	} else {
+		m.reqNet.Reset(cfg.NetBuf)
+		m.respNet.Reset(cfg.NetBuf)
+		for i := range m.cpus {
+			m.modules[i].Reset(cfg.LineSize)
+			m.caches[i].Reset(m.cacheConfig())
+			m.cpus[i].Reset(m.cpuConfig(i))
+		}
+	}
+	m.reqNet.SetFaults(m.faults)
+	m.respNet.SetFaults(m.faults)
+	for i, c := range m.cpus {
+		c.SetReg(isa.RID, uint64(i))
+		c.SetReg(isa.RNP, uint64(cfg.Procs))
+		c.SetReg(isa.RSP, StackTop)
+	}
+	return nil
+}
+
+func (m *Machine) cacheConfig() cache.Config {
+	return cache.Config{Size: m.cfg.CacheSize, LineSize: m.cfg.LineSize, Assoc: m.cfg.Assoc, MSHRs: m.cfg.MSHRs}
+}
+
+func (m *Machine) cpuConfig(i int) cpu.Config {
+	return cpu.Config{
+		ID:          i,
+		Spec:        m.spec,
+		Prog:        m.progs[i],
+		Cache:       m.caches[i],
+		Mem:         m,
+		LoadDelay:   m.cfg.LoadDelay,
+		BranchDelay: m.cfg.BranchDelay,
+		MSHRs:       m.cfg.MSHRs,
+		NoSpinSkip:  m.cfg.NoSpinSkip,
+		OnHalt:      m.haltFn,
+	}
+}
+
+// build wires the machine for m.cfg.Procs processors. A component's
+// constructor is its wiring followed by its Reset, so built here or
+// reset later it went through the same code. The wiring outlives a run:
+// its closures read the configuration from m, not from a captured one.
+func (m *Machine) build() {
+	procs := m.cfg.Procs
+	m.haltFn = func(id int) {
+		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.CPUHalt, Src: id})
+		m.halted++
 	}
 
 	// Response network: memory -> caches. Data messages bind/install
 	// inside the cache with its own head/tail scheduling.
-	m.respNet = network.New(&m.Eng, cfg.Procs, cfg.NetBuf, func(dst int, nm network.Message) {
+	m.respNet = network.New(&m.Eng, procs, m.cfg.NetBuf, func(dst int, nm network.Message) {
 		msg := nm.Payload
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.RespRecv,
 			Src: nm.Src, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
 		m.caches[dst].Receive(msg)
 	})
 	m.respNet.SetUnit(netUnitResp)
-	m.respNet.SetFaults(m.faults)
 	// Request network: caches -> memory. Data-carrying messages reach
 	// the module when their tail arrives.
-	m.reqNet = network.New(&m.Eng, cfg.Procs, cfg.NetBuf, func(dst int, nm network.Message) {
+	m.reqNet = network.New(&m.Eng, procs, m.cfg.NetBuf, func(dst int, nm network.Message) {
 		msg := nm.Payload
 		src := nm.Src
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqRecv,
@@ -277,15 +360,16 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 		}
 	})
 	m.reqNet.SetUnit(netUnitReq)
-	m.reqNet.SetFaults(m.faults)
 
-	m.modules = make([]*memory.Module, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
+	m.modules = make([]*memory.Module, procs)
+	m.caches = make([]*cache.Cache, procs)
+	m.cpus = make([]*cpu.CPU, procs)
+	for i := 0; i < procs; i++ {
 		id := i
-		m.modules[i] = memory.NewModule(&m.Eng, id, cfg.LineSize,
+		m.modules[i] = memory.NewModule(&m.Eng, id, m.cfg.LineSize,
 			func(dst int, msg memory.Msg) bool {
 				ok := m.respNet.TrySend(network.Message{
-					Src: id, Dst: dst, Flits: msg.Flits(cfg.LineSize), Payload: msg,
+					Src: id, Dst: dst, Flits: msg.Flits(m.cfg.LineSize), Payload: msg,
 				})
 				if ok {
 					m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.RespSend,
@@ -295,17 +379,11 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 			},
 			func(fn func()) { m.respNet.WhenSpace(id, fn) },
 		)
-	}
-
-	m.caches = make([]*cache.Cache, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		id := i
-		m.caches[i] = cache.New(&m.Eng, id,
-			cache.Config{Size: cfg.CacheSize, LineSize: cfg.LineSize, Assoc: cfg.Assoc, MSHRs: cfg.MSHRs},
+		m.caches[i] = cache.New(&m.Eng, id, m.cacheConfig(),
 			func(msg memory.Msg, bypass bool) bool {
-				dst := memory.ModuleFor(msg.Line, cfg.LineSize, cfg.Procs)
+				dst := memory.ModuleFor(msg.Line, m.cfg.LineSize, m.cfg.Procs)
 				ok := m.reqNet.TrySend(network.Message{
-					Src: id, Dst: dst, Flits: msg.Flits(cfg.LineSize), Bypass: bypass, Payload: msg,
+					Src: id, Dst: dst, Flits: msg.Flits(m.cfg.LineSize), Bypass: bypass, Payload: msg,
 				})
 				if ok {
 					m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqSend,
@@ -315,30 +393,8 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 			},
 			func(fn func()) { m.reqNet.WhenSpace(id, fn) },
 		)
+		m.cpus[i] = cpu.New(&m.Eng, m.cpuConfig(i))
 	}
-
-	m.cpus = make([]*cpu.CPU, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		m.cpus[i] = cpu.New(&m.Eng, cpu.Config{
-			ID:          i,
-			Spec:        m.spec,
-			Prog:        progs[i],
-			Cache:       m.caches[i],
-			Mem:         m,
-			LoadDelay:   cfg.LoadDelay,
-			BranchDelay: cfg.BranchDelay,
-			MSHRs:       cfg.MSHRs,
-			NoSpinSkip:  cfg.NoSpinSkip,
-			OnHalt: func(id int) {
-				m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.CPUHalt, Src: id})
-				m.halted++
-			},
-		})
-		m.cpus[i].SetReg(isa.RID, uint64(i))
-		m.cpus[i].SetReg(isa.RNP, uint64(cfg.Procs))
-		m.cpus[i].SetReg(isa.RSP, StackTop)
-	}
-	return m, nil
 }
 
 // AttachTracer installs an event recorder; call before Run. A nil

@@ -190,8 +190,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 }
 
 // Restore loads a snapshot into this machine, which must be freshly
-// built by New with the same configuration and programs (Restore
-// verifies both) and not yet run. After Restore, RunControlled
+// built by New, or Reset, with the same configuration and programs
+// (Restore verifies both) and not yet run. After Restore, RunControlled
 // continues the interrupted run; the event execution order — and
 // therefore every Result field — is bit-identical to the run the
 // snapshot was taken from.

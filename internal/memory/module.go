@@ -183,18 +183,25 @@ func (h *headEvt) run() {
 // (returning false when its entrance buffer is full); whenSpace
 // registers a one-shot callback for when space frees.
 func NewModule(eng *sim.Engine, id, lineSize int, send func(dst int, m Msg) bool, whenSpace func(fn func())) *Module {
-	m := &Module{
-		eng:       eng,
-		id:        id,
-		lineSize:  lineSize,
-		words:     lineSize / 8,
-		send:      send,
-		whenSpace: whenSpace,
-		dir:       make(map[uint64]*entry),
-	}
+	m := &Module{eng: eng, id: id, send: send, whenSpace: whenSpace, dir: make(map[uint64]*entry)}
 	m.unbusyFn = m.unbusy
 	m.drainFn = m.drainOut
+	m.Reset(lineSize)
 	return m
+}
+
+// Reset returns the module to the state NewModule leaves it in, for
+// any line size: an empty directory, empty queues, idle, counters
+// zero, no collector. The map and the queue rings keep their size.
+func (m *Module) Reset(lineSize int) {
+	m.lineSize = lineSize
+	m.words = lineSize / 8
+	clear(m.dir)
+	m.inq.reset()
+	m.outq.reset()
+	m.occ = occupancy{}
+	m.stats = Stats{}
+	m.mc = nil
 }
 
 // Stats returns a copy of the activity counters.

@@ -15,6 +15,9 @@ type ring[T any] struct {
 
 func (r *ring[T]) len() int { return r.n }
 
+// reset empties the queue and keeps the buffer.
+func (r *ring[T]) reset() { r.head, r.n = 0, 0 }
+
 // at returns the i-th element from the front (0 <= i < len).
 func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 

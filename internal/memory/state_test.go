@@ -7,19 +7,19 @@ import (
 )
 
 // TestStateComplete: every field of the live module is either carried
-// by ModuleState or deliberately not; a field added without deciding
-// fails here.
+// by ModuleState or deliberately not, and then says what Reset does
+// with it; a field added without deciding fails here.
 func TestStateComplete(t *testing.T) {
-	statecheck.Fields(t, Module{}, ModuleState{}, map[string]string{
-		"eng":       "engine pointer",
-		"id":        "construction constant",
-		"lineSize":  "construction constant",
-		"words":     "construction constant",
-		"send":      "network attachment, wired at construction",
-		"whenSpace": "network attachment, wired at construction",
-		"unbusyFn":  "prebuilt callback",
-		"drainFn":   "prebuilt callback",
-		"headFree":  "free list; a pending head event rides in its engine descriptor",
-		"mc":        "collector attachment; the machine saves the collector",
+	statecheck.Resettable(t, Module{}, ModuleState{}, map[string]string{
+		"eng":       "kept: engine pointer",
+		"id":        "kept: construction constant",
+		"lineSize":  "reset: from the configuration",
+		"words":     "reset: from the configuration",
+		"send":      "kept: network attachment, wired at construction",
+		"whenSpace": "kept: network attachment, wired at construction",
+		"unbusyFn":  "kept: prebuilt callback",
+		"drainFn":   "kept: prebuilt callback",
+		"headFree":  "kept: free list; a pending head event rides in its engine descriptor",
+		"mc":        "reset: detached. The machine saves the collector",
 	})
 }

@@ -84,6 +84,12 @@ func (p *port) pop() *transit {
 	return t
 }
 
+// reset idles the port and drops whatever it had queued.
+func (p *port) reset() {
+	clear(p.queue)
+	p.queue, p.head, p.busy = p.queue[:0], 0, false
+}
+
 // pushFront inserts ahead of everything queued (WO2 bypass).
 func (p *port) pushFront(t *transit) {
 	if p.head > 0 {
@@ -148,9 +154,6 @@ func New(eng *sim.Engine, ports, bufCap int, deliver func(dst int, m Message)) *
 	if ports < 2 {
 		panic(fmt.Sprintf("network: need at least 2 ports, got %d", ports))
 	}
-	if bufCap < 1 {
-		panic(fmt.Sprintf("network: buffer capacity must be >= 1, got %d", bufCap))
-	}
 	padded, stages := 4, 1
 	for padded < ports {
 		padded *= 4
@@ -161,7 +164,6 @@ func New(eng *sim.Engine, ports, bufCap int, deliver func(dst int, m Message)) *
 		ports:    ports,
 		padded:   padded,
 		stages:   stages,
-		bufCap:   bufCap,
 		entrance: make([]port, ports),
 		links:    make([][]port, stages),
 		deliver:  deliver,
@@ -188,7 +190,32 @@ func New(eng *sim.Engine, ports, bufCap int, deliver func(dst int, m Message)) *
 			}
 		}
 	}
+	n.Reset(bufCap)
 	return n
+}
+
+// Reset returns the network to the state New leaves it in, for any
+// entrance buffer capacity: every port idle and empty (messages caught
+// in flight are dropped), no sender waiting for space, counters zero,
+// no fault injector, no collector.
+func (n *Network) Reset(bufCap int) {
+	if bufCap < 1 {
+		panic(fmt.Sprintf("network: buffer capacity must be >= 1, got %d", bufCap))
+	}
+	n.bufCap = bufCap
+	for i := range n.entrance {
+		n.entrance[i].reset()
+	}
+	for s := range n.links {
+		for i := range n.links[s] {
+			n.links[s][i].reset()
+		}
+	}
+	clear(n.onSpace)
+	n.faults = nil
+	n.inFlight = 0
+	n.stats = Stats{}
+	n.mc, n.netid = nil, 0
 }
 
 // allocTransit takes a pooled transit record for a fresh injection.

@@ -43,10 +43,12 @@ type Injector struct {
 	Extra    uint64 // total extra cycles injected
 }
 
-// NewInjector builds an injector for the given configuration. A nil
-// injector (and one built from a disabled Faults) injects nothing.
-func NewInjector(f Faults) *Injector {
-	return &Injector{cfg: f, state: uint64(f.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
+// Reset seeds the injector — the zero value, or one a run has used —
+// for the given configuration: the start of its delay stream, counters
+// zero. A nil injector (and one reset to a disabled Faults) injects
+// nothing.
+func (in *Injector) Reset(f Faults) {
+	*in = Injector{cfg: f, state: uint64(f.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 }
 
 // SplitMix64 steps a splitmix64 stream held in *x and returns the next

@@ -87,7 +87,9 @@ func TestWatchdogStopsWhenDone(t *testing.T) {
 
 func TestInjectorDeterministicAndBounded(t *testing.T) {
 	cfg := Faults{Seed: 42, DelayProb: 0.3, MaxExtraDelay: 7}
-	a, b := NewInjector(cfg), NewInjector(cfg)
+	a, b := new(Injector), new(Injector)
+	a.Reset(cfg)
+	b.Reset(cfg)
 	sawDelay := false
 	for i := 0; i < 10_000; i++ {
 		da, db := a.ExtraDelay(), b.ExtraDelay()
@@ -112,7 +114,7 @@ func TestInjectorDeterministicAndBounded(t *testing.T) {
 	if nilInj.ExtraDelay() != 0 {
 		t.Error("nil injector injected a delay")
 	}
-	if NewInjector(Faults{}).ExtraDelay() != 0 {
+	if new(Injector).ExtraDelay() != 0 {
 		t.Error("disabled injector injected a delay")
 	}
 }

@@ -80,6 +80,15 @@ type Engine struct {
 	overflow []int32
 }
 
+// Reset returns the engine to its zero state, dropping whatever is
+// pending, and keeps the node pool and the overflow heap at the size
+// the busiest run grew them to. Handles are dealt from slot 1 again, so
+// a reset engine schedules exactly as a new one does.
+func (e *Engine) Reset() {
+	clear(e.nodes) // dropped callbacks must not outlive the run
+	*e = Engine{nodes: e.nodes[:min(len(e.nodes), 1)], overflow: e.overflow[:0]}
+}
+
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 

@@ -1,7 +1,8 @@
 // Package statecheck is the test-side guard of "state is declared
 // once" (DESIGN.md §10): a component keeps what a snapshot carries as
-// plain data, and its completeness test calls Fields to prove that
-// every field of the live struct has been decided on.
+// plain data, and its completeness test calls Fields — Resettable, if
+// the component has a Reset — to prove that every field of the live
+// struct has been decided on.
 package statecheck
 
 import (
@@ -40,4 +41,20 @@ func Fields(t *testing.T, live, saved any, notSaved map[string]string) {
 			t.Errorf("notSaved names %s, which %v does not have", name, lt)
 		}
 	}
+}
+
+// Resettable is Fields for a component that has a Reset. The machine's
+// reset tests compare snapshots; a field a snapshot does not carry they
+// cannot see, so its reason must open with what Reset does with it:
+// "kept: " for wiring, pools and buffers that stand across runs,
+// "reset: " for what Reset sets again. Neither fails, like no decision.
+func Resettable(t *testing.T, live, saved any, notSaved map[string]string) {
+	t.Helper()
+	for name, reason := range notSaved {
+		if !strings.HasPrefix(reason, "kept: ") && !strings.HasPrefix(reason, "reset: ") {
+			t.Errorf("%T.%s: notSaved reason %q does not say whether Reset keeps it (\"kept: \") or sets it again (\"reset: \")",
+				live, name, reason)
+		}
+	}
+	Fields(t, live, saved, notSaved)
 }
