@@ -174,26 +174,14 @@ type miss struct {
 	Prefetch bool
 	IssuedAt sim.Cycle // when the request was sent (metrics)
 
-	// Fill-in-progress state consumed by the prebuilt callbacks.
+	// Fill-in-progress state consumed by the bind and fill events.
 	FillExcl bool
 	LateBind bool // Bind deferred to installation (exclusive fetches)
 }
 
 type mshr struct {
 	miss
-	idx int    // position in Cache.mshr (event descriptors)
-	on  Binder // saved and re-linked by its owner (Binders, LinkBinder)
-
-	// bindFn and fillFn are built once per MSHR at construction and
-	// rescheduled for every fill, so receiveData allocates nothing.
-	bindFn func()
-	fillFn func()
-}
-
-// clear frees the MSHR, preserving its prebuilt callbacks.
-func (m *mshr) clear() {
-	m.miss = miss{}
-	m.on = nil
+	on Binder // saved and re-linked by its owner (Binders, LinkBinder)
 }
 
 // Cache is one processor's shared-data cache.
@@ -214,8 +202,9 @@ type Cache struct {
 	send      func(msg memory.Msg, bypass bool) bool
 	whenSpace func(fn func())
 	outq      []outPkt
-	outHead   int    // index of the first unsent packet in outq
-	drainFn   func() // prebuilt retry callback for whenSpace
+	outHead   int         // index of the first unsent packet in outq
+	drainFn   func()      // prebuilt retry callback for whenSpace
+	handler   sim.Handler // prebuilt c.fire, the one engine handler
 
 	// invalidated remembers lines removed by coherence so the next
 	// demand miss on them counts as an invalidation miss.
@@ -249,6 +238,7 @@ type Config struct {
 func New(eng *sim.Engine, id int, cfg Config, send func(msg memory.Msg, bypass bool) bool, whenSpace func(fn func())) *Cache {
 	c := &Cache{eng: eng, id: id, send: send, whenSpace: whenSpace, invalidated: make(map[uint64]bool)}
 	c.drainFn = c.drainOut
+	c.handler = c.fire
 	c.Reset(cfg)
 	return c
 }
@@ -277,20 +267,9 @@ func (c *Cache) Reset(cfg Config) {
 	}
 	if cfg.MSHRs <= cap(c.mshr) {
 		c.mshr = c.mshr[:cfg.MSHRs]
-		for i := range c.mshr {
-			c.mshr[i].clear()
-		}
+		clear(c.mshr)
 	} else {
-		// Each MSHR carries its fill callbacks prebuilt so data arrival
-		// schedules engine events without allocating. They point into
-		// the slab: a bigger one needs new ones.
 		c.mshr = make([]mshr, cfg.MSHRs)
-		for i := range c.mshr {
-			m := &c.mshr[i]
-			m.idx = i
-			m.bindFn = func() { m.on.Bind() }
-			m.fillFn = func() { c.finishFill(m) }
-		}
 	}
 	c.outq, c.outHead = c.outq[:0], 0
 	clear(c.invalidated)
@@ -357,14 +336,14 @@ func (c *Cache) lookup(lineAddr uint64) *line {
 	return nil
 }
 
-// pendingMSHR returns the MSHR holding lineAddr, or nil.
-func (c *Cache) pendingMSHR(lineAddr uint64) *mshr {
+// pendingMSHR returns the index of the MSHR holding lineAddr, or -1.
+func (c *Cache) pendingMSHR(lineAddr uint64) int {
 	for i := range c.mshr {
 		if c.mshr[i].Valid && c.mshr[i].Line == lineAddr {
-			return &c.mshr[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // freeMSHR returns an invalid MSHR, or nil.
@@ -497,7 +476,7 @@ func (c *Cache) Access(r Request) Outcome {
 // missDemand handles a demand miss: allocate an MSHR and request the
 // line. excl requests ownership.
 func (c *Cache) missDemand(r Request, lineAddr uint64, excl bool) Outcome {
-	if c.pendingMSHR(lineAddr) != nil {
+	if c.pendingMSHR(lineAddr) >= 0 {
 		c.stats.Conflicts++
 		return Conflict
 	}
@@ -517,7 +496,7 @@ func (c *Cache) missDemand(r Request, lineAddr uint64, excl bool) Outcome {
 		c.stats.InvalidationMisses++
 		delete(c.invalidated, lineAddr)
 	}
-	m.clear()
+	*m = mshr{}
 	m.Valid = true
 	m.Line = lineAddr
 	m.Excl = excl
@@ -542,14 +521,14 @@ func (c *Cache) prefetch(r Request, lineAddr uint64, ln *line) Outcome {
 		// Write-intent prefetch of a Shared line: upgrade early.
 		ln.State = Invalid
 	}
-	if c.pendingMSHR(lineAddr) != nil {
+	if c.pendingMSHR(lineAddr) >= 0 {
 		return Hit // already on its way
 	}
 	m := c.freeMSHR()
 	if m == nil {
 		return Full
 	}
-	m.clear()
+	*m = mshr{}
 	m.Valid = true
 	m.Line = lineAddr
 	m.Excl = excl
@@ -611,10 +590,11 @@ func (c *Cache) Receive(msg memory.Msg) {
 // receiveData schedules value binding (first word, +1 cycle) and line
 // installation/MSHR retirement (tail, +words cycles).
 func (c *Cache) receiveData(msg memory.Msg) {
-	m := c.pendingMSHR(msg.Line)
-	if m == nil {
+	i := c.pendingMSHR(msg.Line)
+	if i < 0 {
 		c.fail(msg.Kind.String(), msg.Line, "data arrived with no MSHR allocated")
 	}
+	m := &c.mshr[i]
 	excl := msg.Kind == memory.DataExclusive
 	if m.Excl && !excl {
 		c.fail(msg.Kind.String(), msg.Line, "ownership request granted shared")
@@ -625,12 +605,12 @@ func (c *Cache) receiveData(msg memory.Msg) {
 		if !m.Excl || m.Early {
 			// Loads bind at the first word (including ownership-fetching
 			// loads: the value arrives before the ownership settles).
-			c.eng.AfterEvent(1, m.bindFn, c.evdesc(cacheEvBind, m.idx))
+			c.eng.ScheduleAfter(1, c.handler, c.event(cacheEvBind, i))
 		} else {
 			m.LateBind = true
 		}
 	}
-	c.eng.AfterEvent(sim.Cycle(c.words), m.fillFn, c.evdesc(cacheEvFill, m.idx))
+	c.eng.ScheduleAfter(sim.Cycle(c.words), c.handler, c.event(cacheEvFill, i))
 }
 
 // finishFill runs when a data message's tail has arrived: install the
@@ -641,7 +621,7 @@ func (c *Cache) finishFill(m *mshr) {
 	c.mc.Fill(m.IssuedAt, c.eng.Now())
 	on := m.on
 	lateBind := m.LateBind
-	m.clear()
+	*m = mshr{}
 	// Writes and RMW perform once the whole line is in; mark the
 	// line dirty before anyone else can act on the retirement.
 	// (Prefetches never carry a binder, so they install clean.)

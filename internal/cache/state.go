@@ -8,37 +8,51 @@ import (
 )
 
 // Event kinds for cache-owned engine events (sim.EventDesc.Kind). Both
-// carry the MSHR index in A; everything else the callback needs lives
-// in the MSHR itself, which the snapshot serializes.
+// carry the MSHR index in A; everything else the event needs lives in
+// the MSHR itself, which the snapshot serializes.
 const (
-	cacheEvBind uint8 = iota + 1
-	cacheEvFill
+	cacheEvBind uint8 = iota + 1 // the first word arrived: bind the value
+	cacheEvFill                  // the tail arrived: install and retire
 )
 
-func (c *Cache) evdesc(kind uint8, mshrIdx int) sim.EventDesc {
+func (c *Cache) event(kind uint8, mshrIdx int) sim.EventDesc {
 	return sim.EventDesc{Comp: sim.CompCache, Kind: kind, Unit: int32(c.id), A: uint64(mshrIdx)}
 }
 
-// RestoreEvent rebuilds the callback for a saved cache event.
-func (c *Cache) RestoreEvent(d sim.EventDesc) (func(), error) {
-	idx := int(d.A)
-	if idx < 0 || idx >= len(c.mshr) {
-		return nil, fmt.Errorf("cache: event for MSHR %d of %d", idx, len(c.mshr))
+// fire runs one of the cache's due events.
+func (c *Cache) fire(d *sim.EventDesc) {
+	m := &c.mshr[d.A]
+	switch d.Kind {
+	case cacheEvBind:
+		m.on.Bind()
+	case cacheEvFill:
+		c.finishFill(m)
+	default:
+		panic(fmt.Sprintf("cache %d: event of unknown kind %d", c.id, d.Kind))
 	}
-	m := &c.mshr[idx]
+}
+
+// CheckEvent says whether fire can run a saved event and returns the
+// handler that will. The cache's MSHRs and their binders must have been
+// restored already.
+func (c *Cache) CheckEvent(d sim.EventDesc) (sim.Handler, error) {
+	if d.A >= uint64(len(c.mshr)) {
+		return nil, fmt.Errorf("cache: event for MSHR %d of %d", d.A, len(c.mshr))
+	}
+	m := &c.mshr[d.A]
 	if !m.Valid {
-		return nil, fmt.Errorf("cache: event for invalid MSHR %d", idx)
+		return nil, fmt.Errorf("cache: event for invalid MSHR %d", d.A)
 	}
 	switch d.Kind {
 	case cacheEvBind:
 		if m.on == nil {
-			return nil, fmt.Errorf("cache: bind event for MSHR %d with no binder", idx)
+			return nil, fmt.Errorf("cache: bind event for MSHR %d with no binder", d.A)
 		}
-		return m.bindFn, nil
 	case cacheEvFill:
-		return m.fillFn, nil
+	default:
+		return nil, fmt.Errorf("cache: unknown event kind %d", d.Kind)
 	}
-	return nil, fmt.Errorf("cache: unknown event kind %d", d.Kind)
+	return c.handler, nil
 }
 
 // DrainFunc returns the cache's output-drain retry callback. The

@@ -21,15 +21,13 @@ func TestStateComplete(t *testing.T) {
 		"whenSpace":   "kept: network attachment, wired at construction",
 		"outHead":     "reset: to 0. Save writes outq from here; a loaded queue starts at 0",
 		"drainFn":     "kept: prebuilt callback",
+		"handler":     "kept: wiring, the one engine handler (fire)",
 		"onRetireAny": "kept: registered by the processor when it is first attached",
 		"watchLine":   "reset: no watch. Re-armed by the spinning processor's Load",
 		"watchFn":     "reset: no watch. Re-armed by the spinning processor's Load",
 		"mc":          "reset: detached. The machine saves the collector",
 	})
 	statecheck.Resettable(t, mshr{}, miss{}, map[string]string{
-		"idx":    "kept: position in the slab",
-		"on":     "reset: nil. Saved by its owner through Binders, re-linked by LinkBinder",
-		"bindFn": "kept: prebuilt callback, built again only with a bigger slab",
-		"fillFn": "kept: prebuilt callback, built again only with a bigger slab",
+		"on": "reset: nil. Saved by its owner through Binders, re-linked by LinkBinder",
 	})
 }

@@ -196,13 +196,11 @@ type CPU struct {
 	core     core
 	awaiting *pendingOp // issued sync/blocking op not yet complete
 
-	// opFree heads the pendingOp free list; runFn is the prebuilt run
-	// callback handed to the engine (a method value built once, so
-	// scheduling allocates nothing).
-	opFree *pendingOp
-	runFn  func()
+	// opFree heads the pendingOp free list; handler is c.fire, built
+	// once so that scheduling allocates nothing.
+	opFree  *pendingOp
+	handler sim.Handler
 
-	spinGhostFn  func()
 	spinNoticeFn func()
 
 	onHalt func(id int)
@@ -227,8 +225,7 @@ type Config struct {
 // RNP and RSP values which the machine sets via SetReg after reset.
 func New(eng *sim.Engine, cfg Config) *CPU {
 	c := &CPU{eng: eng, priv: NewPrivMem()}
-	c.runFn = c.run
-	c.spinGhostFn = c.spinGhost
+	c.handler = c.fire
 	c.spinNoticeFn = c.spinNotice
 	c.Reset(cfg)
 	return c
@@ -326,7 +323,7 @@ func (c *CPU) schedule(at sim.Cycle) {
 		return
 	}
 	c.core.Scheduled = true
-	c.eng.AtEvent(at, c.runFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvRun, Unit: int32(c.id)})
+	c.eng.Schedule(at, c.handler, c.event(cpuEvRun))
 }
 
 // reconsider wakes a parked processor so it can re-evaluate its stall;

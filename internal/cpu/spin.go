@@ -152,7 +152,7 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 	// The ghost stands in for the run event the caller would have
 	// scheduled: same cycle, created at the same moment.
 	c.core.Scheduled = true
-	c.eng.AtEvent(t, c.spinGhostFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvSpin, Unit: int32(c.id)})
+	c.eng.Schedule(t, c.handler, c.event(cpuEvSpin))
 	c.cache.WatchLine(c.cache.LineAddr(addr), c.spinNoticeFn)
 	return true
 }
@@ -175,7 +175,7 @@ func (c *CPU) spinGhost() {
 			Cycle: c.eng.Now(), Detail: "spin ghost event without an active spin"})
 	}
 	if !c.core.SpinStale {
-		c.eng.AfterEvent(c.core.SpinPeriod, c.spinGhostFn, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvSpin, Unit: int32(c.id)})
+		c.eng.ScheduleAfter(c.core.SpinPeriod, c.handler, c.event(cpuEvSpin))
 		return
 	}
 	now := c.eng.Now()

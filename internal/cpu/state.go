@@ -7,22 +7,36 @@ import (
 )
 
 // Event kinds for processor-owned engine events (sim.EventDesc.Kind):
-// the run callback, and the spin fast-forward's ghost iteration
-// (spin.go). All execution state lives in the CPU itself.
+// a run, and the spin fast-forward's ghost iteration (spin.go). All
+// execution state lives in the CPU itself.
 const (
 	cpuEvRun  uint8 = 1
 	cpuEvSpin uint8 = 2
 )
 
-// RestoreEvent rebuilds the callback for a saved processor event.
-func (c *CPU) RestoreEvent(d sim.EventDesc) (func(), error) {
+func (c *CPU) event(kind uint8) sim.EventDesc {
+	return sim.EventDesc{Comp: sim.CompCPU, Kind: kind, Unit: int32(c.id)}
+}
+
+// fire runs one of the processor's due events.
+func (c *CPU) fire(d *sim.EventDesc) {
 	switch d.Kind {
 	case cpuEvRun:
-		return c.runFn, nil
+		c.run()
 	case cpuEvSpin:
-		return c.spinGhostFn, nil
+		c.spinGhost()
+	default:
+		panic(fmt.Sprintf("cpu %d: event of unknown kind %d", c.id, d.Kind))
 	}
-	return nil, fmt.Errorf("cpu: unknown event kind %d", d.Kind)
+}
+
+// CheckEvent says whether fire can run a saved event and returns the
+// handler that will.
+func (c *CPU) CheckEvent(d sim.EventDesc) (sim.Handler, error) {
+	if d.Kind != cpuEvRun && d.Kind != cpuEvSpin {
+		return nil, fmt.Errorf("cpu: unknown event kind %d", d.Kind)
+	}
+	return c.handler, nil
 }
 
 // savedOp is one in-flight operation in a snapshot. The processor saves

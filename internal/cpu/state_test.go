@@ -22,8 +22,7 @@ func TestStateComplete(t *testing.T) {
 		"maxOut":       "reset: from the configuration",
 		"spinFF":       "reset: from the configuration",
 		"opFree":       "kept: free list",
-		"runFn":        "kept: prebuilt callback",
-		"spinGhostFn":  "kept: prebuilt callback",
+		"handler":      "kept: wiring, the one engine handler (fire)",
 		"spinNoticeFn": "kept: prebuilt callback",
 		"onHalt":       "reset: from the configuration",
 		"mc":           "reset: detached. The machine saves the collector",

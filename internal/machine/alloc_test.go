@@ -118,11 +118,12 @@ func allocatedBytes(f func()) uint64 {
 // shared image and 8 KB of calendar ring before anything else, which
 // is what litmus.Run no longer pays per run; and a fresh Setup +
 // Execute is that plus the run's programs and replay record. The
-// ceilings are what the commit that set them measured (720 B, 35 000 B
-// and 39 832 B with go1.24 on amd64) plus about a quarter; machine.New
-// keeps the 44 000 B it had. Before Reset, when a run's programs went
-// through assembly text, Setup + Execute measured 43 304 B — and every
-// run paid it.
+// ceilings are what the commit that set them measured (720 B, 33 816 B
+// and 38 344 B with go1.24 on amd64) plus a quarter. That commit took
+// the closure per network port and per MSHR, and the pooled event
+// records, out of machine.New (35 000 B and 39 832 B before it).
+// Before Reset, when a run's programs went through assembly text,
+// Setup + Execute measured 43 304 B — and every run paid it.
 func TestConstructionBudget(t *testing.T) {
 	sb, err := litmus.TestByName("sb")
 	if err != nil {
@@ -155,7 +156,7 @@ func TestConstructionBudget(t *testing.T) {
 		}
 	})
 	t.Logf("Reset+Run %d B, machine.New %d B, litmus Setup+Execute %d B", resetBytes, newBytes, runBytes)
-	const resetCeiling, newCeiling, runCeiling = 900, 44_000, 49_800
+	const resetCeiling, newCeiling, runCeiling = 900, 42_270, 47_930
 	if resetBytes > resetCeiling {
 		t.Errorf("Reset and run of a warm machine (sb/RC seed 1) allocates %d B, ceiling %d", resetBytes, resetCeiling)
 	}

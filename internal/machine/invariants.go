@@ -9,8 +9,7 @@ import (
 
 // CheckNow runs the coherence invariant checker against the machine's
 // current state and returns the first violation as a *robust.SimError
-// (nil when clean). Unlike CheckCoherence, which demands full
-// quiescence, CheckNow is sound at any cycle: transactions in flight
+// (nil when clean). It is sound at any cycle: transactions in flight
 // leave their directory entry Busy, so Busy entries are exempt from
 // the cache/directory cross-checks. The invariants:
 //
@@ -90,6 +89,35 @@ func (m *Machine) CheckNow() *robust.SimError {
 					return fail(e.Line, "line held shared by cache %d but directory says dirty (owner %d)",
 						h.cpu, e.Owner)
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// CheckCoherence verifies the protocol's safety invariants after a run
+// has quiesced (all processors halted, no messages in flight): those
+// CheckNow holds at any cycle and, because nothing is in flight any
+// more, that every module is idle, no directory entry is still
+// mid-transaction or has requests parked behind it, and a Dirty entry's
+// owner really holds the line exclusively. It returns the first
+// violation found.
+func (m *Machine) CheckCoherence() error {
+	if err := m.CheckNow(); err != nil {
+		return err
+	}
+	for mi, mod := range m.modules {
+		if !mod.Idle() {
+			return fmt.Errorf("module %d not idle after quiesce", mi)
+		}
+		for _, e := range mod.SnapshotDir() {
+			switch {
+			case e.State == "busy":
+				return fmt.Errorf("line %#x directory still busy", e.Line)
+			case e.Pending != 0:
+				return fmt.Errorf("line %#x has %d parked requests after quiesce", e.Line, e.Pending)
+			case e.State == "dirty" && !m.caches[e.Owner].Probe(cache.Write, e.Line):
+				return fmt.Errorf("line %#x dirty at owner %d but not held exclusively", e.Line, e.Owner)
 			}
 		}
 	}

@@ -170,14 +170,12 @@ type Machine struct {
 	tracer *trace.Recorder
 	mc     *metrics.Collector
 
-	words    int       // line size in 8-byte words (data-tail latency)
-	tailFree *tailRecv // free list of pooled data-tail delivery events
+	words   int         // line size in 8-byte words (data-tail latency)
+	handler sim.Handler // m.fire, built once: the machine's own events
 
-	faults     *robust.Injector // &injector under fault injection, else nil
-	injector   robust.Injector
-	watchdog   *robust.Watchdog
-	watchdogFn func() // self-rescheduling tagged watchdog tick
-	checkFn    func() // self-rescheduling tagged invariant-check tick
+	faults   *robust.Injector // &injector under fault injection, else nil
+	injector robust.Injector
+	watchdog *robust.Watchdog // nil unless armed (Config.StallCycles)
 
 	started bool // watchdog/checker armed and processors started
 
@@ -187,39 +185,6 @@ type Machine struct {
 	// fingerprints them only when a snapshot first needs it.
 	progs    [][]isa.Inst
 	progHash *[32]byte // nil until the first Snapshot or Restore
-}
-
-// tailRecv is a pooled one-shot event delivering a data-carrying
-// request to its module once the message tail has arrived. Each record
-// builds its callback exactly once, so the steady-state write-back /
-// update path schedules the tail delay without allocating.
-type tailRecv struct {
-	m    *Machine
-	dst  int
-	src  int
-	msg  memory.Msg
-	next *tailRecv
-	fn   func()
-}
-
-func (m *Machine) allocTail(dst, src int, msg memory.Msg) *tailRecv {
-	t := m.tailFree
-	if t == nil {
-		t = &tailRecv{m: m}
-		t.fn = t.run
-	} else {
-		m.tailFree = t.next
-	}
-	t.dst, t.src, t.msg, t.next = dst, src, msg, nil
-	return t
-}
-
-func (t *tailRecv) run() {
-	m, dst, src, msg := t.m, t.dst, t.src, t.msg
-	t.msg = memory.Msg{}
-	t.next = m.tailFree
-	m.tailFree = t
-	m.modules[dst].Receive(src, msg)
 }
 
 // New builds a machine running the given per-processor programs.
@@ -283,7 +248,7 @@ func (m *Machine) Reset(cfg Config, progs [][]isa.Inst) error {
 	}
 	m.halted, m.started = 0, false
 	m.tracer, m.mc = nil, nil
-	m.watchdog, m.watchdogFn, m.checkFn = nil, nil, nil
+	m.watchdog = nil
 
 	m.Eng.Reset()
 	if len(m.cpus) != cfg.Procs {
@@ -332,6 +297,7 @@ func (m *Machine) cpuConfig(i int) cpu.Config {
 // its closures read the configuration from m, not from a captured one.
 func (m *Machine) build() {
 	procs := m.cfg.Procs
+	m.handler = m.fire
 	m.haltFn = func(id int) {
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.CPUHalt, Src: id})
 		m.halted++
@@ -354,7 +320,7 @@ func (m *Machine) build() {
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqRecv,
 			Src: src, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
 		if msg.Kind.CarriesData() {
-			m.Eng.AfterEvent(sim.Cycle(m.words), m.allocTail(dst, src, msg).fn, tailDesc(dst, src, msg))
+			m.Eng.ScheduleAfter(sim.Cycle(m.words), m.handler, tailEvent(dst, src, msg))
 		} else {
 			m.modules[dst].Receive(src, msg)
 		}
@@ -535,10 +501,11 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 	if !m.started {
 		m.started = true
 		if m.cfg.StallCycles > 0 {
-			m.startWatchdog()
+			m.armWatchdog()
+			m.Eng.ScheduleAfter(m.watchdog.Window, m.handler, machEvent(machEvWatchdog))
 		}
 		if m.cfg.CheckEvery > 0 {
-			m.startChecker()
+			m.Eng.ScheduleAfter(sim.Cycle(m.cfg.CheckEvery), m.handler, machEvent(machEvCheck))
 		}
 		for _, c := range m.cpus {
 			c.Start()
@@ -618,10 +585,12 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 // signal stops a run within microseconds of real time.
 const ctxPollEvents = 1024
 
-// initWatchdog builds the watchdog and its self-rescheduling tagged
-// tick without scheduling anything (the restore path resolves a saved
-// tick against watchdogFn).
-func (m *Machine) initWatchdog() {
+// armWatchdog builds the stall watchdog: if no processor retires an
+// instruction for a full StallCycles window, the run fails with a
+// Stall error carrying a diagnostic dump. Its tick is the machEvWatchdog
+// event, so it survives snapshots; Restore arms the watchdog too, and
+// then sets the saved baseline.
+func (m *Machine) armWatchdog() {
 	m.watchdog = &robust.Watchdog{
 		Window:   sim.Cycle(m.cfg.StallCycles),
 		Progress: m.totalInstructions,
@@ -634,43 +603,7 @@ func (m *Machine) initWatchdog() {
 			})
 		},
 	}
-	m.watchdogFn = func() {
-		if m.watchdog.Check() {
-			m.Eng.AfterEvent(m.watchdog.Window, m.watchdogFn, machDesc(machEvWatchdog))
-		}
-	}
-}
-
-// startWatchdog arms the stall watchdog: if no processor retires an
-// instruction for a full StallCycles window, the run fails with a
-// Stall error carrying a diagnostic dump. The tick is a tagged event
-// so it survives snapshots.
-func (m *Machine) startWatchdog() {
-	m.initWatchdog()
 	m.watchdog.Arm()
-	m.Eng.AfterEvent(m.watchdog.Window, m.watchdogFn, machDesc(machEvWatchdog))
-}
-
-// initChecker builds the periodic invariant-check tick without
-// scheduling it (see initWatchdog).
-func (m *Machine) initChecker() {
-	interval := sim.Cycle(m.cfg.CheckEvery)
-	m.checkFn = func() {
-		if m.Done() {
-			return
-		}
-		if err := m.CheckNow(); err != nil {
-			robust.Raise(err)
-		}
-		m.Eng.AfterEvent(interval, m.checkFn, machDesc(machEvCheck))
-	}
-}
-
-// startChecker schedules the periodic coherence invariant check as a
-// tagged event.
-func (m *Machine) startChecker() {
-	m.initChecker()
-	m.Eng.AfterEvent(sim.Cycle(m.cfg.CheckEvery), m.checkFn, machDesc(machEvCheck))
 }
 
 func (m *Machine) totalInstructions() uint64 {

@@ -27,17 +27,74 @@ const (
 	netUnitResp int32 = 1
 )
 
-func machDesc(kind uint8) sim.EventDesc {
+func machEvent(kind uint8) sim.EventDesc {
 	return sim.EventDesc{Comp: sim.CompMachine, Kind: kind, Unit: -1}
 }
 
-// tailDesc describes a pending data-tail delivery: the message is tiny
-// (kind + line), so the descriptor carries it whole.
-func tailDesc(dst, src int, msg memory.Msg) sim.EventDesc {
-	d := machDesc(machEvTail)
+// tailEvent delivers a data-carrying request to its module once the
+// message tail has arrived. The message is tiny (kind + line), so the
+// descriptor carries it whole: A = line, B = kind | src<<8 | dst<<32.
+func tailEvent(dst, src int, msg memory.Msg) sim.EventDesc {
+	d := machEvent(machEvTail)
 	d.A = msg.Line
 	d.B = uint64(msg.Kind) | uint64(src)<<8 | uint64(dst)<<32
 	return d
+}
+
+// tail decodes a tail event.
+func tail(d *sim.EventDesc) (dst, src int, msg memory.Msg) {
+	return int(d.B >> 32), int(d.B >> 8 & 0xffffff), memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A}
+}
+
+// fire runs one of the machine's own due events. The two ticks
+// schedule themselves again: the watchdog's while Check says so, the
+// invariant checker's until every processor has halted.
+func (m *Machine) fire(d *sim.EventDesc) {
+	switch d.Kind {
+	case machEvTail:
+		dst, src, msg := tail(d)
+		m.modules[dst].Receive(src, msg)
+	case machEvWatchdog:
+		if m.watchdog.Check() {
+			m.Eng.ScheduleAfter(m.watchdog.Window, m.handler, *d)
+		}
+	case machEvCheck:
+		if m.Done() {
+			return
+		}
+		if err := m.CheckNow(); err != nil {
+			robust.Raise(err)
+		}
+		m.Eng.ScheduleAfter(sim.Cycle(m.cfg.CheckEvery), m.handler, *d)
+	default:
+		panic(fmt.Sprintf("machine: event of unknown kind %d", d.Kind))
+	}
+}
+
+// CheckEvent says whether fire can run a saved event of the machine's
+// own and returns the handler that will.
+func (m *Machine) CheckEvent(d sim.EventDesc) (sim.Handler, error) {
+	switch d.Kind {
+	case machEvTail:
+		dst, src, msg := tail(&d)
+		if src >= m.cfg.Procs || dst >= m.cfg.Procs {
+			return nil, fmt.Errorf("machine: tail event src %d dst %d out of range", src, dst)
+		}
+		if k := msg.Kind; k != memory.WriteBack && k != memory.FlushInv && k != memory.FlushShare {
+			return nil, fmt.Errorf("machine: tail event for a %v, which carries no data to a module", k)
+		}
+	case machEvWatchdog:
+		if m.watchdog == nil {
+			return nil, fmt.Errorf("machine: watchdog event with no watchdog configured")
+		}
+	case machEvCheck:
+		if m.cfg.CheckEvery <= 0 {
+			return nil, fmt.Errorf("machine: invariant-check event with no checker configured")
+		}
+	default:
+		return nil, fmt.Errorf("machine: unknown machine event kind %d", d.Kind)
+	}
+	return m.handler, nil
 }
 
 // programHash fingerprints the per-processor programs so a snapshot
@@ -57,53 +114,27 @@ func (m *Machine) programHash() [32]byte {
 	return *m.progHash
 }
 
-// resolveEvent rebuilds the callback for one saved engine event,
-// dispatching on the owning component class.
-func (m *Machine) resolveEvent(d sim.EventDesc) (func(), error) {
+// resolveEvent finds the component that owns a saved engine event, has
+// it check that it can run the event, and returns its handler.
+func (m *Machine) resolveEvent(d sim.EventDesc) (sim.Handler, error) {
+	if d.Comp >= sim.CompCPU && d.Comp <= sim.CompModule && (d.Unit < 0 || int(d.Unit) >= m.cfg.Procs) {
+		return nil, fmt.Errorf("machine: event for unit %d of component class %d, of %d", d.Unit, d.Comp, m.cfg.Procs)
+	}
 	switch d.Comp {
 	case sim.CompMachine:
-		switch d.Kind {
-		case machEvTail:
-			msg := memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A}
-			src := int(d.B >> 8 & 0xffffff)
-			dst := int(d.B >> 32)
-			if src >= m.cfg.Procs || dst >= m.cfg.Procs {
-				return nil, fmt.Errorf("machine: tail event src %d dst %d out of range", src, dst)
-			}
-			return m.allocTail(dst, src, msg).fn, nil
-		case machEvWatchdog:
-			if m.watchdogFn == nil {
-				return nil, fmt.Errorf("machine: watchdog event with no watchdog configured")
-			}
-			return m.watchdogFn, nil
-		case machEvCheck:
-			if m.checkFn == nil {
-				return nil, fmt.Errorf("machine: invariant-check event with no checker configured")
-			}
-			return m.checkFn, nil
-		}
-		return nil, fmt.Errorf("machine: unknown machine event kind %d", d.Kind)
+		return m.CheckEvent(d)
 	case sim.CompCPU:
-		if int(d.Unit) < 0 || int(d.Unit) >= len(m.cpus) {
-			return nil, fmt.Errorf("machine: cpu event for unit %d", d.Unit)
-		}
-		return m.cpus[d.Unit].RestoreEvent(d)
+		return m.cpus[d.Unit].CheckEvent(d)
 	case sim.CompCache:
-		if int(d.Unit) < 0 || int(d.Unit) >= len(m.caches) {
-			return nil, fmt.Errorf("machine: cache event for unit %d", d.Unit)
-		}
-		return m.caches[d.Unit].RestoreEvent(d)
+		return m.caches[d.Unit].CheckEvent(d)
 	case sim.CompModule:
-		if int(d.Unit) < 0 || int(d.Unit) >= len(m.modules) {
-			return nil, fmt.Errorf("machine: module event for unit %d", d.Unit)
-		}
-		return m.modules[d.Unit].RestoreEvent(d)
+		return m.modules[d.Unit].CheckEvent(d, m.cfg.Procs)
 	case sim.CompNet:
 		switch d.Unit {
 		case netUnitReq:
-			return m.reqNet.RestoreEvent(d, m.reqSpace)
+			return m.reqNet.CheckEvent(d, m.reqSpace)
 		case netUnitResp:
-			return m.respNet.RestoreEvent(d, m.respSpace)
+			return m.respNet.CheckEvent(d, m.respSpace)
 		}
 		return nil, fmt.Errorf("machine: network event for unit %d", d.Unit)
 	}
@@ -246,16 +277,10 @@ func (m *Machine) Restore(s *Snapshot) error {
 		m.mc.Load(s.Metrics)
 	}
 
-	// Rebuild the machine's own tagged tick callbacks before the engine
-	// resolves saved events against them.
-	if s.Started {
-		if m.cfg.StallCycles > 0 {
-			m.initWatchdog()
-			m.watchdog.Restore(s.WatchdogLast)
-		}
-		if m.cfg.CheckEvery > 0 {
-			m.initChecker()
-		}
+	// The watchdog before the engine: a saved tick is checked against it.
+	if s.Started && m.cfg.StallCycles > 0 {
+		m.armWatchdog()
+		m.watchdog.Restore(s.WatchdogLast)
 	}
 	m.started = s.Started
 

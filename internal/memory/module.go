@@ -72,10 +72,9 @@ type Stats struct {
 	QueuedCycles uint64 // total cycles requests waited in the input queue
 }
 
-// busyAction tells unbusy what to do when the current occupancy ends.
-// Encoding the post-busy work as data (rather than a captured closure)
-// keeps the steady-state directory pipeline allocation-free: the same
-// prebuilt unbusyFn is scheduled for every occupancy.
+// busyAction tells unbusy what to do when the current occupancy ends:
+// the post-busy work is data in the occupancy, so every occupancy ends
+// on the same plain unbusy event.
 type busyAction uint8
 
 const (
@@ -116,9 +115,8 @@ type Module struct {
 	// outq holds messages waiting for response-network buffer space.
 	outq ring[outMsg]
 
-	unbusyFn func() // prebuilt m.unbusy, scheduled by every setBusy
-	drainFn  func() // prebuilt m.drainOut, registered with whenSpace
-	headFree *headEvt
+	drainFn func()      // prebuilt m.drainOut, registered with whenSpace
+	handler sim.Handler // prebuilt m.fire, the one engine handler
 
 	stats Stats
 	mc    *metrics.Collector // nil: no metrics collection
@@ -137,55 +135,13 @@ type outMsg struct {
 	Msg Msg
 }
 
-// headEvt is a pooled one-shot event firing when the first word of a
-// line grant is ready to leave (lookup + initiation into a streaming
-// occupancy). A plain grant carries a nil entry; a transaction
-// completion additionally installs the entry's next stable state and
-// replays parked requests. Each record builds its callback once, so
-// the per-miss head event costs no allocation in steady state.
-type headEvt struct {
-	m    *Module
-	dst  int
-	msg  Msg
-	e    *entry // non-nil: completing a busy transaction
-	next dirState
-	link *headEvt
-	fn   func()
-}
-
-func (m *Module) allocHead(dst int, msg Msg, e *entry, next dirState) *headEvt {
-	h := m.headFree
-	if h == nil {
-		h = &headEvt{m: m}
-		h.fn = h.run
-	} else {
-		m.headFree = h.link
-	}
-	h.dst, h.msg, h.e, h.next = dst, msg, e, next
-	return h
-}
-
-func (h *headEvt) run() {
-	m, dst, msg, e, next := h.m, h.dst, h.msg, h.e, h.next
-	h.e = nil
-	h.link = m.headFree
-	m.headFree = h
-	if e != nil {
-		e.State = next
-	}
-	m.enqueueOut(dst, msg)
-	if e != nil {
-		m.replayPending(e)
-	}
-}
-
 // NewModule creates module id. send injects into the response network
 // (returning false when its entrance buffer is full); whenSpace
 // registers a one-shot callback for when space frees.
 func NewModule(eng *sim.Engine, id, lineSize int, send func(dst int, m Msg) bool, whenSpace func(fn func())) *Module {
 	m := &Module{eng: eng, id: id, send: send, whenSpace: whenSpace, dir: make(map[uint64]*entry)}
-	m.unbusyFn = m.unbusy
 	m.drainFn = m.drainOut
+	m.handler = m.fire
 	m.Reset(lineSize)
 	return m
 }
@@ -258,7 +214,7 @@ func (m *Module) setBusy(d sim.Cycle, act busyAction) {
 	m.occ.Busy = true
 	m.occ.Since = m.eng.Now()
 	m.occ.Act = act
-	m.eng.AfterEvent(d, m.unbusyFn, m.evdesc(modEvUnbusy))
+	m.eng.ScheduleAfter(d, m.handler, m.event(modEvUnbusy))
 }
 
 // unbusy ends the current occupancy, performs the deferred action, and
@@ -424,8 +380,7 @@ func (m *Module) processWriteBack(r request, e *entry) {
 // cycle per word while the line streams.
 func (m *Module) serveData(dst int, msg Msg) {
 	m.setBusy(sim.Cycle(LookupCycles+InitiateCycles+m.words), actNone)
-	h := m.allocHead(dst, msg, nil, uncached)
-	m.eng.AfterEvent(LookupCycles+InitiateCycles, h.fn, m.headDesc(h))
+	m.eng.ScheduleAfter(LookupCycles+InitiateCycles, m.handler, m.headEvent(dst, msg, false, uncached))
 }
 
 // completion handles FlushInv/FlushShare/InvAck for a busy entry.
@@ -471,10 +426,9 @@ func (m *Module) completion(src int, msg Msg) {
 // module idle (completions dispatch from the input queue), so the
 // occupancy starts immediately — setBusy fails loudly otherwise.
 func (m *Module) finishTx(e *entry, line uint64) {
-	h := m.allocHead(e.Requester, Msg{e.Grant, line}, e, e.NextState)
 	e.Tx = txNone
 	m.setBusy(sim.Cycle(LookupCycles+InitiateCycles+m.words), actNone)
-	m.eng.AfterEvent(sim.Cycle(LookupCycles+InitiateCycles), h.fn, m.headDesc(h))
+	m.eng.ScheduleAfter(LookupCycles+InitiateCycles, m.handler, m.headEvent(e.Requester, Msg{e.Grant, line}, true, e.NextState))
 }
 
 // replayPending re-injects requests parked behind a busy entry at the

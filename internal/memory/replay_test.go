@@ -16,13 +16,13 @@ const replyDelay = 6
 // filled in: every recall and invalidation the module sends is answered
 // replyDelay cycles later with the flush or acknowledgment a cache
 // would send, so transactions run to completion unattended. The
-// answers are tagged events (class CompCache, restored by
-// restoreAnswer), so the harness's engine can be saved mid-run.
+// answers are events of class CompCache with the harness's answer as
+// their handler, so the harness's engine can be saved mid-run.
 func newAnsweringHarness(lineSize int) *harness {
 	h := newHarness(lineSize)
 	h.onSend = func(dst int, m Msg) {
 		if d, ok := answerDesc(dst, m); ok {
-			h.eng.AfterEvent(replyDelay, h.restoreAnswer(d), d)
+			h.eng.ScheduleAfter(replyDelay, h.answer, d)
 		}
 	}
 	return h
@@ -44,8 +44,8 @@ func answerDesc(src int, m Msg) (sim.EventDesc, bool) {
 	return sim.EventDesc{Comp: sim.CompCache, Unit: int32(src), A: m.Line, B: uint64(kind)}, true
 }
 
-func (h *harness) restoreAnswer(d sim.EventDesc) func() {
-	return func() { h.mod.Receive(int(d.Unit), Msg{MsgKind(d.B), d.A}) }
+func (h *harness) answer(d *sim.EventDesc) {
+	h.mod.Receive(int(d.Unit), Msg{MsgKind(d.B), d.A})
 }
 
 const hotLine = 0x100
@@ -220,11 +220,11 @@ func saveLoadMidReplay(t *testing.T, head int) (wrapped bool) {
 	if again := r.mod.Save(); !reflect.DeepEqual(again, st) {
 		t.Fatalf("start slot %d: a loaded module saves to a different state:\n got %+v\nwant %+v", head, again, st)
 	}
-	err = r.eng.Load(es, func(d sim.EventDesc) (func(), error) {
+	err = r.eng.Load(es, func(d sim.EventDesc) (sim.Handler, error) {
 		if d.Comp == sim.CompCache {
-			return r.restoreAnswer(d), nil
+			return r.answer, nil
 		}
-		return r.mod.RestoreEvent(d)
+		return r.mod.CheckEvent(d, 256)
 	})
 	if err != nil {
 		t.Fatal(err)

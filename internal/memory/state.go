@@ -12,52 +12,78 @@ const (
 	// modEvUnbusy ends the current occupancy; the deferred action and
 	// its operands live in the module's occupancy.
 	modEvUnbusy uint8 = iota + 1
-	// modEvHead fires a line grant's head event. A = line, B = grant
-	// kind | hasEntry<<8 | nextState<<16, C = destination cache.
+	// modEvHead fires when the first word of a line grant is ready to
+	// leave (lookup + initiation into a streaming occupancy). A = line,
+	// B = grant kind | completes<<8 | nextState<<16, C = destination
+	// cache. A grant that completes a busy transaction also installs
+	// the entry's next stable state and replays its parked requests.
 	modEvHead
 )
 
-func (m *Module) evdesc(kind uint8) sim.EventDesc {
+func (m *Module) event(kind uint8) sim.EventDesc {
 	return sim.EventDesc{Comp: sim.CompModule, Kind: kind, Unit: int32(m.id)}
 }
 
-// headDesc serializes a pending head event.
-func (m *Module) headDesc(h *headEvt) sim.EventDesc {
-	d := m.evdesc(modEvHead)
-	d.A = h.msg.Line
-	d.B = uint64(h.msg.Kind) | uint64(h.next)<<16
-	if h.e != nil {
+func (m *Module) headEvent(dst int, msg Msg, completes bool, next dirState) sim.EventDesc {
+	d := m.event(modEvHead)
+	d.A = msg.Line
+	d.B = uint64(msg.Kind) | uint64(next)<<16
+	if completes {
 		d.B |= 1 << 8
 	}
-	d.C = uint64(h.dst)
+	d.C = uint64(dst)
 	return d
 }
 
-// restoreHead rebuilds a pooled head event from descriptor operands.
-func (m *Module) restoreHead(line uint64, kind MsgKind, hasEntry bool, next dirState, dst int) (*headEvt, error) {
-	var e *entry
-	if hasEntry {
-		e = m.dir[line]
-		if e == nil {
-			return nil, fmt.Errorf("memory: head event for line %#x with no directory entry", line)
-		}
-	}
-	return m.allocHead(dst, Msg{Kind: kind, Line: line}, e, next), nil
-}
-
-// RestoreEvent rebuilds the callback for a saved module event.
-func (m *Module) RestoreEvent(d sim.EventDesc) (func(), error) {
+// fire runs one of the module's due events.
+func (m *Module) fire(d *sim.EventDesc) {
 	switch d.Kind {
 	case modEvUnbusy:
-		return m.unbusyFn, nil
+		m.unbusy()
 	case modEvHead:
-		h, err := m.restoreHead(d.A, MsgKind(d.B&0xff), d.B>>8&1 != 0, dirState(d.B>>16&0xff), int(d.C))
-		if err != nil {
-			return nil, err
+		var e *entry
+		if d.B>>8&1 != 0 {
+			e = m.dir[d.A]
+			e.State = dirState(d.B >> 16 & 0xff)
 		}
-		return h.fn, nil
+		m.enqueueOut(int(d.C), Msg{MsgKind(d.B & 0xff), d.A})
+		if e != nil {
+			m.replayPending(e)
+		}
+	default:
+		panic(fmt.Sprintf("memory %d: event of unknown kind %d", m.id, d.Kind))
 	}
-	return nil, fmt.Errorf("memory: unknown event kind %d", d.Kind)
+}
+
+// CheckEvent says whether fire can run a saved event, in a machine of
+// the given number of caches, and returns the handler that will. The
+// module's directory and occupancy must have been restored already.
+func (m *Module) CheckEvent(d sim.EventDesc, caches int) (sim.Handler, error) {
+	switch d.Kind {
+	case modEvUnbusy:
+		if !m.occ.Busy {
+			return nil, fmt.Errorf("memory: end-of-occupancy event for an idle module")
+		}
+	case modEvHead:
+		kind, next := MsgKind(d.B&0xff), dirState(d.B>>16&0xff)
+		if kind != DataShared && kind != DataExclusive {
+			return nil, fmt.Errorf("memory: head event granting %v", kind)
+		}
+		if d.C >= uint64(caches) {
+			return nil, fmt.Errorf("memory: head event for cache %d of %d", d.C, caches)
+		}
+		if d.B>>8&1 != 0 {
+			if e := m.dir[d.A]; e == nil || e.State != busySt {
+				return nil, fmt.Errorf("memory: head event completing line %#x, which has no transaction in progress", d.A)
+			}
+			if next != sharedSt && next != dirtySt {
+				return nil, fmt.Errorf("memory: head event leaving line %#x in directory state %d", d.A, next)
+			}
+		}
+	default:
+		return nil, fmt.Errorf("memory: unknown event kind %d", d.Kind)
+	}
+	return m.handler, nil
 }
 
 // DrainFunc returns the module's output-drain retry callback. The

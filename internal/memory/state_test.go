@@ -17,9 +17,8 @@ func TestStateComplete(t *testing.T) {
 		"words":     "reset: from the configuration",
 		"send":      "kept: network attachment, wired at construction",
 		"whenSpace": "kept: network attachment, wired at construction",
-		"unbusyFn":  "kept: prebuilt callback",
 		"drainFn":   "kept: prebuilt callback",
-		"headFree":  "kept: free list; a pending head event rides in its engine descriptor",
+		"handler":   "kept: wiring, the one engine handler (fire)",
 		"mc":        "reset: detached. The machine saves the collector",
 	})
 }

@@ -59,66 +59,62 @@ type Stats struct {
 
 // port is one link resource: an output port of a switch (or the
 // entrance buffer serving a source). Service rate is one flit/cycle.
-// The queue is consumed from head (an index, not a reslice) so its
-// backing array is reused; freeFn is the prebuilt end-of-service
-// callback (closing over the port identity once at construction).
+// Its queue is a list through Network.held, the one store of queued
+// messages. The message in service is in no queue: it is the port's
+// pending advance event.
 type port struct {
-	queue  []*transit
-	head   int
-	busy   bool
-	freeFn func()
+	head, tail int32 // first and last queued message in Network.held; 0: none
+	qlen       int32
+	busy       bool
 }
 
-// qlen is the number of messages waiting in the port's queue.
-func (p *port) qlen() int { return len(p.queue) - p.head }
+// held is a message in a port's queue, in the form it has everywhere
+// between TrySend and delivery: the advance event that will carry it
+// on from this port. Nothing on the way decodes it.
+type held struct {
+	d      sim.EventDesc
+	queued sim.Cycle // when it joined the queue (for QueueDelay)
+	next   int32     // the message behind it, or the next free slot
+}
 
-// pop removes and returns the queue head.
-func (p *port) pop() *transit {
-	t := p.queue[p.head]
-	p.queue[p.head] = nil
-	p.head++
-	if p.head == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.head = 0
+// push queues the message d, which reached port p at cycle queued, at
+// the back or (WO2 bypass) ahead of everything queued. The slot comes
+// off the free list, and the store grows only when that is empty: its
+// size follows the most messages the network ever had waiting at once.
+func (n *Network) push(p *port, d *sim.EventDesc, queued sim.Cycle, front bool) {
+	i := n.free
+	if i != 0 {
+		n.free = n.held[i].next
+	} else {
+		if n.held == nil {
+			n.held = make([]held, 1, 4) // slot 0 reserved as "none"
+		}
+		n.held = append(n.held, held{})
+		i = int32(len(n.held) - 1)
 	}
-	return t
-}
-
-// reset idles the port and drops whatever it had queued.
-func (p *port) reset() {
-	clear(p.queue)
-	p.queue, p.head, p.busy = p.queue[:0], 0, false
-}
-
-// pushFront inserts ahead of everything queued (WO2 bypass).
-func (p *port) pushFront(t *transit) {
-	if p.head > 0 {
-		p.head--
-		p.queue[p.head] = t
-		return
+	n.held[i] = held{d: *d, queued: queued}
+	switch {
+	case p.qlen == 0:
+		p.head, p.tail = i, i
+	case front:
+		n.held[i].next = p.head
+		p.head = i
+	default:
+		n.held[p.tail].next = i
+		p.tail = i
 	}
-	p.queue = append(p.queue, nil)
-	copy(p.queue[1:], p.queue)
-	p.queue[0] = t
+	p.qlen++
 }
 
-// waiting is what a snapshot carries of a message queued at a port:
-// the message and when it joined the queue. The hop is implied by which
-// port holds it.
-type waiting struct {
-	Msg    Message
-	Queued sim.Cycle // when it joined the current queue (for QueueDelay)
-}
-
-// transit is a message in flight plus its progress bookkeeping.
-// Transits are pooled on the Network (free list through next) and
-// carry a prebuilt advance callback, so injecting and forwarding a
-// message allocates nothing in steady state.
-type transit struct {
-	waiting
-	hop       int      // next hop index to be serviced: 0=entrance, 1..n=stages
-	next      *transit // free-list link
-	advanceFn func()
+// pop removes and returns the head of p's queue.
+func (n *Network) pop(p *port) held {
+	i := p.head
+	w := n.held[i]
+	p.head = w.next
+	p.qlen--
+	n.held[i].next = n.free
+	n.free = i
+	return w
 }
 
 // Network is one Omega network instance.
@@ -132,9 +128,16 @@ type Network struct {
 	entrance []port   // one per source
 	links    [][]port // [stage][link index within padded ports]
 
+	held []held // queued messages, slot 0 reserved; ports link into it
+	free int32  // free-list head (0: empty)
+
 	deliver func(dst int, m Message)
-	onSpace []func() // per-source callback when entrance space frees
-	tfree   *transit // transit record free list
+	handler sim.Handler // prebuilt n.fire, the one engine handler
+	// onSpace holds each source's callback for when entrance space
+	// frees; when it does, the callback moves to spaceDue until the
+	// space event scheduled for it runs it.
+	onSpace  []func()
+	spaceDue []func()
 
 	faults   *robust.Injector // nil: no fault injection
 	inFlight int              // messages injected but not yet delivered
@@ -168,27 +171,11 @@ func New(eng *sim.Engine, ports, bufCap int, deliver func(dst int, m Message)) *
 		links:    make([][]port, stages),
 		deliver:  deliver,
 		onSpace:  make([]func(), ports),
+		spaceDue: make([]func(), ports),
 	}
+	n.handler = n.fire
 	for s := range n.links {
 		n.links[s] = make([]port, padded)
-	}
-	// Prebuild the end-of-service callbacks: entrance ports notify
-	// their blocked sender, switch links do not.
-	for i := range n.entrance {
-		p, src := &n.entrance[i], i
-		p.freeFn = func() {
-			p.busy = false
-			n.kick(p, src)
-		}
-	}
-	for s := range n.links {
-		for i := range n.links[s] {
-			p := &n.links[s][i]
-			p.freeFn = func() {
-				p.busy = false
-				n.kick(p, -1)
-			}
-		}
 	}
 	n.Reset(bufCap)
 	return n
@@ -203,42 +190,17 @@ func (n *Network) Reset(bufCap int) {
 		panic(fmt.Sprintf("network: buffer capacity must be >= 1, got %d", bufCap))
 	}
 	n.bufCap = bufCap
-	for i := range n.entrance {
-		n.entrance[i].reset()
-	}
+	clear(n.entrance)
 	for s := range n.links {
-		for i := range n.links[s] {
-			n.links[s][i].reset()
-		}
+		clear(n.links[s])
 	}
+	n.held, n.free = n.held[:min(len(n.held), 1)], 0
 	clear(n.onSpace)
+	clear(n.spaceDue)
 	n.faults = nil
 	n.inFlight = 0
 	n.stats = Stats{}
 	n.mc, n.netid = nil, 0
-}
-
-// allocTransit takes a pooled transit record for a fresh injection.
-func (n *Network) allocTransit(m Message) *transit {
-	t := n.tfree
-	if t == nil {
-		t = &transit{}
-		t.advanceFn = func() { n.advance(t) }
-	} else {
-		n.tfree = t.next
-	}
-	t.Msg = m
-	t.hop = 0
-	t.Queued = n.eng.Now()
-	t.next = nil
-	return t
-}
-
-// freeTransit recycles a delivered transit.
-func (n *Network) freeTransit(t *transit) {
-	t.Msg = Message{}
-	t.next = n.tfree
-	n.tfree = t
 }
 
 // Ports returns the number of endpoints.
@@ -274,7 +236,7 @@ type Occupancy struct {
 func (n *Network) Occupancy() Occupancy {
 	o := Occupancy{Entrance: make([]int, n.ports), InFlight: n.inFlight}
 	for i := range n.entrance {
-		o.Entrance[i] = n.entrance[i].qlen()
+		o.Entrance[i] = int(n.entrance[i].qlen)
 	}
 	return o
 }
@@ -316,47 +278,45 @@ func (n *Network) TrySend(m Message) bool {
 			Cycle: n.eng.Now(), Detail: fmt.Sprintf("message with %d flits", m.Flits)})
 	}
 	p := &n.entrance[m.Src]
-	if p.qlen() >= n.bufCap {
+	if int(p.qlen) >= n.bufCap {
 		n.stats.Retries++
 		n.mc.NetRetry(n.netid, m.Src, n.eng.Now())
 		return false
 	}
-	t := n.allocTransit(m)
-	if m.Bypass && p.qlen() > 0 {
-		n.stats.Bypasses++
-		n.stats.BypassedOver += uint64(p.qlen())
-		p.pushFront(t)
-	} else {
-		p.queue = append(p.queue, t)
-	}
 	n.stats.Flits += uint64(m.Flits)
 	n.inFlight++
-	n.kick(p, m.Src)
+	d := n.advanceEvent(m, 0)
+	switch {
+	case !p.busy:
+		n.serve(p, 0, m.Src, &d, n.eng.Now())
+	case m.Bypass && p.qlen > 0:
+		n.stats.Bypasses++
+		n.stats.BypassedOver += uint64(p.qlen)
+		n.push(p, &d, n.eng.Now(), true)
+	default:
+		n.push(p, &d, n.eng.Now(), false)
+	}
 	return true
 }
 
-// portAt resolves the port resource for a transit at a given hop.
-// Hop 0 is the entrance buffer; hop 1..stages are switch output links.
-func (n *Network) portAt(t *transit) *port {
-	if t.hop == 0 {
-		return &n.entrance[t.Msg.Src]
+// portAt resolves a port: hop 0 is the entrance buffer of source idx,
+// hop 1..stages the switch output link idx of stage hop-1.
+func (n *Network) portAt(hop, idx int) *port {
+	if hop == 0 {
+		return &n.entrance[idx]
 	}
-	stage := t.hop - 1
-	return &n.links[stage][n.linkAfter(t.Msg.Src, t.Msg.Dst, stage)]
+	return &n.links[hop-1][idx]
 }
 
-// kick starts service on a port if it is idle and has queued traffic.
-// entranceSrc >= 0 identifies entrance ports so that freeing a slot can
-// notify a blocked sender.
-func (n *Network) kick(p *port, entranceSrc int) {
-	if p.busy || p.qlen() == 0 {
-		return
-	}
-	t := p.pop()
+// serve starts service of the message d, which reached the port at
+// cycle queued, on the idle port p at (hop, idx). An idle port has
+// nothing queued (a port that frees takes its queue head at once), so a
+// message that finds the port idle is served without entering the
+// queue.
+func (n *Network) serve(p *port, hop, idx int, d *sim.EventDesc, queued sim.Cycle) {
 	p.busy = true
-	n.stats.QueueDelay += uint64(n.eng.Now() - t.Queued)
-	n.mc.NetWait(n.netid, n.eng.Now(), uint64(n.eng.Now()-t.Queued))
-	flits := sim.Cycle(t.Msg.Flits)
+	n.stats.QueueDelay += uint64(n.eng.Now() - queued)
+	n.mc.NetWait(n.netid, n.eng.Now(), uint64(n.eng.Now()-queued))
 
 	// Fault injection stretches this service: the head advances and
 	// the port frees `extra` cycles late. Because the stretch applies
@@ -369,34 +329,17 @@ func (n *Network) kick(p *port, entranceSrc int) {
 	}
 
 	// Head advances to the next hop one cycle after service starts.
-	n.eng.AfterEvent(1+extra, t.advanceFn, n.advanceDesc(t))
+	n.eng.ScheduleAfter(1+extra, n.handler, *d)
 	// The link is busy for the full message length.
-	n.eng.AfterEvent(flits+extra, p.freeFn, n.freeDesc(t))
-	if entranceSrc >= 0 {
-		// A slot freed the moment the head left the queue.
-		if fn := n.onSpace[entranceSrc]; fn != nil {
-			n.onSpace[entranceSrc] = nil
-			// Run after the pop so the retry sees the free slot.
-			d := n.desc(netEvSpace)
-			d.A = uint64(entranceSrc)
-			n.eng.AfterEvent(0, fn, d)
+	n.eng.ScheduleAfter(flits(d)+extra, n.handler, n.event(netEvFree, uint64(hop), uint64(idx)))
+	if hop == 0 {
+		// The head leaving the entrance buffer frees a slot: notify a
+		// blocked sender, in an event of its own so the retry runs
+		// after this one and sees the free slot.
+		if fn := n.onSpace[idx]; fn != nil {
+			n.onSpace[idx] = nil
+			n.spaceDue[idx] = fn
+			n.eng.ScheduleAfter(0, n.handler, n.event(netEvSpace, uint64(idx), 0))
 		}
 	}
-}
-
-// advance moves a transit's head to its next hop or delivers it.
-func (n *Network) advance(t *transit) {
-	t.hop++
-	if t.hop > n.stages {
-		n.stats.Messages++
-		n.inFlight--
-		dst, msg := t.Msg.Dst, t.Msg
-		n.freeTransit(t)
-		n.deliver(dst, msg)
-		return
-	}
-	t.Queued = n.eng.Now()
-	p := n.portAt(t)
-	p.queue = append(p.queue, t)
-	n.kick(p, -1)
 }

@@ -10,8 +10,9 @@ import (
 // Event kinds for network-owned engine events (sim.EventDesc.Kind).
 const (
 	// netEvAdvance fires when an in-service message's head moves to
-	// its next hop. The descriptor carries the full transit: A = line
-	// address, B = payload kind | bypass<<8 | hop<<16, C = src |
+	// its next hop. The message is in no port queue while in service,
+	// so the descriptor carries it whole: A = line address, B = payload
+	// kind | bypass<<8 | hop<<16 (the hop it is serviced at), C = src |
 	// dst<<16 | flits<<32.
 	netEvAdvance uint8 = iota + 1
 	// netEvFree fires when a port finishes servicing a message.
@@ -28,83 +29,108 @@ const (
 // network 1). Networks that are never snapshotted may leave it 0.
 func (n *Network) SetUnit(u int32) { n.unit = u }
 
-func (n *Network) desc(kind uint8) sim.EventDesc {
-	return sim.EventDesc{Comp: sim.CompNet, Kind: kind, Unit: n.unit}
+func (n *Network) event(kind uint8, a, b uint64) sim.EventDesc {
+	return sim.EventDesc{Comp: sim.CompNet, Kind: kind, Unit: n.unit, A: a, B: b}
 }
 
-// advanceDesc serializes an in-service transit into its event
-// descriptor. An in-service transit is referenced only by its pending
-// advance event (it is in no port queue), so the descriptor must carry
-// everything needed to rebuild it.
-func (n *Network) advanceDesc(t *transit) sim.EventDesc {
-	d := n.desc(netEvAdvance)
-	d.A = t.Msg.Payload.Line
-	d.B = uint64(t.Msg.Payload.Kind) | uint64(t.hop)<<16
-	if t.Msg.Bypass {
+func (n *Network) advanceEvent(m Message, hop int) sim.EventDesc {
+	d := n.event(netEvAdvance, m.Payload.Line, uint64(m.Payload.Kind)|uint64(hop)<<16)
+	if m.Bypass {
 		d.B |= 1 << 8
 	}
-	d.C = uint64(t.Msg.Src) | uint64(t.Msg.Dst)<<16 | uint64(t.Msg.Flits)<<32
+	d.C = uint64(m.Src) | uint64(m.Dst)<<16 | uint64(m.Flits)<<32
 	return d
 }
 
-// freeDesc identifies the port servicing transit t.
-func (n *Network) freeDesc(t *transit) sim.EventDesc {
-	d := n.desc(netEvFree)
-	if t.hop == 0 {
-		d.B = uint64(t.Msg.Src)
-		return d
+// The fields of an advance event: the hop the message is serviced at,
+// its route, its length, and the message whole.
+func hopOf(d *sim.EventDesc) int            { return int(d.B >> 16 & 0xffff) }
+func route(d *sim.EventDesc) (src, dst int) { return int(d.C & 0xffff), int(d.C >> 16 & 0xffff) }
+func flits(d *sim.EventDesc) sim.Cycle      { return d.C >> 32 }
+
+func message(d *sim.EventDesc) Message {
+	src, dst := route(d)
+	return Message{
+		Src: src, Dst: dst, Flits: int(flits(d)), Bypass: d.B>>8&1 != 0,
+		Payload: memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A},
 	}
-	stage := t.hop - 1
-	d.A = uint64(t.hop)
-	d.B = uint64(n.linkAfter(t.Msg.Src, t.Msg.Dst, stage))
-	return d
 }
 
-// RestoreEvent rebuilds the callback for a saved network event. space
-// resolves a source endpoint to its sender's entrance-space retry
-// callback (the machine maps endpoints to cache or module drain
-// functions).
-func (n *Network) RestoreEvent(d sim.EventDesc, space func(src int) func()) (func(), error) {
+// fire runs one of the network's due events.
+func (n *Network) fire(d *sim.EventDesc) {
 	switch d.Kind {
 	case netEvAdvance:
-		src := int(d.C & 0xffff)
-		dst := int(d.C >> 16 & 0xffff)
-		flits := int(d.C >> 32)
-		hop := int(d.B >> 16 & 0xffff)
-		if src < 0 || src >= n.ports || dst < 0 || dst >= n.ports || hop < 0 || hop > n.stages {
-			return nil, fmt.Errorf("network: advance event out of range (src %d dst %d hop %d)", src, dst, hop)
+		// The head moves to its next hop, or is delivered. The same
+		// descriptor, one hop on, is its advance event there.
+		hop := hopOf(d) + 1
+		if hop > n.stages {
+			n.stats.Messages++
+			n.inFlight--
+			m := message(d)
+			n.deliver(m.Dst, m)
+			return
 		}
-		t := n.allocTransit(Message{
-			Src: src, Dst: dst, Flits: flits, Bypass: d.B>>8&1 != 0,
-			Payload: memory.Msg{Kind: memory.MsgKind(d.B & 0xff), Line: d.A},
-		})
-		t.hop = hop
-		return t.advanceFn, nil
+		d.B += 1 << 16
+		src, dst := route(d)
+		idx := n.linkAfter(src, dst, hop-1)
+		if p := n.portAt(hop, idx); p.busy {
+			n.push(p, d, n.eng.Now(), false)
+		} else {
+			n.serve(p, hop, idx, d, n.eng.Now())
+		}
 	case netEvFree:
-		if d.A == 0 {
-			src := int(d.B)
-			if src < 0 || src >= n.ports {
-				return nil, fmt.Errorf("network: free event for entrance %d of %d", src, n.ports)
-			}
-			return n.entrance[src].freeFn, nil
+		hop, idx := int(d.A), int(d.B)
+		p := n.portAt(hop, idx)
+		p.busy = false
+		if p.qlen > 0 {
+			w := n.pop(p)
+			n.serve(p, hop, idx, &w.d, w.queued)
 		}
-		stage := int(d.A) - 1
-		if stage >= n.stages || int(d.B) >= n.padded {
-			return nil, fmt.Errorf("network: free event for link %d.%d outside %d stages of %d", stage, d.B, n.stages, n.padded)
-		}
-		return n.links[stage][d.B].freeFn, nil
 	case netEvSpace:
-		src := int(d.A)
-		if src < 0 || src >= n.ports {
-			return nil, fmt.Errorf("network: space event for source %d of %d", src, n.ports)
-		}
-		fn := space(src)
-		if fn == nil {
-			return nil, fmt.Errorf("network: no space callback resolved for source %d", src)
-		}
-		return fn, nil
+		fn := n.spaceDue[d.A]
+		n.spaceDue[d.A] = nil
+		fn()
+	default:
+		panic(fmt.Sprintf("network %d: event of unknown kind %d", n.unit, d.Kind))
 	}
-	return nil, fmt.Errorf("network: unknown event kind %d", d.Kind)
+}
+
+// CheckEvent says whether fire can run a saved event and returns the
+// handler that will. The network's ports must have been restored
+// already. A space event carries a callback, which is not data: space
+// resolves its source endpoint to the sender's entrance-space retry
+// (the machine maps endpoints to cache or module drain functions), and
+// CheckEvent puts it back where the event will look for it.
+func (n *Network) CheckEvent(d sim.EventDesc, space func(src int) func()) (sim.Handler, error) {
+	switch d.Kind {
+	case netEvAdvance:
+		m, hop := message(&d), hopOf(&d)
+		if m.Src >= n.ports || m.Dst >= n.ports || hop > n.stages {
+			return nil, fmt.Errorf("network: advance event out of range (src %d dst %d hop %d)", m.Src, m.Dst, hop)
+		}
+		if m.Flits < 1 {
+			return nil, fmt.Errorf("network: advance event for a message of %d flits", m.Flits)
+		}
+	case netEvFree:
+		if d.A > uint64(n.stages) || (d.A == 0 && d.B >= uint64(n.ports)) || d.B >= uint64(n.padded) {
+			return nil, fmt.Errorf("network: free event for port %d.%d outside %d ports and %d stages of %d links", d.A, d.B, n.ports, n.stages, n.padded)
+		}
+		if !n.portAt(int(d.A), int(d.B)).busy {
+			return nil, fmt.Errorf("network: free event for port %d.%d, which services nothing", d.A, d.B)
+		}
+	case netEvSpace:
+		if d.A >= uint64(n.ports) {
+			return nil, fmt.Errorf("network: space event for source %d of %d", d.A, n.ports)
+		}
+		fn := space(int(d.A))
+		if fn == nil || n.spaceDue[d.A] != nil {
+			return nil, fmt.Errorf("network: space event for source %d: no callback resolved, or a second event", d.A)
+		}
+		n.spaceDue[d.A] = fn
+	default:
+		return nil, fmt.Errorf("network: unknown event kind %d", d.Kind)
+	}
+	return n.handler, nil
 }
 
 // PortState is one link resource's snapshot: its busy flag and waiting
@@ -113,6 +139,13 @@ func (n *Network) RestoreEvent(d sim.EventDesc, space func(src int) func()) (fun
 type PortState struct {
 	Busy  bool
 	Queue []waiting
+}
+
+// waiting is what a snapshot says of a queued message: the message and
+// when it joined the queue. The hop is implied by which port holds it.
+type waiting struct {
+	Msg    Message
+	Queued sim.Cycle
 }
 
 // NetState is the complete serializable state of a Network.
@@ -124,10 +157,10 @@ type NetState struct {
 	Stats    Stats
 }
 
-func savePort(p *port) PortState {
+func (n *Network) savePort(p *port) PortState {
 	st := PortState{Busy: p.busy}
-	for _, t := range p.queue[p.head:] {
-		st.Queue = append(st.Queue, t.waiting)
+	for i, k := p.head, p.qlen; k > 0; i, k = n.held[i].next, k-1 {
+		st.Queue = append(st.Queue, waiting{message(&n.held[i].d), n.held[i].queued})
 	}
 	return st
 }
@@ -142,27 +175,24 @@ func (n *Network) Save() NetState {
 		Stats:    n.stats,
 	}
 	for i := range n.entrance {
-		st.Entrance[i] = savePort(&n.entrance[i])
+		st.Entrance[i] = n.savePort(&n.entrance[i])
 		st.OnSpace[i] = n.onSpace[i] != nil
 	}
 	for s := range n.links {
 		st.Links[s] = make([]PortState, n.padded)
 		for i := range n.links[s] {
-			st.Links[s][i] = savePort(&n.links[s][i])
+			st.Links[s][i] = n.savePort(&n.links[s][i])
 		}
 	}
 	return st
 }
 
-// loadPort rebuilds one port's queue; hop is the hop index transits in
-// this queue are waiting for.
+// loadPort restores the port at hop.
 func (n *Network) loadPort(p *port, st PortState, hop int) {
 	p.busy = st.Busy
 	for _, w := range st.Queue {
-		t := n.allocTransit(w.Msg)
-		t.waiting = w
-		t.hop = hop
-		p.queue = append(p.queue, t)
+		d := n.advanceEvent(w.Msg, hop)
+		n.push(p, &d, w.Queued, false)
 	}
 }
 

@@ -11,25 +11,24 @@ import (
 // it; a field added without deciding fails here.
 func TestStateComplete(t *testing.T) {
 	statecheck.Resettable(t, Network{}, NetState{}, map[string]string{
-		"eng":     "kept: engine pointer",
-		"ports":   "kept: topology",
-		"padded":  "kept: topology",
-		"stages":  "kept: topology",
-		"bufCap":  "reset: from the configuration",
-		"deliver": "kept: machine callback, wired at construction",
-		"tfree":   "kept: free list",
-		"faults":  "reset: detached, the machine attaches its injector again. The machine saves the injector",
-		"unit":    "kept: construction constant",
-		"mc":      "reset: detached. The machine saves the collector",
-		"netid":   "reset: with mc",
+		"eng":      "kept: engine pointer",
+		"ports":    "kept: topology",
+		"padded":   "kept: topology",
+		"stages":   "kept: topology",
+		"bufCap":   "reset: from the configuration",
+		"deliver":  "kept: machine callback, wired at construction",
+		"handler":  "kept: wiring, the one engine handler (fire)",
+		"held":     "reset: emptied, capacity kept. Saved port by port, as each PortState.Queue",
+		"free":     "reset: to 0, slots are dealt from 1 again",
+		"spaceDue": "reset: cleared. A pending space event names its source; CheckEvent puts the sender's callback back",
+		"faults":   "reset: detached, the machine attaches its injector again. The machine saves the injector",
+		"unit":     "kept: construction constant",
+		"mc":       "reset: detached. The machine saves the collector",
+		"netid":    "reset: with mc",
 	})
 	statecheck.Resettable(t, port{}, PortState{}, map[string]string{
-		"head":   "reset: to 0. Save writes queue from here; a loaded queue starts at 0",
-		"freeFn": "kept: prebuilt callback",
-	})
-	statecheck.Resettable(t, transit{}, waiting{}, map[string]string{
-		"hop":       "reset: set by allocTransit. Implied by the port that queues it, or carried by its advance event",
-		"next":      "kept: free-list link",
-		"advanceFn": "kept: prebuilt callback",
+		"head": "reset: empty. The queue is saved by walking it (PortState.Queue)",
+		"tail": "reset: empty, with head",
+		"qlen": "reset: empty, with head",
 	})
 }

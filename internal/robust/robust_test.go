@@ -45,6 +45,19 @@ func TestRaiseUnwindsAsTypedError(t *testing.T) {
 	Raisef("cache", 2, 10, "RecallInv", 0x40, "boom %d", 1)
 }
 
+// tick arms w and drives Check once per window from a scheduled event
+// that schedules itself again while Check says so, as the machine does.
+func tick(eng *sim.Engine, w *Watchdog) {
+	w.Arm()
+	var h sim.Handler
+	h = func(d *sim.EventDesc) {
+		if w.Check() {
+			eng.ScheduleAfter(w.Window, h, *d)
+		}
+	}
+	eng.ScheduleAfter(w.Window, h, sim.EventDesc{Comp: sim.CompMachine})
+}
+
 func TestWatchdogFiresOnlyWithoutProgress(t *testing.T) {
 	var eng sim.Engine
 	progress := uint64(0)
@@ -54,18 +67,23 @@ func TestWatchdogFiresOnlyWithoutProgress(t *testing.T) {
 		Progress: func() uint64 { return progress },
 		OnStall:  func(window sim.Cycle, p uint64) { stalls++ },
 	}
-	w.Start(&eng)
-	// Keep making progress for 5 windows, then stop.
-	eng.Every(10, func() bool {
+	// Make progress in each of 5 windows (ahead of the window's tick),
+	// then stop.
+	var work func()
+	work = func() {
 		if eng.Now() <= 50 {
 			progress++
-			return true
+			eng.After(10, work)
 		}
-		return false
-	})
+	}
+	eng.After(10, work)
+	tick(&eng, w)
 	eng.Run(nil)
 	if stalls != 1 {
 		t.Errorf("watchdog fired %d times, want exactly 1 (after progress stopped)", stalls)
+	}
+	if progress != 5 || eng.Now() != 60 {
+		t.Errorf("progress %d, last tick at cycle %d: want the stall in the first silent window (5, cycle 60) and no tick after it", progress, eng.Now())
 	}
 }
 
@@ -78,10 +96,13 @@ func TestWatchdogStopsWhenDone(t *testing.T) {
 		Done:     func() bool { return true },
 		OnStall:  func(sim.Cycle, uint64) { stalls++ },
 	}
-	w.Start(&eng)
+	tick(&eng, w)
 	eng.Run(nil)
 	if stalls != 0 {
 		t.Errorf("watchdog fired %d times on a finished run", stalls)
+	}
+	if eng.Steps() != 1 {
+		t.Errorf("%d ticks on a finished run, want the one that saw it done", eng.Steps())
 	}
 }
 

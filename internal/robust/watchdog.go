@@ -8,8 +8,9 @@ import "memsim/internal/sim"
 // change. Done short-circuits the check and stops the watchdog once
 // the run has finished, so residual ticks never fire after completion.
 //
-// The watchdog schedules one engine event per window; it reads state
-// only and therefore never perturbs simulated timing.
+// The watchdog schedules nothing itself: its owner calls Check once per
+// window (the machine from a tick event a snapshot can save). It reads
+// state only and therefore never perturbs simulated timing.
 type Watchdog struct {
 	Window   sim.Cycle
 	Progress func() uint64 // monotone forward-progress counter
@@ -20,9 +21,7 @@ type Watchdog struct {
 	armed bool
 }
 
-// Arm initializes the progress baseline without scheduling anything;
-// the owner drives Check on its own cadence (the machine schedules its
-// ticks as serializable tagged events). It panics (a configuration
+// Arm initializes the progress baseline. It panics (a configuration
 // bug, not a simulated failure) if the window or callbacks are unset.
 func (w *Watchdog) Arm() {
 	if w.Window == 0 || w.Progress == nil || w.OnStall == nil {
@@ -55,18 +54,5 @@ func (w *Watchdog) Check() bool {
 // snapshots.
 func (w *Watchdog) Last() uint64 { return w.last }
 
-// Restore re-arms the watchdog mid-window with a saved baseline.
-func (w *Watchdog) Restore(last uint64) {
-	if !w.armed {
-		w.Arm()
-	}
-	w.last = last
-}
-
-// Start arms the watchdog and schedules its ticks on the engine. Runs
-// driven through the machine's snapshotting path use Arm/Check instead
-// so the ticks are serializable.
-func (w *Watchdog) Start(eng *sim.Engine) {
-	w.Arm()
-	eng.Every(w.Window, w.Check)
-}
+// Restore puts an armed watchdog back mid-window, at a saved baseline.
+func (w *Watchdog) Restore(last uint64) { w.last = last }

@@ -2,8 +2,11 @@
 // of the simulator share: a monotonically advancing cycle counter and a
 // priority queue of callbacks scheduled at future cycles.
 //
-// The engine is deliberately minimal. Components schedule closures with
-// At/After; the machine drains the queue in (cycle, insertion-order)
+// The engine is deliberately minimal. A simulator component schedules an
+// event as data: Schedule takes a descriptor and the owning component's
+// one handler, which the engine calls with the descriptor when the
+// event is due. Tests and throwaway drivers schedule closures with
+// At/After. The machine drains the queue in (cycle, insertion-order)
 // order, which makes every simulation deterministic and therefore
 // reproducible in tests.
 //
@@ -11,7 +14,7 @@
 // power-of-two ring of per-cycle FIFO buckets covers the near horizon
 // [Now, Now+horizon), a two-level bitmap finds the next occupied
 // bucket in O(1), and a small typed min-heap holds the rare far-future
-// events (watchdog and Every ticks) until the window slides over them.
+// events (watchdog and checker ticks) until the window slides over them.
 // Event records are typed nodes recycled through a free list, so the
 // steady-state schedule/execute cycle performs zero heap allocations —
 // no interface{} boxing, no per-event container churn. The execution
@@ -40,11 +43,22 @@ const (
 	bmWords = horizon / 64
 )
 
-// node is one scheduled callback, linked into a bucket FIFO or parked
-// on the free list. Nodes are addressed by 1-based int32 handles into
-// Engine.nodes; handle 0 means "none", which keeps the zero-valued
-// Engine ready to use.
+// Handler runs a component's due events. A component has one: it
+// switches on the descriptor's Kind and finds what the event is about
+// (an MSHR, a port, a directory entry) from A/B/C. The descriptor is
+// the engine's copy, the handler's to read and change until it returns;
+// it comes by pointer because by value costs 5 ns an event (DESIGN.md
+// §9).
+type Handler func(*EventDesc)
+
+// node is one scheduled event, linked into a bucket FIFO or parked on
+// the free list: a descriptor and its owner's handler (which rides
+// here because finding it again from (Comp, Unit) costs as much), or a
+// plain At/After callback fn. A free node has neither. Nodes are
+// addressed by 1-based int32 handles into Engine.nodes; handle 0 means
+// "none", which keeps the zero-valued Engine ready to use.
 type node struct {
+	h    Handler
 	fn   func()
 	at   Cycle
 	seq  uint64 // tie-breaker: insertion order within a cycle
@@ -64,7 +78,8 @@ type Engine struct {
 	now   Cycle
 	seq   uint64
 	steps uint64
-	count int // pending events across ring and overflow
+	count int       // pending events across ring and overflow
+	cur   EventDesc // the event being run, as its handler sees it
 
 	nodes []node // handle-addressed node pool; slot 0 reserved
 	free  int32  // free-list head (0: empty)
@@ -85,7 +100,7 @@ type Engine struct {
 // the busiest run grew them to. Handles are dealt from slot 1 again, so
 // a reset engine schedules exactly as a new one does.
 func (e *Engine) Reset() {
-	clear(e.nodes) // dropped callbacks must not outlive the run
+	clear(e.nodes) // dropped handlers and callbacks must not outlive the run
 	*e = Engine{nodes: e.nodes[:min(len(e.nodes), 1)], overflow: e.overflow[:0]}
 }
 
@@ -96,12 +111,28 @@ func (e *Engine) Now() Cycle { return e.now }
 // progress/abort metric in tests).
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// alloc takes a node from the free list, growing the pool only when it
-// is exhausted (steady state allocates nothing). The pool starts small
+// release returns a node to the free list. Its caller has dropped the
+// node's handler or callback, so the garbage collector can reclaim
+// whatever a closure captured.
+func (e *Engine) release(h int32) {
+	e.nodes[h].next = e.free
+	e.free = h
+}
+
+// add queues a node for cycle at under the next sequence number — in
+// that cycle's bucket when it is inside the ring window, on the
+// overflow heap otherwise — and returns it for the caller to say what
+// runs. The node comes off the free list, and the pool grows only when
+// that is empty (steady state allocates nothing). The pool starts small
 // and append doubles it, so its size follows the most events the run
 // ever had pending: a two-processor machine that lives a few hundred
 // events pays for a dozen nodes, not for a big machine's thousands.
-func (e *Engine) alloc(at Cycle, fn func()) int32 {
+// Scheduling in the past (before Now) panics: it would silently reorder
+// causality.
+func (e *Engine) add(at Cycle) *node {
+	if at < e.now {
+		panic("sim: scheduling event in the past")
+	}
 	h := e.free
 	if h != 0 {
 		e.free = e.nodes[h].next
@@ -112,19 +143,16 @@ func (e *Engine) alloc(at Cycle, fn func()) int32 {
 		e.nodes = append(e.nodes, node{})
 		h = int32(len(e.nodes) - 1)
 	}
+	e.seq++
+	e.count++
 	n := &e.nodes[h]
-	n.at, n.seq, n.fn, n.next = at, e.seq, fn, 0
-	n.desc = EventDesc{}
-	return h
-}
-
-// release returns a node to the free list, dropping its callback so
-// the garbage collector can reclaim whatever the closure captured.
-func (e *Engine) release(h int32) {
-	n := &e.nodes[h]
-	n.fn = nil
-	n.next = e.free
-	e.free = h
+	n.at, n.seq, n.next = at, e.seq, 0
+	if at-e.now < horizon {
+		e.ringPush(h, at)
+	} else {
+		e.heapPush(h)
+	}
+	return n
 }
 
 // ringPush appends a node to the bucket for cycle at (which must be
@@ -207,42 +235,31 @@ func (e *Engine) migrate() {
 	}
 }
 
-// At schedules fn to run at the given cycle. Scheduling in the past
-// (before Now) panics: it would silently reorder causality.
+// Schedule queues the event d for cycle at: the engine calls h with it
+// when it is due. Everything the handler needs must be in d or reachable
+// from it, because d is all a snapshot saves of the event; Load hands
+// it back to the same handler.
+func (e *Engine) Schedule(at Cycle, h Handler, d EventDesc) {
+	n := e.add(at)
+	n.h, n.desc = h, d
+}
+
+// ScheduleAfter queues the event d for delay cycles from now.
+func (e *Engine) ScheduleAfter(delay Cycle, h Handler, d EventDesc) {
+	e.Schedule(e.now+delay, h, d)
+}
+
+// At schedules the closure fn to run at the given cycle. Such an event
+// is only its closure, which a snapshot cannot carry: Save refuses an
+// engine that holds one. Tests and throwaway drivers whose engines are
+// never saved use it; simulator components use Schedule.
 func (e *Engine) At(at Cycle, fn func()) {
-	if at < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	e.seq++
-	h := e.alloc(at, fn)
-	e.count++
-	if at-e.now < horizon {
-		e.ringPush(h, at)
-	} else {
-		e.heapPush(h)
-	}
+	e.add(at).fn = fn
 }
 
 // After schedules fn to run delay cycles from now.
 func (e *Engine) After(delay Cycle, fn func()) {
 	e.At(e.now+delay, fn)
-}
-
-// Every schedules fn to run every interval cycles, starting interval
-// cycles from now, for as long as fn returns true. Periodic observers
-// (watchdogs, invariant checkers) use it; a zero interval panics
-// because it would wedge the queue at the current cycle.
-func (e *Engine) Every(interval Cycle, fn func() bool) {
-	if interval == 0 {
-		panic("sim: Every with zero interval")
-	}
-	var tick func()
-	tick = func() {
-		if fn() {
-			e.After(interval, tick)
-		}
-	}
-	e.After(interval, tick)
 }
 
 // Pending reports whether any events remain in the queue.
@@ -318,11 +335,19 @@ func (e *Engine) Step() bool {
 			e.summary &^= 1 << w
 		}
 	}
-	fn := n.fn
 	e.count--
 	e.steps++
-	e.release(h)
-	fn()
+	if fn := n.fn; fn != nil {
+		n.fn = nil
+		e.release(h)
+		fn()
+	} else {
+		handler := n.h
+		n.h = nil
+		e.cur = n.desc
+		e.release(h)
+		handler(&e.cur)
+	}
 	return true
 }
 

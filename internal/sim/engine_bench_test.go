@@ -54,13 +54,15 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // TestZeroAllocSteadyState pins the tentpole guarantee: once the node
-// pool is warm, a schedule+execute round trip (After followed by the
-// Step that runs it) performs zero heap allocations — for near-horizon
-// delays, same-cycle events, and far-future delays that transit the
-// overflow heap alike.
+// pool is warm, a schedule+execute round trip (After or ScheduleAfter
+// followed by the Step that runs it) performs zero heap allocations —
+// for near-horizon delays, same-cycle events, and far-future delays
+// that transit the overflow heap alike.
 func TestZeroAllocSteadyState(t *testing.T) {
 	var e Engine
 	fn := func() {}
+	var sum uint64
+	h := Handler(func(d *EventDesc) { sum += d.A })
 	// Warm the pool and the overflow heap's backing array.
 	for i := 0; i < 64; i++ {
 		e.After(Cycle(i%5)*2000, fn)
@@ -76,6 +78,14 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("delay %d: After+Step allocates %v times per op, want 0", d, avg)
+		}
+		avg = testing.AllocsPerRun(200, func() {
+			e.ScheduleAfter(d, h, EventDesc{Comp: CompCache, Kind: 2, Unit: 3, A: uint64(d)})
+			for e.Step() {
+			}
+		})
+		if avg != 0 {
+			t.Errorf("delay %d: ScheduleAfter+Step allocates %v times per op, want 0", d, avg)
 		}
 	}
 }

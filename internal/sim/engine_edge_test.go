@@ -10,6 +10,19 @@ import (
 // scheduling from inside handlers, the RunLimit boundary, and queue
 // introspection after a drain.
 
+// every runs fn each interval cycles for as long as it returns true: a
+// watchdog's or checker's tick, one handler that schedules its own
+// descriptor again.
+func every(e *Engine, interval Cycle, fn func() bool) {
+	var tick Handler
+	tick = func(d *EventDesc) {
+		if fn() {
+			e.ScheduleAfter(interval, tick, *d)
+		}
+	}
+	e.ScheduleAfter(interval, tick, EventDesc{Comp: CompMachine})
+}
+
 func TestEdgeCases(t *testing.T) {
 	tests := []struct {
 		name string
@@ -27,26 +40,27 @@ func TestEdgeCases(t *testing.T) {
 	}
 }
 
-// testEveryReentrancy checks that an Every callback may itself
-// schedule events — including another Every — and that the combined
-// tick streams interleave in deterministic (cycle, insertion) order.
+// testEveryReentrancy checks that a periodic handler may itself
+// schedule events — including another periodic stream — and that the
+// combined tick streams interleave in deterministic (cycle, insertion)
+// order.
 func testEveryReentrancy(t *testing.T) {
 	var e Engine
 	var got []string
 	outer := 0
-	e.Every(10, func() bool {
+	every(&e, 10, func() bool {
 		outer++
 		got = append(got, fmt.Sprintf("outer@%d", e.Now()))
 		if outer == 1 {
 			// Re-entrant: start a second periodic stream from inside the
 			// first one's callback.
-			e.Every(10, func() bool {
+			every(&e, 10, func() bool {
 				got = append(got, fmt.Sprintf("inner@%d", e.Now()))
 				return e.Now() < 40
 			})
 			// And a one-shot at the exact cycle of future ticks: the
-			// inner Every's first tick was inserted just before it, and
-			// the outer Every re-arms only after this callback returns,
+			// inner stream's first tick was inserted just before it, and
+			// the outer stream re-arms only after this callback returns,
 			// so cycle 20 must run inner, shot, outer in that order.
 			e.At(20, func() { got = append(got, fmt.Sprintf("shot@%d", e.Now())) })
 		}
@@ -158,7 +172,7 @@ func testCrossHorizonDelay(t *testing.T) {
 		// cycle; it was inserted later so it must run second.
 		e.After(99_999, func() { got = append(got, fmt.Sprintf("tie@%d", e.Now())) })
 	})
-	e.Every(30_000, func() bool {
+	every(&e, 30_000, func() bool {
 		got = append(got, fmt.Sprintf("tick@%d", e.Now()))
 		return e.Now() < 90_000
 	})

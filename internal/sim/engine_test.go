@@ -165,32 +165,3 @@ func TestQuickOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEveryTicksUntilFalse(t *testing.T) {
-	var e Engine
-	var at []Cycle
-	e.Every(7, func() bool {
-		at = append(at, e.Now())
-		return len(at) < 3
-	})
-	e.Run(nil)
-	want := []Cycle{7, 14, 21}
-	if len(at) != len(want) {
-		t.Fatalf("ticked at %v, want %v", at, want)
-	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("ticked at %v, want %v", at, want)
-		}
-	}
-}
-
-func TestEveryZeroIntervalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero interval accepted")
-		}
-	}()
-	var e Engine
-	e.Every(0, func() bool { return false })
-}

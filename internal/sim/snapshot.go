@@ -7,9 +7,8 @@ import (
 
 // Component classes for event descriptors. The machine layer assigns
 // one class per component type; Unit distinguishes instances. CompNone
-// marks an event scheduled through plain At/After — such events cannot
-// be serialized, and Save reports them so implicit state is flushed out
-// instead of silently dropped.
+// is the zero value, which no component uses: a descriptor that was
+// never filled in resolves to no owner.
 const (
 	CompNone uint8 = iota
 	CompMachine
@@ -19,11 +18,10 @@ const (
 	CompNet
 )
 
-// EventDesc describes a scheduled callback as plain data so a pending
-// event can be written to a snapshot and rebuilt on restore. Comp/Unit
-// identify the owning component; Kind and A/B/C are interpreted by that
-// component's RestoreEvent method. The descriptor must carry everything
-// the owner needs to rebuild the exact closure it scheduled.
+// EventDesc is a scheduled event, as plain data: what the engine hands
+// the owner's handler when the event is due and all a snapshot saves of
+// it. Comp/Unit identify the owning component; Kind and A/B/C are the
+// owner's to interpret.
 type EventDesc struct {
 	Comp uint8
 	Kind uint8
@@ -35,7 +33,7 @@ type EventDesc struct {
 
 // EventState is one pending event in a snapshot: its firing cycle, its
 // insertion sequence number (the tie-breaker that fixes execution order
-// within a cycle), and the descriptor to rebuild its callback from.
+// within a cycle), and its descriptor.
 type EventState struct {
 	At   Cycle
 	Seq  uint64
@@ -52,58 +50,24 @@ type EngineState struct {
 	Events []EventState
 }
 
-// AtEvent schedules fn like At and tags the event with a descriptor so
-// it can be serialized by Save. All simulator components schedule
-// through AtEvent/AfterEvent; plain At remains for tests and throwaway
-// drivers whose engines are never snapshotted.
-func (e *Engine) AtEvent(at Cycle, fn func(), d EventDesc) {
-	if at < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	e.seq++
-	h := e.alloc(at, fn)
-	e.nodes[h].desc = d
-	e.count++
-	if at-e.now < horizon {
-		e.ringPush(h, at)
-	} else {
-		e.heapPush(h)
-	}
-}
-
-// AfterEvent schedules fn to run delay cycles from now, tagged with a
-// descriptor (see AtEvent).
-func (e *Engine) AfterEvent(delay Cycle, fn func(), d EventDesc) {
-	e.AtEvent(e.now+delay, fn, d)
-}
-
 // Save captures the engine's counters and every pending event. It
-// fails if any pending event was scheduled without a descriptor
-// (through plain At/After): such an event holds state only its closure
-// knows, which a snapshot cannot carry.
+// fails if any pending event is a plain At/After closure: such an
+// event holds state only its closure knows, which a snapshot cannot
+// carry.
 func (e *Engine) Save() (EngineState, error) {
 	st := EngineState{Now: e.now, Seq: e.seq, Steps: e.steps}
 	if e.count > 0 {
 		st.Events = make([]EventState, 0, e.count)
 	}
-	collect := func(h int32) error {
-		n := &e.nodes[h]
-		if n.desc.Comp == CompNone {
-			return fmt.Errorf("sim: pending event at cycle %d (seq %d) has no descriptor; scheduled via At/After instead of AtEvent", n.at, n.seq)
+	// A node is pending exactly when it holds a handler or a callback:
+	// Step drops the one it runs before it frees the node.
+	for i := range e.nodes {
+		n := &e.nodes[i]
+		if n.fn != nil {
+			return EngineState{}, fmt.Errorf("sim: pending event at cycle %d (seq %d) has no descriptor; scheduled via At/After instead of Schedule", n.at, n.seq)
 		}
-		st.Events = append(st.Events, EventState{At: n.at, Seq: n.seq, Desc: n.desc})
-		return nil
-	}
-	for i := range e.buckets {
-		for h := e.buckets[i].head; h != 0; h = e.nodes[h].next {
-			if err := collect(h); err != nil {
-				return EngineState{}, err
-			}
-		}
-	}
-	for _, h := range e.overflow {
-		if err := collect(h); err != nil {
-			return EngineState{}, err
+		if n.h != nil {
+			st.Events = append(st.Events, EventState{At: n.at, Seq: n.seq, Desc: n.desc})
 		}
 	}
 	if len(st.Events) != e.count {
@@ -115,14 +79,15 @@ func (e *Engine) Save() (EngineState, error) {
 
 // Load rebuilds the engine from a saved state: counters are restored
 // and every saved event is re-inserted with its original cycle and
-// sequence number, its callback resolved from the descriptor. The
-// engine must be freshly constructed (nothing scheduled); resolve must
-// return the exact closure the owning component originally scheduled.
+// sequence number. resolve names the handler of the component that
+// owns a descriptor, after checking that the component can run it: a
+// saved event is outside input. The engine must be freshly constructed
+// or Reset (nothing scheduled).
 //
 // Because events arrive sorted by Seq and buckets append at the tail,
 // every bucket's FIFO order equals seq order, so the restored engine
 // executes events in an order bit-identical to the uninterrupted run.
-func (e *Engine) Load(st EngineState, resolve func(EventDesc) (func(), error)) error {
+func (e *Engine) Load(st EngineState, resolve func(EventDesc) (Handler, error)) error {
 	if e.count != 0 || e.steps != 0 {
 		return fmt.Errorf("sim: Load on a used engine (%d pending, %d executed)", e.count, e.steps)
 	}
@@ -140,22 +105,15 @@ func (e *Engine) Load(st EngineState, resolve func(EventDesc) (func(), error)) e
 		if ev.At < st.Now {
 			return fmt.Errorf("sim: saved event at cycle %d before engine time %d", ev.At, st.Now)
 		}
-		fn, err := resolve(ev.Desc)
+		h, err := resolve(ev.Desc)
 		if err != nil {
 			return fmt.Errorf("sim: resolving event at cycle %d (seq %d): %w", ev.At, ev.Seq, err)
 		}
-		if fn == nil {
-			return fmt.Errorf("sim: resolver returned nil callback for event at cycle %d (seq %d)", ev.At, ev.Seq)
+		if h == nil {
+			return fmt.Errorf("sim: resolver returned nil handler for event at cycle %d (seq %d)", ev.At, ev.Seq)
 		}
-		h := e.alloc(ev.At, fn)
-		e.nodes[h].seq = ev.Seq
-		e.nodes[h].desc = ev.Desc
-		e.count++
-		if ev.At-e.now < horizon {
-			e.ringPush(h, ev.At)
-		} else {
-			e.heapPush(h)
-		}
+		e.seq = ev.Seq - 1 // add deals the event its saved number again
+		e.Schedule(ev.At, h, ev.Desc)
 	}
 	e.seq = st.Seq
 	return nil

@@ -5,14 +5,18 @@ import (
 	"testing"
 )
 
-// resolver returns the same recording callback for every descriptor,
-// tagging executions with the descriptor's A field.
-func resolver(order *[]uint64) func(EventDesc) (func(), error) {
-	return func(d EventDesc) (func(), error) {
-		a := d.A
-		return func() { *order = append(*order, a) }, nil
-	}
+// recorder is a handler that appends each event's A field to order.
+func recorder(order *[]uint64) Handler {
+	return func(d *EventDesc) { *order = append(*order, d.A) }
 }
+
+// resolver resolves every descriptor to one recording handler.
+func resolver(order *[]uint64) func(EventDesc) (Handler, error) {
+	h := recorder(order)
+	return func(EventDesc) (Handler, error) { return h, nil }
+}
+
+func nopHandler(*EventDesc) {}
 
 // TestEngineSaveLoadRoundTrip schedules a mix of near events (ring),
 // far events (overflow heap) and same-cycle ties, executes a prefix,
@@ -21,16 +25,16 @@ func resolver(order *[]uint64) func(EventDesc) (func(), error) {
 func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	var e1 Engine
 	var got1 []uint64
-	rec := func(id uint64) func() { return func() { got1 = append(got1, id) } }
+	rec := recorder(&got1)
 	desc := func(id uint64) EventDesc { return EventDesc{Comp: CompMachine, Kind: 1, A: id} }
 
 	// Ties at cycle 10, spread in the ring, and two beyond the horizon.
-	e1.AtEvent(10, rec(1), desc(1))
-	e1.AtEvent(10, rec(2), desc(2))
-	e1.AtEvent(3, rec(3), desc(3))
-	e1.AtEvent(700, rec(4), desc(4))
-	e1.AtEvent(5000, rec(5), desc(5))
-	e1.AtEvent(2100, rec(6), desc(6))
+	e1.Schedule(10, rec, desc(1))
+	e1.Schedule(10, rec, desc(2))
+	e1.Schedule(3, rec, desc(3))
+	e1.Schedule(700, rec, desc(4))
+	e1.Schedule(5000, rec, desc(5))
+	e1.Schedule(2100, rec, desc(6))
 
 	// Execute the first event only, then snapshot mid-flight.
 	if !e1.Step() {
@@ -79,8 +83,8 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 func TestEngineSeqContinuesAfterLoad(t *testing.T) {
 	var e1 Engine
 	d := EventDesc{Comp: CompMachine, Kind: 1}
-	e1.AtEvent(50, func() {}, d)
-	e1.AtEvent(50, func() {}, d)
+	e1.Schedule(50, nopHandler, d)
+	e1.Schedule(50, nopHandler, d)
 	st, err := e1.Save()
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +97,7 @@ func TestEngineSeqContinuesAfterLoad(t *testing.T) {
 	}
 	// A new event at the same cycle must run after both restored ones.
 	ran := false
-	e2.AtEvent(50, func() {
+	e2.Schedule(50, func(*EventDesc) {
 		ran = true
 		if len(order) != 2 {
 			t.Errorf("new event ran before %d restored events at the same cycle", 2-len(order))
@@ -125,13 +129,13 @@ func TestEngineSaveRejectsUntaggedEvents(t *testing.T) {
 // engine.
 func TestEngineLoadRejectsUsedEngine(t *testing.T) {
 	var e1 Engine
-	e1.AtEvent(1, func() {}, EventDesc{Comp: CompMachine, Kind: 1})
+	e1.Schedule(1, nopHandler, EventDesc{Comp: CompMachine, Kind: 1})
 	st, err := e1.Save()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var e2 Engine
-	e2.AtEvent(2, func() {}, EventDesc{Comp: CompMachine, Kind: 1})
+	e2.Schedule(2, nopHandler, EventDesc{Comp: CompMachine, Kind: 1})
 	var order []uint64
 	if err := e2.Load(st, resolver(&order)); err == nil {
 		t.Error("Load succeeded on an engine with pending events")
