@@ -372,11 +372,11 @@ func (c *Cache) WatchLine(lineAddr uint64, fn func()) {
 func (c *Cache) Unwatch() { c.watchFn = nil }
 
 // notifyWatch fires the watch callback if it covers lineAddr. The
-// callback only raises a flag in the processor (it schedules nothing),
-// so firing repeatedly or at any point inside message handling is
-// safe. The watch stays registered until Unwatch — line protection in
-// victim selection must persist until the processor's deferred LRU
-// touches are applied at resume.
+// callback only schedules the processor's own wake, once, and touches
+// nothing of the cache, so firing repeatedly or at any point inside
+// message handling is safe. The watch stays registered until Unwatch —
+// line protection in victim selection must persist until the
+// processor's deferred LRU touches are applied at resume.
 func (c *Cache) notifyWatch(lineAddr uint64) {
 	if c.watchFn != nil && c.watchLine == lineAddr {
 		c.watchFn()
@@ -662,7 +662,7 @@ func (c *Cache) install(lineAddr uint64, excl bool) {
 			victim = 0 // direct-mapped set whose only way is being spun on
 		}
 		// Evicting the watched line ends its processor's spin at the
-		// next ghost iteration.
+		// next iteration boundary.
 		c.notifyWatch(set[victim].Tag)
 		if set[victim].State == Exclusive {
 			// Write back owned lines (clean or dirty) so the directory

@@ -151,11 +151,11 @@ type core struct {
 	// track detection (the candidate load and its predicted next
 	// resync) and are meaningful even when not spinning: the
 	// primed-then-confirm handshake must resume exactly where a snapshot
-	// left it. The rest is the engaged park, whose ghost event rides in
-	// the engine's own saved queue (cpuEvSpin). Spinning is distinct
-	// from Parked: reconsider must never wake a spin park.
+	// left it. The rest is the engaged park, which has no event pending
+	// until the watched line changes. Spinning is distinct from Parked:
+	// reconsider must never wake a spin park.
 	Spinning   bool
-	SpinStale  bool // the watched line's state changed; resume at next ghost
+	SpinStale  bool // the watched line's state changed; the wake is scheduled
 	SpinPC     int
 	SpinNextT  sim.Cycle
 	SpinPeriod sim.Cycle
@@ -323,7 +323,7 @@ func (c *CPU) schedule(at sim.Cycle) {
 		return
 	}
 	c.core.Scheduled = true
-	c.eng.Schedule(at, c.handler, c.event(cpuEvRun))
+	c.eng.Schedule(at, c.handler, sim.EventDesc{Comp: sim.CompCPU, Kind: cpuEvRun, Unit: int32(c.id)})
 }
 
 // reconsider wakes a parked processor so it can re-evaluate its stall;
@@ -447,6 +447,9 @@ func (c *CPU) run() {
 	c.core.Scheduled = false
 	if c.core.Halted || c.core.Parked {
 		return
+	}
+	if c.core.Spinning {
+		c.spinResume()
 	}
 	t := c.eng.Now()
 	for steps := 0; ; steps++ {

@@ -8,60 +8,40 @@ import (
 	"memsim/internal/sim"
 )
 
-// Spin-wait fast-forward (the idle-skip engine, DESIGN.md §15).
+// Spin-wait fast-forward (the idle-skip engine; DESIGN.md §15 is the
+// long form).
 //
-// A processor spinning on a shared flag or lock executes the same
-// two-instruction loop — a load and a conditional branch back to it —
-// once per period, and on a big stalled machine those iterations
-// dominate the run's wall clock: every one costs a full processor
-// event (decode, cache lookup, branch resolution, statistics). Yet the
-// loop's outcome cannot change until another processor's coherence
-// action reaches this cache, because a store performs only after every
-// other copy of the line has been invalidated or recalled.
-//
-// The fast-forward detects such a loop and replaces its iterations
-// with a ghost event: a callback that checks one flag and reschedules
-// itself one period ahead. The processor's cache raises that flag the
-// moment the watched line's local state changes — invalidation,
-// recall, or eviction — and the next ghost firing replays the skipped
+// A processor spinning on a shared flag or lock repeats a load and a
+// branch back to it once per period p, each iteration a full processor
+// event, and the outcome cannot change until another processor's
+// coherence action reaches this cache. The fast-forward detects such a
+// loop and parks the processor with nothing pending in the engine at
+// all. The cache calls spinNotice the moment the watched line's local
+// state changes — invalidation, recall, or eviction — and that
+// schedules the processor at the first iteration boundary T0 + k·p not
+// before the change. The run event there first replays the k skipped
 // iterations arithmetically (instruction counts, sync-op counts,
 // interlock stalls, cache hit counters, LRU touches, metrics
-// observations, the final register write) and falls through to live
-// execution of the current iteration.
+// observations, the final register write) and then executes the
+// current one live.
 //
-// Exactness is by construction, not by argument about event order: the
-// ghost is created at exactly the engine moments the un-skipped
-// processor would create its per-iteration resynchronization events —
-// same cycles, same intra-cycle creation order — so the calendar
-// queue's tie-breaking, the event count, and the cycle at which the
-// processor resumes live execution are identical to un-skipped
-// execution by definition. What the fast-forward elides is only the
-// per-iteration *work*:
-//
-//   - Value stability: shared values change only through stores, RMWs
-//     and releases, all of which require exclusive ownership, granted
-//     only after every sharer is invalidated (or the owner recalled).
-//     While the local line state is unchanged, the loaded value is
-//     unchanged, so every ghost firing with the flag down stands for a
-//     load that hits and a branch that loops.
-//   - Iteration boundary: a ghost firing at the same cycle as the
-//     state-changing delivery was created a full period earlier, so it
-//     fires first (creation order breaks same-cycle ties) and counts
-//     as a pre-change hit — exactly as the un-skipped load would have.
-//   - Period stability: the loop touches no register that anything
-//     else can change (the engagement predicate verifies readiness and
-//     quiescence), so every skipped iteration takes exactly p cycles.
-//
-// Fault injection needs no exception: a jittered delivery is still one
-// engine event at one cycle, and it orders against the ghost exactly as
-// it would against the live resynchronization event the ghost stands
-// in for, so the fast-forward runs on faulted machines too
-// (TestIdleSkipAB holds the two to equal checksums).
+// It is exact because a processor's event has a fixed place in its
+// cycle (package sim): after every delivery, whenever it was
+// scheduled. An un-skipped load at cycle c sees exactly the deliveries
+// of cycles <= c, and so does the wake, whenever the notice came —
+// under fault injection too: a jittered delivery is still a delivery
+// at one cycle. The replay also rests on value stability (a shared
+// value changes only after every other copy of its line has been
+// invalidated or recalled, so while the local line state is unchanged
+// every boundary stands for a load that hits and a branch that loops)
+// and on period stability (the engagement predicate verifies that the
+// loop reads no register anything else can change, so every skipped
+// iteration takes exactly p cycles).
 
 // spinTry runs at the load's resynchronization point, before an event
-// for future cycle t is scheduled. It returns true when it scheduled a
-// ghost event for cycle t instead (the processor is now spin-parked);
-// false means the caller schedules the load normally.
+// for future cycle t is scheduled. It returns true when the processor
+// is now spin-parked instead, with no event at all; false means the
+// caller schedules the load normally.
 //
 // Engagement requires one confirming live iteration: the previous
 // resync of this same load predicted exactly this cycle. That live
@@ -149,41 +129,48 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 	c.core.SpinAddr = addr
 	c.core.SpinVal = v
 	c.core.SpinRd = in.Rd
-	// The ghost stands in for the run event the caller would have
-	// scheduled: same cycle, created at the same moment.
-	c.core.Scheduled = true
-	c.eng.Schedule(t, c.handler, c.event(cpuEvSpin))
 	c.cache.WatchLine(c.cache.LineAddr(addr), c.spinNoticeFn)
 	return true
 }
 
 // spinNotice is the cache's line-watch callback: the watched line's
-// local state changed at the current cycle. It only raises a flag —
-// the already-scheduled ghost event does the work — so it is safe to
-// fire any number of times, at any point inside the cache's message
-// handling.
-func (c *CPU) spinNotice() { c.core.SpinStale = true }
-
-// spinGhost is one elided spin iteration. Flag down: the load would
-// have hit the unchanged line and looped; stand in for it and
-// reschedule one period ahead. Flag up: replay every iteration whose
-// load ran before the state change, then fall through to live
-// execution of the current one.
-func (c *CPU) spinGhost() {
-	if !c.core.Spinning {
-		robust.Raise(&robust.SimError{Kind: robust.Protocol, Component: "cpu", Unit: c.id,
-			Cycle: c.eng.Now(), Detail: "spin ghost event without an active spin"})
-	}
-	if !c.core.SpinStale {
-		c.eng.ScheduleAfter(c.core.SpinPeriod, c.handler, c.event(cpuEvSpin))
+// local state changed in a delivery of the current cycle. The first
+// notice schedules the processor at the first iteration boundary not
+// before now; later ones find that done, so it is safe to fire any
+// number of times, at any point inside the cache's message handling.
+func (c *CPU) spinNotice() {
+	if c.core.SpinStale {
 		return
+	}
+	c.core.SpinStale = true
+	now, at := c.eng.Now(), c.core.SpinT0
+	if now > at {
+		p := c.core.SpinPeriod
+		at += (now - at + p - 1) / p * p
+	}
+	if at == now && c.eng.ProcessorPhase() {
+		// Not a delivery: this processor's load may be due before the notifier.
+		robust.Raise(&robust.SimError{Kind: robust.Protocol, Component: "cpu", Unit: c.id, Cycle: now,
+			Line: c.SpinLine(), HasLine: true,
+			Detail: "watched line changed inside the processor phase of the spin's own boundary cycle"})
+	}
+	c.schedule(at)
+}
+
+// spinResume is the prologue of the run event spinNotice scheduled:
+// replay every iteration whose load ran before the state change, then
+// let run execute the current one live.
+func (c *CPU) spinResume() {
+	if !c.core.SpinStale {
+		robust.Raise(&robust.SimError{Kind: robust.Protocol, Component: "cpu", Unit: c.id,
+			Cycle: c.eng.Now(), Detail: "run event for a spin-parked processor whose line has not changed"})
 	}
 	now := c.eng.Now()
 	c.core.Spinning = false
 	c.core.SpinStale = false
 	c.cache.Unwatch()
-	// Ghost firings at SpinT0 .. now-p stood in for loads that ran
-	// before the state change; this firing's iteration runs live.
+	// The loads at SpinT0 .. now-p ran before the state change; the one
+	// at now runs live.
 	k := (now - c.core.SpinT0) / c.core.SpinPeriod
 	if k > 0 {
 		kk := uint64(k)
@@ -196,7 +183,7 @@ func (c *CPU) spinGhost() {
 		} else if c.loadDelay > 1 {
 			c.core.Stats.StallInterlock += kk * uint64(c.loadDelay-1)
 		}
-		c.cache.SpinTouches(c.cache.LineAddr(c.core.SpinAddr), kk)
+		c.cache.SpinTouches(c.SpinLine(), kk)
 		if c.mc != nil {
 			for i := sim.Cycle(0); i < k; i++ {
 				ti := uint64(c.core.SpinT0 + i*c.core.SpinPeriod)
@@ -216,12 +203,11 @@ func (c *CPU) spinGhost() {
 	// If the live iteration still hits and loops (a recall that left
 	// the line Shared), its resync re-engages at now+p.
 	c.core.SpinNextT = now + c.core.SpinPeriod
-	c.run()
 }
 
-// Spinning reports whether the processor is spin-parked on a watched
-// line (diagnostics).
-func (c *CPU) Spinning() bool { return c.core.Spinning }
+// SpinLine returns the line a spin-parked processor (ParkedReason
+// "spin") watches.
+func (c *CPU) SpinLine() uint64 { return c.cache.LineAddr(c.core.SpinAddr) }
 
 // SpinVirtualInstrs returns the instructions a spin-parked processor
 // has virtually retired so far; they are credited to Stats only at

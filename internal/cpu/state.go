@@ -6,35 +6,28 @@ import (
 	"memsim/internal/sim"
 )
 
-// Event kinds for processor-owned engine events (sim.EventDesc.Kind):
-// a run, and the spin fast-forward's ghost iteration (spin.go). All
-// execution state lives in the CPU itself.
-const (
-	cpuEvRun  uint8 = 1
-	cpuEvSpin uint8 = 2
-)
+// cpuEvRun is the one kind of processor-owned engine event
+// (sim.EventDesc.Kind): a run. All execution state lives in the CPU
+// itself; CompCPU and the Unit give the event its place in the cycle.
+const cpuEvRun uint8 = 1
 
-func (c *CPU) event(kind uint8) sim.EventDesc {
-	return sim.EventDesc{Comp: sim.CompCPU, Kind: kind, Unit: int32(c.id)}
-}
-
-// fire runs one of the processor's due events.
+// fire runs the processor's due event.
 func (c *CPU) fire(d *sim.EventDesc) {
-	switch d.Kind {
-	case cpuEvRun:
-		c.run()
-	case cpuEvSpin:
-		c.spinGhost()
-	default:
+	if d.Kind != cpuEvRun {
 		panic(fmt.Sprintf("cpu %d: event of unknown kind %d", c.id, d.Kind))
 	}
+	c.run()
 }
 
 // CheckEvent says whether fire can run a saved event and returns the
-// handler that will.
+// handler that will. A processor knows whether it has a run pending,
+// and one that is spin-parked has none until its line changes.
 func (c *CPU) CheckEvent(d sim.EventDesc) (sim.Handler, error) {
-	if d.Kind != cpuEvRun && d.Kind != cpuEvSpin {
+	if d.Kind != cpuEvRun {
 		return nil, fmt.Errorf("cpu: unknown event kind %d", d.Kind)
+	}
+	if !c.core.Scheduled || (c.core.Spinning && !c.core.SpinStale) {
+		return nil, fmt.Errorf("cpu %d: run event for a processor that has none scheduled (spin-parked: %v)", c.id, c.core.Spinning)
 	}
 	return c.handler, nil
 }
@@ -124,10 +117,10 @@ func (c *CPU) Load(st CPUState) error {
 			c.id, st.Awaiting, len(st.Ops), c.awaiting != nil)
 	}
 	if c.core.Spinning {
-		// Re-arm the line watch the live spin park had registered when the
-		// snapshot was taken. The ghost event itself is restored by the
-		// engine (cpuEvSpin).
-		c.cache.WatchLine(c.cache.LineAddr(c.core.SpinAddr), c.spinNoticeFn)
+		// Re-arm the line watch the live spin park had registered: it
+		// protects the line from eviction until the resume, also when the
+		// notice has come (SpinStale, the wake in the engine's saved queue).
+		c.cache.WatchLine(c.SpinLine(), c.spinNoticeFn)
 	}
 	return nil
 }

@@ -126,6 +126,37 @@ func TestSeedValidatesChecksums(t *testing.T) {
 	}
 }
 
+// TestSeedIgnoresParentFormatJournal: testdata/journal-pr23.jsonl is
+// what `sweep -state` wrote for one run at the commit before Events
+// left the checksum and processors got their slot in the cycle. The
+// line is well-formed and its result decodes, but its checksum was
+// taken over an encoding that counted Events and its cycle counts are
+// another machine's: a resumed sweep must run the spec again, never
+// serve it.
+func TestSeedIgnoresParentFormatJournal(t *testing.T) {
+	entries, err := ReplayJournal("testdata/journal-pr23.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(entries); n != 2 || entries[1].Status != StatusDone || entries[1].Result == nil || entries[1].Result.Cycles == 0 {
+		t.Fatalf("testdata holds %d entries, want a running and a done line with its result", n)
+	}
+	p := Quick()
+	started := 0
+	r := NewRunner(p)
+	r.OnStart = func(string, RunSpec) { started++ }
+	if n := r.Seed(entries); n != 0 {
+		t.Errorf("Seed loaded %d entries of the parent's journal", n)
+	}
+	res, err := r.Run(entries[1].Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started != 1 || res.Checksum() == entries[1].Checksum {
+		t.Errorf("the spec was started %d times and ended on checksum %s; the journal's is %s", started, res.Checksum(), entries[1].Checksum)
+	}
+}
+
 func TestRunnerCanceledNotRetried(t *testing.T) {
 	p := Quick()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -251,9 +282,10 @@ func TestRunnerCorruptCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A version-1 file: a genuine mid-run checkpoint of this very spec,
-	// valid down to its checksum, whose header says the format this
-	// build no longer decodes.
+	// A version-2 file: a genuine mid-run checkpoint of this very spec,
+	// valid down to its checksum, whose header says the format of the
+	// machine that ran a cycle's events in creation order and parked
+	// spinners behind ghost events — decodable, and not resumable.
 	m, err := NewRunner(p).Build(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -265,15 +297,15 @@ func TestRunnerCorruptCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(t.TempDir(), "v1.mcsp")
-	if err := machine.WriteSnapshotFile(v1, snap); err != nil {
+	v2 := filepath.Join(t.TempDir(), "v2.mcsp")
+	if err := machine.WriteSnapshotFile(v2, snap); err != nil {
 		t.Fatal(err)
 	}
-	v1File, err := os.ReadFile(v1)
+	v2File, err := os.ReadFile(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1File[4] = 1
+	v2File[4] = 2
 
 	for _, c := range []struct {
 		name    string
@@ -281,7 +313,7 @@ func TestRunnerCorruptCheckpointFallsBack(t *testing.T) {
 		wantLog string
 	}{
 		{"garbage", []byte("not a snapshot"), "unreadable"},
-		{"format version 1", v1File, "format version 1, want 2"},
+		{"format version 2", v2File, "format version 2, want 3 (a version-2 run ordered"},
 	} {
 		var log bytes.Buffer
 		r := NewRunner(p)

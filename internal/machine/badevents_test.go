@@ -20,7 +20,7 @@ import (
 // Restore must refuse any event that code could not run — the Runner's
 // "unusable checkpoint: rebuild and rerun" fallback hangs on the error.
 // The test steps Psim under RC (one-entry network buffers, watchdog and
-// checker armed) until one snapshot holds all twelve event kinds and a
+// checker armed) until one snapshot holds all eleven event kinds and a
 // grant that completes a transaction, checks that it restores and
 // resumes to the uninterrupted checksum, then corrupts one descriptor
 // field at a time. Every corruption must come back from Restore as an
@@ -54,7 +54,7 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 	}
 	for complete := false; !complete; {
 		if m.Done() || !m.Eng.Step() {
-			t.Fatal("no point of the run has all twelve event kinds pending at once")
+			t.Fatal("no point of the run has all eleven event kinds pending at once")
 		}
 		es, err := m.Eng.Save()
 		if err != nil {
@@ -126,6 +126,15 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 		t.Fatalf("network %d stage %d has no idle link", d.Unit, d.A-1)
 		return 0
 	}
+	unscheduled := func() int32 {
+		for i, c := range snap.CPUs {
+			if !c.Core.Scheduled {
+				return int32(i)
+			}
+		}
+		t.Fatal("every processor has a run scheduled")
+		return 0
+	}
 	for _, c := range []struct {
 		name, kind string
 		ok         func(sim.EventDesc) bool
@@ -134,8 +143,10 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 		{"unknown component class", "cpu run", nil, func(d *sim.EventDesc) { d.Comp = 9 }},
 		{"no component class", "net free", nil, func(d *sim.EventDesc) { d.Comp = sim.CompNone }},
 		{"cpu unit negative", "cpu run", nil, func(d *sim.EventDesc) { d.Unit = -1 }},
-		{"cpu unit out of range", "cpu spin", nil, func(d *sim.EventDesc) { d.Unit = int32(procs) }},
+		{"cpu unit out of range", "cpu run", nil, func(d *sim.EventDesc) { d.Unit = int32(procs) }},
 		{"cpu kind unknown", "cpu run", nil, func(d *sim.EventDesc) { d.Kind = 9 }},
+		{"the spin ghost of format 2", "cpu run", nil, func(d *sim.EventDesc) { d.Kind = 2 }},
+		{"run of a processor with none scheduled", "cpu run", nil, func(d *sim.EventDesc) { d.Unit = unscheduled() }},
 		{"cache unit out of range", "cache fill", nil, func(d *sim.EventDesc) { d.Unit = int32(procs) }},
 		{"cache kind unknown", "cache bind", nil, func(d *sim.EventDesc) { d.Kind = 9 }},
 		{"MSHR index out of range", "cache fill", nil, func(d *sim.EventDesc) { d.A = 99 }},

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,13 +9,15 @@ import (
 )
 
 // Encode returns the Result's canonical JSON encoding and the hex
-// SHA-256 digest of those bytes. Two runs of the same configuration
-// must produce the same pair on any platform: every field of Result is
-// plain integer data, and encoding/json serializes struct fields in
-// declaration order, so the digest is a stable fingerprint of the
-// complete measurement set (timing, per-unit stats, traffic counters).
-// A caller that keeps the bytes (memsimd's result cache) holds exactly
-// what the checksum was taken over.
+// SHA-256 digest of what it says about the simulated machine: those
+// bytes less Events, the last member, since what a run cost in engine
+// events is the host's business (spin fast-forward exists to lower
+// it). Two runs of the same configuration must produce the same digest
+// on any platform: every field of Result is plain integer data, and
+// encoding/json serializes struct fields in declaration order, so the
+// digest is a stable fingerprint of the complete measurement set. A
+// caller that keeps the bytes (memsimd's result cache) holds what the
+// checksum was taken over, and the event count beside it.
 func (r Result) Encode() (canonical []byte, checksum string) {
 	b, err := json.Marshal(r)
 	if err != nil {
@@ -22,7 +25,15 @@ func (r Result) Encode() (canonical []byte, checksum string) {
 		// fail unless the struct grows an unsupported type.
 		panic(fmt.Sprintf("machine: Result not JSON-encodable: %v", err))
 	}
-	sum := sha256.Sum256(b)
+	// The digest is over the object closed where Events begins; the one
+	// Marshal serves both, with a brace lent to the member's comma.
+	i := bytes.LastIndex(b, []byte(`,"Events":`))
+	if i < 0 || bytes.IndexByte(b[i+1:], ',') >= 0 {
+		panic("machine: Events is not the last member of Result's encoding")
+	}
+	b[i] = '}'
+	sum := sha256.Sum256(b[:i+1])
+	b[i] = ','
 	return b, hex.EncodeToString(sum[:])
 }
 

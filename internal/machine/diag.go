@@ -25,8 +25,12 @@ func (m *Machine) Diagnostics(lastEvents int) string {
 
 	sb.WriteString("processors:\n")
 	for i, c := range m.cpus {
-		fmt.Fprintf(&sb, "  cpu%-3d pc=%-6d state=%-11s outstanding=%d\n",
-			i, c.PC(), c.ParkedReason(), c.OutstandingRefs())
+		why := c.ParkedReason()
+		fmt.Fprintf(&sb, "  cpu%-3d pc=%-6d state=%-11s outstanding=%d", i, c.PC(), why, c.OutstandingRefs())
+		if why == "spin" {
+			fmt.Fprintf(&sb, " watching line %#x", c.SpinLine())
+		}
+		sb.WriteByte('\n')
 	}
 
 	sb.WriteString("MSHRs:\n")

@@ -149,7 +149,10 @@ type Result struct {
 	Modules []memory.Stats
 	ReqNet  network.Stats
 	RespNet network.Stats
-	Events  uint64 // engine events executed (simulator cost metric)
+
+	// Events is the engine events executed: what the run cost the host,
+	// so Checksum leaves it out (it must stay the last field, see Encode).
+	Events uint64
 }
 
 // Machine is one assembled system plus its shared-memory image.
@@ -542,12 +545,7 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 		return false
 	}
 	if !m.Eng.RunLimit(done, rc.MaxEvents) {
-		return Result{}, &robust.SimError{
-			Kind: robust.EventLimit, Component: "machine", Unit: -1, Cycle: m.Eng.Now(),
-			Detail: fmt.Sprintf("run exceeded %d events (halted %d/%d processors)",
-				rc.MaxEvents, m.halted, m.cfg.Procs),
-			Dump: m.Diagnostics(diagTraceEvents),
-		}
+		return Result{}, m.failure(robust.EventLimit, fmt.Sprintf("run exceeded %d events", rc.MaxEvents))
 	}
 	if canceled {
 		if rc.Checkpoint != nil {
@@ -555,13 +553,9 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 				return Result{}, fmt.Errorf("machine: final checkpoint after cancellation: %w", e)
 			}
 		}
-		return Result{}, &robust.SimError{
-			Kind: robust.Canceled, Component: "machine", Unit: -1, Cycle: m.Eng.Now(),
-			Detail: fmt.Sprintf("run canceled (%v; halted %d/%d processors)",
-				rc.Ctx.Err(), m.halted, m.cfg.Procs),
-			Err:  rc.Ctx.Err(),
-			Dump: m.Diagnostics(diagTraceEvents),
-		}
+		se := m.failure(robust.Canceled, fmt.Sprintf("run canceled: %v", rc.Ctx.Err()))
+		se.Err = rc.Ctx.Err()
+		return Result{}, se
 	}
 	if ckptErr != nil {
 		return Result{}, fmt.Errorf("machine: checkpoint at cycle %d: %w", m.Eng.Now(), ckptErr)
@@ -570,12 +564,7 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 		if rc.Until > 0 && m.Eng.Now() >= rc.Until {
 			return Result{}, ErrPaused
 		}
-		return Result{}, &robust.SimError{
-			Kind: robust.Deadlock, Component: "machine", Unit: -1, Cycle: m.Eng.Now(),
-			Detail: fmt.Sprintf("engine quiesced with %d/%d processors halted",
-				m.halted, m.cfg.Procs),
-			Dump: m.Diagnostics(diagTraceEvents),
-		}
+		return Result{}, m.failure(robust.Deadlock, "engine quiesced")
 	}
 	return m.result(), nil
 }

@@ -50,12 +50,51 @@ func parkProgram(lock, counter uint64, bar workloads.Barrier, region uint64, lin
 	return b.MustBuild()
 }
 
-// parkStates names the park states a saved snapshot shows.
-func parkStates(s *machine.Snapshot) map[string]bool {
+// parkRun is the park program as one run: sixteen processors with
+// caches small enough to evict, two rounds, after which the word at
+// counter holds parkRunBumps, one per processor and round.
+const parkRunBumps = 16 * 2
+
+func parkRun(model consistency.Model) (cfg machine.Config, progs [][]isa.Inst, counter uint64) {
+	const procs, lineSize, lines, rounds = 16, 32, 48, parkRunBumps / 16
+	a := workloads.NewAlloc()
+	lock, counter := a.Line(), a.Line()
+	bar := workloads.AllocBarrier(a)
+	region := a.Bytes(uint64(procs*lines*lineSize), 64)
+	progs = make([][]isa.Inst, procs)
+	progs[0] = parkProgram(lock, counter, bar, region, lines, lineSize, rounds)
+	return machine.Config{Procs: procs, Model: model, CacheSize: 1 << 10, LineSize: lineSize, SharedWords: a.WordsUsed()}, progs, counter
+}
+
+// The two halves of a spin park: the processor has no event at all
+// until its watched line changes, and from then until the next
+// iteration boundary it has its wake.
+const (
+	spinParked = "spin-parked cpu with nothing pending"
+	spinStale  = "stale spinner with its wake scheduled"
+)
+
+// parkStates names the park states a saved snapshot shows, and holds
+// each spin park to the events it may have pending.
+func parkStates(t *testing.T, s *machine.Snapshot) map[string]bool {
+	t.Helper()
 	seen := map[string]bool{}
-	for _, c := range s.CPUs {
+	runs := make([]int, len(s.CPUs))
+	for _, ev := range s.Engine.Events {
+		if ev.Desc.Comp == sim.CompCPU {
+			runs[ev.Desc.Unit]++
+		}
+	}
+	for i, c := range s.CPUs {
 		if c.Core.Spinning {
-			seen["spinning cpu"] = true
+			state, want := spinParked, 0
+			if c.Core.SpinStale {
+				state, want = spinStale, 1
+			}
+			seen[state] = true
+			if runs[i] != want {
+				t.Errorf("cycle %d: cpu %d is a %s and has %d events pending", s.Engine.Now, i, state, runs[i])
+			}
 		}
 		if c.Core.Release.Active {
 			seen["pending RC release"] = true
@@ -91,6 +130,28 @@ func parkStates(s *machine.Snapshot) map[string]bool {
 	return seen
 }
 
+// betweenPhases names the one point of a cycle that is neither of its
+// halves: the deliveries have run, the processors have not, and
+// nothing pending says so but the order of what is left.
+const betweenPhases = "cycle stopped between its deliveries and its processors"
+
+// stoppedBetweenPhases reports whether m, whose snapshot s is, stands
+// at that point: no processor has run in this cycle, and what is due in
+// it is processors only.
+func stoppedBetweenPhases(m *machine.Machine, s *machine.Snapshot) bool {
+	due := 0
+	for _, ev := range s.Engine.Events {
+		if ev.At != s.Engine.Now {
+			continue
+		}
+		if ev.Desc.Comp != sim.CompCPU {
+			return false
+		}
+		due++
+	}
+	return due > 0 && !m.Eng.ProcessorPhase()
+}
+
 // fillDue reports whether a processor that awaits an operation has a
 // cache event due in the snapshot's current cycle: the cycle to look at
 // event by event, because an awaited operation that has retired stays
@@ -110,14 +171,13 @@ func fillDue(s *machine.Snapshot) bool {
 // a cycle fillDue picks), and the first snapshot to show each park
 // state goes through a file into a fresh machine, which must finish
 // with the uninterrupted run's checksum. Each model must show the
-// states listed for it; between them the three show all seven. The
-// fourth row is a machine under fault injection, where spin
-// fast-forward stays on: its spin-parked snapshot carries the fault
-// stream's position and must resume to the same checksum too.
+// states listed for it; between them the three show all eight, and
+// every one is also stopped once between a cycle's deliveries and its
+// processors. The fourth row is a machine under fault injection, where
+// spin fast-forward stays on: its spin-parked snapshots carry the
+// fault stream's position and must resume to the same checksum too.
 func TestSnapshotEveryParkState(t *testing.T) {
-	const procs, lineSize, lines, rounds = 16, 32, 48, 2
 	const (
-		spinning   = "spinning cpu"
 		wbDrain    = "write buffer with an issued drain"
 		release    = "pending RC release"
 		awaitMSHR  = "awaited op in an MSHR"
@@ -125,29 +185,20 @@ func TestSnapshotEveryParkState(t *testing.T) {
 		spaceWait  = "network space wait"
 		dirWaiters = "busy directory entry with parked waiters"
 	)
-	a := workloads.NewAlloc()
-	lock, counter := a.Line(), a.Line()
-	bar := workloads.AllocBarrier(a)
-	region := a.Bytes(uint64(procs*lines*lineSize), 64)
-	prog := parkProgram(lock, counter, bar, region, lines, lineSize, rounds)
-
 	for _, c := range []struct {
 		model  consistency.Model
 		faults robust.Faults
 		want   []string
 	}{
-		{consistency.SC1, robust.Faults{}, []string{spinning, spaceWait, dirWaiters}},
-		{consistency.RC, robust.Faults{}, []string{spinning, release, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
-		{consistency.TSO, robust.Faults{}, []string{spinning, wbDrain, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
-		{consistency.RC, abFaults, []string{spinning, release, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
+		{consistency.SC1, robust.Faults{}, []string{spinParked, spinStale, betweenPhases, spaceWait, dirWaiters}},
+		{consistency.RC, robust.Faults{}, []string{spinParked, spinStale, betweenPhases, release, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
+		{consistency.TSO, robust.Faults{}, []string{spinParked, spinStale, betweenPhases, wbDrain, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
+		{consistency.RC, abFaults, []string{spinParked, spinStale, betweenPhases, release, awaitMSHR, awaitDone, spaceWait, dirWaiters}},
 	} {
+		cfg, progs, counter := parkRun(c.model)
+		cfg.Faults = c.faults
 		build := func() *machine.Machine {
-			progs := make([][]isa.Inst, procs)
-			progs[0] = prog
-			m, err := machine.New(machine.Config{
-				Procs: procs, Model: c.model, CacheSize: 1 << 10, LineSize: lineSize, SharedWords: a.WordsUsed(),
-				Faults: c.faults,
-			}, progs)
+			m, err := machine.New(cfg, progs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,8 +209,8 @@ func TestSnapshotEveryParkState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: uninterrupted run: %v", c.model, err)
 		}
-		if got := m.Shared()[counter/8]; got != procs*rounds {
-			t.Fatalf("%v: counter = %d, want %d", c.model, got, procs*rounds)
+		if got := m.Shared()[counter/8]; got != parkRunBumps {
+			t.Fatalf("%v: counter = %d, want %d", c.model, got, parkRunBumps)
 		}
 		want := full.Checksum()
 
@@ -184,9 +235,11 @@ func TestSnapshotEveryParkState(t *testing.T) {
 			if m.Eng.Now() != cycle {
 				cycle, everyEvent = m.Eng.Now(), fillDue(snap)
 			}
+			states := parkStates(t, snap)
+			states[betweenPhases] = stoppedBetweenPhases(m, snap)
 			var fresh []string
-			for st := range parkStates(snap) {
-				if !seen[st] {
+			for st, shown := range states {
+				if shown && !seen[st] {
 					seen[st] = true
 					fresh = append(fresh, st)
 				}

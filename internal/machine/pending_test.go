@@ -31,16 +31,17 @@ import (
 // forty events have passed). Per point: the SHA-256 of the engine state
 // and of the whole snapshot, and per configuration the checksum every
 // one of its snapshots must resume to, through a file, in a new
-// machine. Between them the points show all twelve event kinds.
+// machine. Between them the points show all eleven event kinds.
 //
 // The hashes are over the JSON rendering, not gob's: gob numbers types
 // in the order a process first meets them, so its bytes depend on which
 // tests ran before. JSON carries the same exported fields by name.
 //
-// The table was generated at the commit before sim.Schedule existed,
-// where every event was a closure beside its descriptor (this file
-// compiles there and regenerates it byte for byte). Regenerate after
-// an intentional change to simulated timing or to a saved type:
+// The table was regenerated when processors got their fixed place in
+// the cycle and the spin ghost (the twelfth kind, {CompCPU, 2}) went:
+// every cycle count moved, and a spin park stopped being an event.
+// Regenerate after an intentional change to simulated timing or to a
+// saved type:
 //
 //	go test ./internal/machine -run TestPendingPinned -update
 
@@ -63,7 +64,7 @@ type pendingPin struct {
 // eventKinds names every (component, kind) pair a saved event can
 // carry; the numbers are part of the snapshot format.
 var eventKinds = map[[2]uint8]string{
-	{sim.CompCPU, 1}: "cpu run", {sim.CompCPU, 2}: "cpu spin",
+	{sim.CompCPU, 1}:   "cpu run",
 	{sim.CompCache, 1}: "cache bind", {sim.CompCache, 2}: "cache fill",
 	{sim.CompModule, 1}: "module unbusy", {sim.CompModule, 2}: "module head",
 	{sim.CompNet, 1}: "net advance", {sim.CompNet, 2}: "net free", {sim.CompNet, 3}: "net space",

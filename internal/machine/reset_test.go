@@ -155,7 +155,10 @@ func litmusRun(t *testing.T, lt *litmus.Test, model consistency.Model, seed int6
 // and fault stream, another model — was made on. There is one machine
 // per processor count, as litmus.Run keeps one per (test, model). On
 // odd seeds the run is first abandoned at its pause, events pending,
-// and the machine reset once more.
+// and the machine reset once more. A litmus run hardly stays in a spin,
+// so the park program follows, abandoned and then compared at the first
+// pause that shows a processor spin-parked with nothing pending and at
+// the first that shows one stale, its wake scheduled.
 func TestResetEqualsNew(t *testing.T) {
 	reused := map[int]*machine.Machine{}
 	runs, paused := 0, 0
@@ -187,6 +190,37 @@ func TestResetEqualsNew(t *testing.T) {
 	}
 	if paused < runs/2 {
 		t.Errorf("only %d of %d runs were still going at their pause cycle: the mid-run comparison is nearly vacuous", paused, runs)
+	}
+
+	cfg, progs, _ := parkRun(consistency.RC)
+	scout, err := machine.New(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pauses := map[string]sim.Cycle{}
+	for c := sim.Cycle(1); len(pauses) < 2; c++ {
+		if _, err := scout.RunControlled(machine.RunControl{Until: c}); !errors.Is(err, machine.ErrPaused) {
+			t.Fatalf("park program: %d of the two spin states shown by cycle %d: %v", len(pauses), c, err)
+		}
+		snap, err := scout.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st := range parkStates(t, snap) {
+			if _, ok := pauses[st]; !ok && (st == spinParked || st == spinStale) {
+				pauses[st] = c
+			}
+		}
+	}
+	r := new(machine.Machine)
+	for st, pause := range pauses {
+		if err := r.Reset(cfg, progs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RunControlled(machine.RunControl{Until: pause}); !errors.Is(err, machine.ErrPaused) {
+			t.Fatal(err)
+		}
+		sameAsFresh(t, "park program at a "+st, r, cfg, progs, pause, nil)
 	}
 }
 
@@ -301,8 +335,9 @@ func leftovers(s *machine.Snapshot) map[string]bool {
 }
 
 // TestResetFromEveryParkState abandons a sixteen-processor run in each
-// of the park states TestSnapshotEveryParkState finds — spinning
-// processors, a pending release, draining write buffers, awaited
+// of the park states TestSnapshotEveryParkState finds — spin-parked
+// processors with nothing pending and with their wake scheduled, a
+// pending release, draining write buffers, awaited
 // operations, senders waiting for network space, requests parked
 // behind a busy directory entry — and with each of the leftovers
 // above, every time with events pending, and resets the machine to a
@@ -316,13 +351,8 @@ func leftovers(s *machine.Snapshot) map[string]bool {
 // messages they could not send; the last arms the watchdog and the
 // invariant checker, which the small runs do not.
 func TestResetFromEveryParkState(t *testing.T) {
-	const procs, lineSize, lines, rounds = 16, 32, 48, 2
-	a := workloads.NewAlloc()
-	lock, counter := a.Line(), a.Line()
-	bar := workloads.AllocBarrier(a)
-	region := a.Bytes(uint64(procs*lines*lineSize), 64)
-	progs := make([][]isa.Inst, procs)
-	progs[0] = parkProgram(lock, counter, bar, region, lines, lineSize, rounds)
+	base, progs, _ := parkRun(consistency.SC1)
+	procs := base.Procs
 
 	sb, err := litmus.TestByName("sb")
 	if err != nil {
@@ -334,13 +364,13 @@ func TestResetFromEveryParkState(t *testing.T) {
 		cfg  machine.Config
 		want int // park states this row must show
 	}{
-		{machine.Config{Model: consistency.SC1}, 3},
-		{machine.Config{Model: consistency.RC}, 6},
-		{machine.Config{Model: consistency.TSO, NetBuf: 1}, 6},
-		{machine.Config{Model: consistency.RC, Faults: abFaults, StallCycles: 300, CheckEvery: 50}, 6},
+		{machine.Config{Model: consistency.SC1}, 4},
+		{machine.Config{Model: consistency.RC}, 7},
+		{machine.Config{Model: consistency.TSO, NetBuf: 1}, 7},
+		{machine.Config{Model: consistency.RC, Faults: abFaults, StallCycles: 300, CheckEvery: 50}, 7},
 	} {
 		cfg := c.cfg
-		cfg.Procs, cfg.CacheSize, cfg.LineSize, cfg.SharedWords = procs, 1<<10, lineSize, a.WordsUsed()
+		cfg.Procs, cfg.CacheSize, cfg.LineSize, cfg.SharedWords = procs, base.CacheSize, base.LineSize, base.SharedWords
 		scout, err := machine.New(cfg, progs)
 		if err != nil {
 			t.Fatal(err)
@@ -365,7 +395,7 @@ func TestResetFromEveryParkState(t *testing.T) {
 				cycle, everyEvent = scout.Eng.Now(), fillDue(snap)
 			}
 			fresh := false
-			for st := range parkStates(snap) {
+			for st := range parkStates(t, snap) {
 				if !seen[st] {
 					seen[st], fresh = true, true
 					parked++

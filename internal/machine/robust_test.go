@@ -84,7 +84,7 @@ func TestWatchdogDetectsRetirementStall(t *testing.T) {
 }
 
 // spinOnFlag builds a program that loads addr until it is non-zero —
-// with nobody ever setting the flag, a genuine livelock.
+// with nobody ever setting the flag, a spin that can never end.
 func spinOnFlag(addr int64) []isa.Inst {
 	return []isa.Inst{
 		{Op: isa.LI, Rd: 3, Imm: addr},
@@ -94,10 +94,20 @@ func spinOnFlag(addr int64) []isa.Inst {
 	}
 }
 
+// TestEventLimitProducesStructuredErrorAndDump: a livelock that keeps
+// generating events — the same wait with an instruction between the
+// load and the branch, a shape spin fast-forward does not take — runs
+// into the event budget.
 func TestEventLimitProducesStructuredErrorAndDump(t *testing.T) {
 	cfg := cfg16()
 	cfg.Procs = 2
-	m, err := New(cfg, onlyCPU0(cfg.Procs, spinOnFlag(0x100)))
+	m, err := New(cfg, onlyCPU0(cfg.Procs, []isa.Inst{
+		{Op: isa.LI, Rd: 3, Imm: 0x100},
+		{Op: isa.LD, Rd: 4, Rs1: 3}, // pc 1
+		{Op: isa.NOP},
+		{Op: isa.BEQ, Rs1: 4, Rs2: 0, Imm: 1},
+		{Op: isa.HALT},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +118,50 @@ func TestEventLimitProducesStructuredErrorAndDump(t *testing.T) {
 	}
 	if !strings.Contains(se.Error(), "1/2 processors") {
 		t.Errorf("error text %q does not report halted processors", se.Error())
+	}
+}
+
+// TestHopelessSpinIsADeadlock: a processor spin-parked on a flag nobody
+// sets has no event pending, so the run ends at once as a deadlock
+// whose dump says where the spinner is and which line it watches —
+// also with the watchdog and the checker armed, whose ticks would
+// otherwise keep the queue alive (and the spinner's virtual progress
+// the watchdog quiet) up to the event budget. Un-skipped, the same
+// program still burns the budget.
+func TestHopelessSpinIsADeadlock(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		stall, checkEvery int
+		noSkip            bool
+		want              robust.Kind
+		maxEvents, atMost uint64
+	}{
+		{"no ticks", 0, 0, false, robust.Deadlock, 20_000, 200},
+		{"watchdog", 500, 0, false, robust.Deadlock, 20_000, 200},
+		{"checker", 0, 300, false, robust.Deadlock, 20_000, 200},
+		{"watchdog and checker", 500, 300, false, robust.Deadlock, 20_000, 200},
+		{"every iteration live", 500, 300, true, robust.EventLimit, 20_000, 20_000},
+	} {
+		cfg := cfg16()
+		cfg.Procs, cfg.StallCycles, cfg.CheckEvery, cfg.NoSpinSkip = 2, c.stall, c.checkEvery, c.noSkip
+		m, err := New(cfg, onlyCPU0(cfg.Procs, spinOnFlag(0x100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run(c.maxEvents)
+		se := asSimError(t, err, c.want)
+		if got := m.Eng.Steps(); got > c.atMost {
+			t.Errorf("%s: %d events before the %v error, want at most %d", c.name, got, c.want, c.atMost)
+		}
+		if c.want != robust.Deadlock {
+			continue
+		}
+		if !strings.Contains(se.Error(), "1/2 processors") {
+			t.Errorf("%s: error text %q does not report halted processors", c.name, se.Error())
+		}
+		if want := "pc=1      state=spin        outstanding=0 watching line 0x100"; !strings.Contains(se.Dump, want) {
+			t.Errorf("%s: dump does not say %q:\n%s", c.name, want, se.Dump)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //	offset 48 ...      gob(Snapshot)
 const (
 	snapMagic   = "MCSP"
-	snapVersion = 2
+	snapVersion = 3
 	snapHeader  = 48
 )
 
@@ -60,7 +60,11 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("machine: %s is not a snapshot file", path)
 	}
 	if v := binary.LittleEndian.Uint32(buf[4:]); v != snapVersion {
-		return nil, fmt.Errorf("machine: snapshot %s has format version %d, want %d", path, v, snapVersion)
+		why := ""
+		if v == 2 { // same payload types, another machine
+			why = " (a version-2 run ordered a cycle's events by creation and parked spinners behind ghost events; this build cannot continue it)"
+		}
+		return nil, fmt.Errorf("machine: snapshot %s has format version %d, want %d%s", path, v, snapVersion, why)
 	}
 	n := binary.LittleEndian.Uint64(buf[8:])
 	if uint64(len(buf)-snapHeader) != n {

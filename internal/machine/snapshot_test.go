@@ -251,8 +251,12 @@ func TestSnapshotFileCorruption(t *testing.T) {
 	mutate("version.mcsp", "format version 99", func(b []byte) []byte { b[4] = 99; return b })
 	// Version skew: everything about the file is valid (the checksum
 	// covers the payload, not the header) except that it says format 1,
-	// whose payload this build no longer decodes.
-	mutate("v1.mcsp", "format version 1, want 2", func(b []byte) []byte { b[4] = 1; return b })
+	// whose payload this build no longer decodes — or format 2, whose
+	// payload it would decode, into a machine that runs a cycle's events
+	// in another order and has no ghost event to resume; the error says so.
+	mutate("v1.mcsp", "format version 1, want 3", func(b []byte) []byte { b[4] = 1; return b })
+	mutate("v2.mcsp", "format version 2, want 3 (a version-2 run ordered a cycle's events by creation and parked spinners behind ghost events",
+		func(b []byte) []byte { b[4] = 2; return b })
 	if _, err := ReadSnapshotFile(filepath.Join(dir, "missing.mcsp")); err == nil {
 		t.Error("missing snapshot file read without error")
 	}

@@ -55,6 +55,7 @@ func (m *Machine) fire(d *sim.EventDesc) {
 		dst, src, msg := tail(d)
 		m.modules[dst].Receive(src, msg)
 	case machEvWatchdog:
+		m.raiseIfOnlyTicksRemain()
 		if m.watchdog.Check() {
 			m.Eng.ScheduleAfter(m.watchdog.Window, m.handler, *d)
 		}
@@ -62,12 +63,35 @@ func (m *Machine) fire(d *sim.EventDesc) {
 		if m.Done() {
 			return
 		}
+		m.raiseIfOnlyTicksRemain()
 		if err := m.CheckNow(); err != nil {
 			robust.Raise(err)
 		}
 		m.Eng.ScheduleAfter(sim.Cycle(m.cfg.CheckEvery), m.handler, *d)
 	default:
 		panic(fmt.Sprintf("machine: event of unknown kind %d", d.Kind))
+	}
+}
+
+// raiseIfOnlyTicksRemain runs in a tick. The armed ticks reschedule
+// themselves while processors run, so the queue never drains; but when
+// it holds nothing else nothing can happen any more (spin-parked
+// processors wait for a delivery that is not coming, and their virtual
+// progress keeps the watchdog quiet): the run is deadlocked. The tick
+// that is running is not pending; the other one, if armed, is.
+func (m *Machine) raiseIfOnlyTicksRemain() {
+	if armed := min(m.cfg.StallCycles, 1) + min(m.cfg.CheckEvery, 1); !m.Done() && m.Eng.Len() < armed {
+		robust.Raise(m.failure(robust.Deadlock, "nothing pending but the machine's own ticks"))
+	}
+}
+
+// failure is the error of a run the machine itself gives up on: what
+// happened, how many processors had halted, and the diagnostic dump.
+func (m *Machine) failure(kind robust.Kind, what string) *robust.SimError {
+	return &robust.SimError{
+		Kind: kind, Component: "machine", Unit: -1, Cycle: m.Eng.Now(),
+		Detail: fmt.Sprintf("%s (halted %d/%d processors)", what, m.halted, m.cfg.Procs),
+		Dump:   m.Diagnostics(diagTraceEvents),
 	}
 }
 

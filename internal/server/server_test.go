@@ -570,6 +570,61 @@ func TestCacheRejectsCorruptEntries(t *testing.T) {
 	}
 }
 
+// TestParentFormatStateRunsCold: testdata/state-pr23 is the state
+// directory a memsimd left behind at the commit before Events left the
+// checksum and processors got their slot in the cycle — one job,
+// journaled queued, running, done, with its cache entry. Everything in
+// it is well-formed, and its result is another machine's: the new
+// incarnation must find that the entry does not reproduce its
+// checksum, drop it, run the job cold and serve what it simulated.
+func TestParentFormatStateRunsCold(t *testing.T) {
+	const parent = "testdata/state-pr23"
+	files, err := filepath.Glob(filepath.Join(parent, "cache", "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("cache entries in %s: %v, %v", parent, files, err)
+	}
+	state := t.TempDir()
+	if err := os.Mkdir(filepath.Join(state, "cache"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, name := range []string{"journal.jsonl", filepath.Join("cache", filepath.Base(files[0]))} {
+		if buf, err = os.ReadFile(filepath.Join(parent, name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(state, name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stored CacheEntry
+	var old machine.Result
+	if json.Unmarshal(buf, &stored) != nil || json.Unmarshal(stored.Result, &old) != nil || old.Cycles == 0 {
+		t.Fatalf("%s does not decode to an entry with its result", files[0])
+	}
+	want, err := experiments.NewRunner(experiments.Quick()).Run(stored.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var log syncBuffer
+	s, err := New(Config{Params: experiments.Quick(), StateDir: state, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	if s.cache.Len() != 0 || s.resumed.Load() != 1 {
+		t.Errorf("%d entries recalled and %d jobs resumed from the parent's state, want 0 and 1", s.cache.Len(), s.resumed.Load())
+	}
+	final := newTestClient(t, s).waitDone(stored.ID, 30*time.Second)
+	canonical, sum := want.Encode()
+	if final.Status != string(experiments.StatusDone) || final.Checksum != sum || !bytes.Equal(final.Result, canonical) || sum == stored.Checksum {
+		t.Errorf("served status %s checksum %s; simulated here %s, stored by the parent %s", final.Status, final.Checksum, sum, stored.Checksum)
+	}
+	if !strings.Contains(log.String(), "lost its cache entry; re-running") || strings.Count(log.String(), "  ran ") != 1 {
+		t.Errorf("the log does not show the entry dropped and one cold run:\n%s", log.String())
+	}
+}
+
 // TestDoneRepliesShareOneEncoding visits every site that serves a done
 // result and requires each reply to name the job correctly and to carry
 // the one canonical encoding of the Result, which reproduces the

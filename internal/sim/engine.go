@@ -6,22 +6,23 @@
 // event as data: Schedule takes a descriptor and the owning component's
 // one handler, which the engine calls with the descriptor when the
 // event is due. Tests and throwaway drivers schedule closures with
-// At/After. The machine drains the queue in (cycle, insertion-order)
-// order, which makes every simulation deterministic and therefore
-// reproducible in tests.
+// At/After. The machine drains the queue in (cycle, slot, insertion)
+// order: within a cycle every delivery runs first, in the order it was
+// scheduled, then the processors (CompCPU descriptors) in ascending
+// Unit, whenever their events were created (DESIGN.md §9). That makes
+// every simulation deterministic and therefore reproducible in tests.
 //
 // Internally the queue is a bucketed calendar queue (DESIGN.md §9): a
-// power-of-two ring of per-cycle FIFO buckets covers the near horizon
+// power-of-two ring of per-cycle buckets covers the near horizon
 // [Now, Now+horizon), a two-level bitmap finds the next occupied
 // bucket in O(1), and a small typed min-heap holds the rare far-future
 // events (watchdog and checker ticks) until the window slides over them.
 // Event records are typed nodes recycled through a free list, so the
 // steady-state schedule/execute cycle performs zero heap allocations —
 // no interface{} boxing, no per-event container churn. The execution
-// order is bit-identical to the previous binary-heap engine: the exact
-// (at, seq) tie-break semantics are pinned by the golden-result corpus
-// (testdata/golden/) and the differential test against a reference
-// scheduler in engine_diff_test.go.
+// order is pinned by the golden-result corpus (testdata/golden/) and
+// the differential test against a reference scheduler in
+// engine_diff_test.go.
 package sim
 
 import "math/bits"
@@ -51,7 +52,7 @@ const (
 // §9).
 type Handler func(*EventDesc)
 
-// node is one scheduled event, linked into a bucket FIFO or parked on
+// node is one scheduled event, linked into a bucket list or parked on
 // the free list: a descriptor and its owner's handler (which rides
 // here because finding it again from (Comp, Unit) costs as much), or a
 // plain At/After callback fn. A free node has neither. Nodes are
@@ -61,15 +62,26 @@ type node struct {
 	h    Handler
 	fn   func()
 	at   Cycle
-	seq  uint64 // tie-breaker: insertion order within a cycle
-	next int32  // bucket FIFO / free-list link
+	seq  uint64 // tie-breaker: insertion order within a slot
+	next int32  // bucket list / free-list link
+	slot int32  // place in the cycle: 0 a delivery, u+1 processor u
 	desc EventDesc
 }
 
-// bucket is one ring slot: a FIFO of the events for a single cycle.
-// Because direct inserts arrive in seq order and overflow migration
-// always precedes them (see migrate), appending at the tail keeps the
-// list sorted by seq with zero comparisons.
+// slotOf is a descriptor's place in its cycle.
+func slotOf(d *EventDesc) int32 {
+	if d.Comp == CompCPU {
+		return d.Unit + 1
+	}
+	return 0
+}
+
+// bucket is one ring slot, the events of a single cycle as one list
+// from head: the deliveries in seq order, tail the last of them, and
+// chained behind tail the processor events in (slot, seq) order. Direct
+// delivery inserts arrive in seq order and overflow migration always
+// precedes them (see migrate), so a delivery goes in at tail with zero
+// comparisons; a processor event walks its cycle's few processor nodes.
 type bucket struct{ head, tail int32 }
 
 // Engine is a deterministic discrete-event scheduler.
@@ -83,6 +95,7 @@ type Engine struct {
 
 	nodes []node // handle-addressed node pool; slot 0 reserved
 	free  int32  // free-list head (0: empty)
+	slot  int32  // slot of the last event run: how far cycle now has got
 
 	buckets [horizon]bucket
 	occ     [bmWords]uint64 // bit b of word w set: bucket w*64+b non-empty
@@ -119,7 +132,11 @@ func (e *Engine) release(h int32) {
 	e.free = h
 }
 
-// add queues a node for cycle at under the next sequence number — in
+// ProcessorPhase reports whether a processor event has run in the
+// current cycle: its deliveries are over.
+func (e *Engine) ProcessorPhase() bool { return e.slot != 0 }
+
+// add queues a node for (at, slot) under the next sequence number — in
 // that cycle's bucket when it is inside the ring window, on the
 // overflow heap otherwise — and returns it for the caller to say what
 // runs. The node comes off the free list, and the pool grows only when
@@ -127,11 +144,15 @@ func (e *Engine) release(h int32) {
 // and append doubles it, so its size follows the most events the run
 // ever had pending: a two-processor machine that lives a few hundred
 // events pays for a dozen nodes, not for a big machine's thousands.
-// Scheduling in the past (before Now) panics: it would silently reorder
+// Scheduling in the past — a cycle before Now, or a slot of this cycle
+// ahead of the one that last ran — panics: it would silently reorder
 // causality.
-func (e *Engine) add(at Cycle) *node {
+func (e *Engine) add(at Cycle, slot int32) *node {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
+	}
+	if at == e.now && slot < e.slot {
+		panic("sim: scheduling event into a part of the current cycle that has already run")
 	}
 	h := e.free
 	if h != 0 {
@@ -146,7 +167,7 @@ func (e *Engine) add(at Cycle) *node {
 	e.seq++
 	e.count++
 	n := &e.nodes[h]
-	n.at, n.seq, n.next = at, e.seq, 0
+	n.at, n.seq, n.slot = at, e.seq, slot
 	if at-e.now < horizon {
 		e.ringPush(h, at)
 	} else {
@@ -155,23 +176,33 @@ func (e *Engine) add(at Cycle) *node {
 	return n
 }
 
-// ringPush appends a node to the bucket for cycle at (which must be
+// ringPush links a node into the bucket for cycle at (which must be
 // within [now, now+horizon)) and marks it occupied in the bitmaps.
 func (e *Engine) ringPush(h int32, at Cycle) {
 	idx := uint(at) & ringMax
 	b := &e.buckets[idx]
-	if b.tail == 0 {
-		b.head, b.tail = h, h
+	if b.head == 0 {
 		w := idx >> 6
 		e.occ[w] |= 1 << (idx & 63)
 		e.summary |= 1 << w
-	} else {
-		e.nodes[b.tail].next = h
-		b.tail = h
 	}
+	link := &b.head // the link behind the last delivery
+	if b.tail != 0 {
+		link = &e.nodes[b.tail].next
+	}
+	n := &e.nodes[h]
+	if n.slot == 0 {
+		b.tail = h
+	} else {
+		for *link != 0 && e.nodes[*link].slot <= n.slot {
+			link = &e.nodes[*link].next
+		}
+	}
+	n.next, *link = *link, h
 }
 
-// heapLess orders overflow handles by (at, seq).
+// heapLess orders overflow handles by (at, seq); ringPush sorts a
+// cycle's migrants into their slots.
 func (e *Engine) heapLess(a, b int32) bool {
 	na, nb := &e.nodes[a], &e.nodes[b]
 	return na.at < nb.at || (na.at == nb.at && na.seq < nb.seq)
@@ -222,7 +253,7 @@ func (e *Engine) heapPop() int32 {
 // (at, seq) order, and any direct insert for a newly covered cycle can
 // only happen in a later callback (inserting at cycle C from outside
 // the overflow requires now > C-horizon, by which point this migration
-// has already run), so bucket FIFO order remains seq order.
+// has already run), so a bucket's deliveries remain in seq order.
 func (e *Engine) migrate() {
 	for len(e.overflow) > 0 {
 		h := e.overflow[0]
@@ -240,7 +271,7 @@ func (e *Engine) migrate() {
 // from it, because d is all a snapshot saves of the event; Load hands
 // it back to the same handler.
 func (e *Engine) Schedule(at Cycle, h Handler, d EventDesc) {
-	n := e.add(at)
+	n := e.add(at, slotOf(&d))
 	n.h, n.desc = h, d
 }
 
@@ -254,7 +285,7 @@ func (e *Engine) ScheduleAfter(delay Cycle, h Handler, d EventDesc) {
 // engine that holds one. Tests and throwaway drivers whose engines are
 // never saved use it; simulator components use Schedule.
 func (e *Engine) At(at Cycle, fn func()) {
-	e.add(at).fn = fn
+	e.add(at, 0).fn = fn
 }
 
 // After schedules fn to run delay cycles from now.
@@ -264,6 +295,9 @@ func (e *Engine) After(delay Cycle, fn func()) {
 
 // Pending reports whether any events remain in the queue.
 func (e *Engine) Pending() bool { return e.count > 0 }
+
+// Len returns how many events remain in the queue.
+func (e *Engine) Len() int { return e.count }
 
 // ringEarliest returns the cycle of the earliest occupied bucket,
 // scanning the two-level bitmap circularly from now's slot. The caller
@@ -327,8 +361,10 @@ func (e *Engine) Step() bool {
 	h := b.head
 	n := &e.nodes[h]
 	b.head = n.next
-	if b.head == 0 {
+	if h == b.tail {
 		b.tail = 0
+	}
+	if b.head == 0 {
 		w := idx >> 6
 		e.occ[w] &^= 1 << (idx & 63)
 		if e.occ[w] == 0 {
@@ -337,6 +373,7 @@ func (e *Engine) Step() bool {
 	}
 	e.count--
 	e.steps++
+	e.slot = n.slot
 	if fn := n.fn; fn != nil {
 		n.fn = nil
 		e.release(h)

@@ -57,7 +57,8 @@ func BenchmarkEngineStep(b *testing.B) {
 // pool is warm, a schedule+execute round trip (After or ScheduleAfter
 // followed by the Step that runs it) performs zero heap allocations —
 // for near-horizon delays, same-cycle events, and far-future delays
-// that transit the overflow heap alike.
+// that transit the overflow heap alike, and for processor events
+// sorting into their slots behind a cycle's deliveries.
 func TestZeroAllocSteadyState(t *testing.T) {
 	var e Engine
 	fn := func() {}
@@ -86,6 +87,19 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("delay %d: ScheduleAfter+Step allocates %v times per op, want 0", d, avg)
+		}
+		// A later cycle, because this one's processor phase may have begun.
+		d = max(d, 1)
+		avg = testing.AllocsPerRun(200, func() {
+			for _, unit := range []int32{5, 2, 7} {
+				e.ScheduleAfter(d, h, EventDesc{Comp: CompCPU, Kind: 1, Unit: unit})
+			}
+			e.ScheduleAfter(d, h, EventDesc{Comp: CompCache, Kind: 2, Unit: 3})
+			for e.Step() {
+			}
+		})
+		if avg != 0 {
+			t.Errorf("delay %d: three processor events and a delivery allocate %v times per op, want 0", d, avg)
 		}
 	}
 }

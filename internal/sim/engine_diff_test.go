@@ -9,29 +9,32 @@ import (
 
 // Differential test: the Engine's execution order is compared against
 // a naive reference scheduler (a flat slice, linear-scan minimum by
-// (at, seq)) on randomized self-expanding schedules. The reference is
-// obviously correct with respect to the determinism contract, so any
-// divergence indicts the engine's data structure — this is the
-// event-trace equivalence gate for the calendar-queue rewrite.
+// (at, slot, seq)) on randomized self-expanding schedules. The
+// reference is obviously correct with respect to the determinism
+// contract, so any divergence indicts the engine's data structure —
+// the bucket's two-handle list, the overflow heap's migration, or
+// Save/Load, which the engine under test goes through every few dozen
+// steps.
 
 // scheduler is the surface both implementations share.
 type scheduler interface {
 	Now() Cycle
-	At(Cycle, func())
-	After(Cycle, func())
+	Schedule(Cycle, Handler, EventDesc)
 	Step() bool
 }
 
-// event is the reference's record: one scheduled callback tagged with
-// its cycle and insertion sequence (the shape the heap engine used).
+// event is the reference's record: one scheduled descriptor tagged with
+// its cycle, its slot in the cycle and its insertion sequence.
 type event struct {
-	at  Cycle
-	seq uint64
-	fn  func()
+	at   Cycle
+	slot int32
+	seq  uint64
+	h    Handler
+	d    EventDesc
 }
 
 // refSched is the reference: an unordered slice, stepped by scanning
-// for the minimum (at, seq). O(n) per step, transparently correct.
+// for the minimum (at, slot, seq). O(n) per step, transparently correct.
 type refSched struct {
 	now Cycle
 	seq uint64
@@ -40,74 +43,125 @@ type refSched struct {
 
 func (r *refSched) Now() Cycle { return r.now }
 
-func (r *refSched) At(at Cycle, fn func()) {
+func (r *refSched) Schedule(at Cycle, h Handler, d EventDesc) {
 	if at < r.now {
 		panic("refSched: scheduling event in the past")
 	}
 	r.seq++
-	r.evs = append(r.evs, event{at: at, seq: r.seq, fn: fn})
+	slot := int32(0)
+	if d.Comp == CompCPU {
+		slot = d.Unit + 1
+	}
+	r.evs = append(r.evs, event{at: at, slot: slot, seq: r.seq, h: h, d: d})
 }
-
-func (r *refSched) After(d Cycle, fn func()) { r.At(r.now+d, fn) }
 
 func (r *refSched) Step() bool {
 	if len(r.evs) == 0 {
 		return false
 	}
+	less := func(a, b *event) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.slot != b.slot {
+			return a.slot < b.slot
+		}
+		return a.seq < b.seq
+	}
 	best := 0
 	for i := 1; i < len(r.evs); i++ {
-		if r.evs[i].at < r.evs[best].at ||
-			(r.evs[i].at == r.evs[best].at && r.evs[i].seq < r.evs[best].seq) {
+		if less(&r.evs[i], &r.evs[best]) {
 			best = i
 		}
 	}
 	ev := r.evs[best]
 	r.evs = append(r.evs[:best], r.evs[best+1:]...)
 	r.now = ev.at
-	ev.fn()
+	ev.h(&ev.d)
 	return true
+}
+
+// reloading is the engine under test, saved and loaded into a new
+// Engine every few dozen steps: whatever is pending — ring, overflow
+// heap, a cycle stopped between its deliveries and its processors —
+// must come back in the same order.
+type reloading struct {
+	*Engine
+	t     *testing.T
+	h     Handler
+	every uint64
+}
+
+func (r *reloading) Step() bool {
+	if r.every != 0 && r.Steps()%r.every == r.every-1 {
+		st, err := r.Save()
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		r.Engine = new(Engine)
+		if err := r.Load(st, func(EventDesc) (Handler, error) { return r.h, nil }); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	return r.Engine.Step()
 }
 
 // traceEntry records one executed event: which script node ran, when.
 type traceEntry struct {
-	id int
+	id uint64
 	at Cycle
 }
 
 // runScript drives a scheduler through a pseudo-random self-expanding
-// schedule and returns the execution trace. Event ids are assigned by
-// a deterministic counter at scheduling time; handlers spawn children
-// with delays drawn from a mix that straddles any plausible near/far
-// horizon boundary (0, tiny, ~1K, and multi-K cycles). Randomness is
+// schedule and returns the execution trace. Every event is a
+// descriptor run by the one handler bind is given; its id (A) is
+// assigned by a deterministic counter at scheduling time, and about
+// half are processor events on one of eight units, created in whatever
+// order the script reaches them. Handlers spawn children with delays
+// drawn from a mix that straddles the horizon boundary (0, tiny, ~1K,
+// and multi-K cycles); a child in the spawning cycle goes to a slot
+// not before its parent's, as the engine requires. Randomness is
 // consumed in execution order, so identical traces imply identical
 // orders and vice versa.
-func runScript(s scheduler, seed int64, size int) []traceEntry {
+func runScript(s scheduler, bind func(Handler), seed int64, size int) []traceEntry {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []traceEntry
-	nextID := 0
+	var nextID uint64
 	total := 0
 	delays := []Cycle{0, 1, 2, 3, 7, 63, 1022, 1023, 1024, 1025, 2048, 5000}
+	const units = 8
 
-	var spawn func(at Cycle)
-	spawn = func(at Cycle) {
-		id := nextID
+	var h Handler
+	// spawn schedules a delivery or a processor event; minUnit >= 0
+	// asks for a processor of at least that unit.
+	spawn := func(at Cycle, minUnit int32) {
+		d := EventDesc{Comp: CompMachine, A: nextID}
+		if minUnit >= 0 || rng.Intn(2) == 0 {
+			minUnit = max(minUnit, 0)
+			d.Comp, d.Unit = CompCPU, minUnit+int32(rng.Intn(int(units-minUnit)))
+		}
 		nextID++
 		total++
-		s.At(at, func() {
-			trace = append(trace, traceEntry{id: id, at: s.Now()})
-			if total >= size {
-				return
-			}
-			for n := rng.Intn(3); n > 0; n-- {
-				d := delays[rng.Intn(len(delays))]
-				spawn(s.Now() + d)
-			}
-		})
+		s.Schedule(at, h, d)
 	}
+	h = func(d *EventDesc) {
+		trace = append(trace, traceEntry{id: d.A, at: s.Now()})
+		if total >= size {
+			return
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			delay, minUnit := delays[rng.Intn(len(delays))], int32(-1)
+			if delay == 0 && d.Comp == CompCPU {
+				minUnit = d.Unit
+			}
+			spawn(s.Now()+delay, minUnit)
+		}
+	}
+	bind(h)
 	// Seed population: a burst of roots across a wide time range,
 	// including exact collisions.
 	for i := 0; i < 32; i++ {
-		spawn(Cycle(rng.Intn(4000)))
+		spawn(Cycle(rng.Intn(4000)), -1)
 	}
 	for s.Step() {
 	}
@@ -116,16 +170,18 @@ func runScript(s scheduler, seed int64, size int) []traceEntry {
 
 func diffOneSeed(t *testing.T, seed int64, size int) {
 	t.Helper()
-	var e Engine
-	got := runScript(&e, seed, size)
-	want := runScript(&refSched{}, seed, size)
-	if len(got) != len(want) {
-		t.Fatalf("seed %d: trace lengths differ: engine %d, reference %d", seed, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("seed %d: traces diverge at step %d: engine %+v, reference %+v",
-				seed, i, got[i], want[i])
+	want := runScript(&refSched{}, func(Handler) {}, seed, size)
+	for _, every := range []uint64{0, 37} {
+		e := &reloading{Engine: new(Engine), t: t, every: every}
+		got := runScript(e, func(h Handler) { e.h = h }, seed, size)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d, reload every %d: trace lengths differ: engine %d, reference %d", seed, every, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d, reload every %d: traces diverge at step %d: engine %+v, reference %+v",
+					seed, every, i, got[i], want[i])
+			}
 		}
 	}
 }

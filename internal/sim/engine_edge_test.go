@@ -34,6 +34,8 @@ func TestEdgeCases(t *testing.T) {
 		{"DrainedQueueState", testDrainedQueueState},
 		{"CrossHorizonDelay", testCrossHorizonDelay},
 		{"FarFutureBackfill", testFarFutureBackfill},
+		{"DeliveriesThenProcessorsByID", testCycleOrder},
+		{"LateSameCycleSchedulePanics", testLateSameCycleSchedule},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, tc.run)
@@ -203,5 +205,92 @@ func testFarFutureBackfill(t *testing.T) {
 	want := []Cycle{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 5000}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("backfill order:\n got %v\nwant %v", got, want)
+	}
+}
+
+// testCycleOrder pins the order inside a cycle: every delivery in the
+// order it was scheduled, then the processors in ascending unit (and
+// one unit's events in the order they were scheduled), whenever each
+// was created — before the deliveries, between them, from one of them,
+// from an earlier processor, or through the overflow heap.
+func testCycleOrder(t *testing.T) {
+	for _, at := range []Cycle{40, 3 * horizon} {
+		var e Engine
+		var got, names []string
+		cpu := func(unit int32, name string) EventDesc {
+			names = append(names, name)
+			return EventDesc{Comp: CompCPU, Kind: 1, Unit: unit, A: uint64(len(names) - 1)}
+		}
+		rec := func(d *EventDesc) { got = append(got, names[d.A]) }
+		deliver := func(name string, then func()) {
+			e.At(at, func() {
+				got = append(got, name)
+				if then != nil {
+					then()
+				}
+			})
+		}
+		e.Schedule(at, rec, cpu(6, "p6"))
+		deliver("d1", nil)
+		e.Schedule(at, rec, cpu(2, "p2"))
+		deliver("d2", func() {
+			e.Schedule(at, rec, cpu(4, "p4"))
+			deliver("d4", nil)
+		})
+		e.Schedule(at, rec, cpu(0, "p0"))
+		e.Schedule(at, func(d *EventDesc) {
+			rec(d)
+			e.Schedule(at, rec, cpu(5, "p5")) // a later processor, this cycle
+			e.Schedule(at, rec, cpu(3, "q3")) // itself again
+		}, cpu(3, "p3"))
+		deliver("d3", nil)
+		e.Schedule(at, rec, cpu(2, "q2"))
+		e.Run(nil)
+		want := "[d1 d2 d3 d4 p0 p2 q2 p3 q3 p4 p5 p6]"
+		if fmt.Sprint(got) != want {
+			t.Errorf("cycle %d:\n got %v\nwant %v", at, got, want)
+		}
+	}
+}
+
+// testLateSameCycleSchedule: once a processor has run in a cycle, a
+// delivery or an earlier processor scheduled into that cycle would run
+// after events it belongs before, so the engine refuses it the way it
+// refuses the past. Its own and later slots stay open, and so does
+// every later cycle.
+func testLateSameCycleSchedule(t *testing.T) {
+	nop := func(*EventDesc) {}
+	for _, c := range []struct {
+		name   string
+		d      EventDesc
+		delay  Cycle
+		panics bool
+	}{
+		{"delivery, same cycle", EventDesc{Comp: CompCache, Unit: 9}, 0, true},
+		{"earlier processor, same cycle", EventDesc{Comp: CompCPU, Unit: 2}, 0, true},
+		{"the processor itself, same cycle", EventDesc{Comp: CompCPU, Unit: 3}, 0, false},
+		{"later processor, same cycle", EventDesc{Comp: CompCPU, Unit: 4}, 0, false},
+		{"delivery, next cycle", EventDesc{Comp: CompCache, Unit: 9}, 1, false},
+		{"earlier processor, next cycle", EventDesc{Comp: CompCPU, Unit: 2}, 1, false},
+	} {
+		var e Engine
+		var panicked, phase bool
+		e.Schedule(7, func(*EventDesc) {
+			defer func() { panicked = recover() != nil }()
+			phase = e.ProcessorPhase()
+			e.ScheduleAfter(c.delay, nop, c.d)
+		}, EventDesc{Comp: CompCPU, Unit: 3})
+		e.At(7, func() {
+			if e.ProcessorPhase() {
+				t.Errorf("%s: ProcessorPhase inside a delivery", c.name)
+			}
+		})
+		e.Run(nil)
+		if !phase {
+			t.Errorf("%s: ProcessorPhase false inside a processor event", c.name)
+		}
+		if panicked != c.panics {
+			t.Errorf("%s: panicked = %v, want %v", c.name, panicked, c.panics)
+		}
 	}
 }

@@ -33,7 +33,7 @@ type EventDesc struct {
 
 // EventState is one pending event in a snapshot: its firing cycle, its
 // insertion sequence number (the tie-breaker that fixes execution order
-// within a cycle), and its descriptor.
+// within a slot of the cycle), and its descriptor, which says the slot.
 type EventState struct {
 	At   Cycle
 	Seq  uint64
@@ -42,7 +42,8 @@ type EventState struct {
 
 // EngineState is the complete serializable state of an Engine. Events
 // are sorted by Seq so Load can insert them in a single pass that
-// preserves every bucket's FIFO (= seq) order.
+// preserves every bucket's delivery (= seq) order; what is pending of
+// the current cycle runs in (slot, seq) order from any point.
 type EngineState struct {
 	Now    Cycle
 	Seq    uint64
@@ -84,8 +85,8 @@ func (e *Engine) Save() (EngineState, error) {
 // saved event is outside input. The engine must be freshly constructed
 // or Reset (nothing scheduled).
 //
-// Because events arrive sorted by Seq and buckets append at the tail,
-// every bucket's FIFO order equals seq order, so the restored engine
+// Because events arrive sorted by Seq, deliveries append in seq order
+// and processor events sort into their slots, so the restored engine
 // executes events in an order bit-identical to the uninterrupted run.
 func (e *Engine) Load(st EngineState, resolve func(EventDesc) (Handler, error)) error {
 	if e.count != 0 || e.steps != 0 {
