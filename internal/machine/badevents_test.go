@@ -21,10 +21,12 @@ import (
 // "unusable checkpoint: rebuild and rerun" fallback hangs on the error.
 // The test steps Psim under RC (one-entry network buffers, watchdog and
 // checker armed) until one snapshot holds all eleven event kinds and a
-// grant that completes a transaction, checks that it restores and
-// resumes to the uninterrupted checksum, then corrupts one descriptor
-// field at a time. Every corruption must come back from Restore as an
-// error: not a panic, not a success that dies mid-run.
+// grant that completes a transaction, checks that it restores and resumes to the uninterrupted
+// checksum, then corrupts one descriptor field at a time, and then the
+// list itself: a wake dropped, doubled or moved off the cycle its port
+// frees. Every corruption must come back from Restore as an error: not
+// a panic, not a success that dies mid-run (or, for a port's lost
+// wake, a queue that silently never drains).
 func TestRestoreRejectsBadEvents(t *testing.T) {
 	p := experiments.Quick()
 	w := workloads.Psim(p.Procs, p.PsimPorts, p.PsimRefs, p.Seed)
@@ -113,17 +115,17 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 		t.Fatalf("module %d has no line outside a transaction", d.Unit)
 		return 0
 	}
-	idleLink := func(d sim.EventDesc) uint64 {
+	emptyLink := func(d sim.EventDesc) uint64 {
 		net := snap.ReqNet
 		if d.Unit == 1 {
 			net = snap.RespNet
 		}
 		for i, ps := range net.Links[d.A-1] {
-			if !ps.Busy {
+			if len(ps.Queue) == 0 {
 				return uint64(i)
 			}
 		}
-		t.Fatalf("network %d stage %d has no idle link", d.Unit, d.A-1)
+		t.Fatalf("network %d stage %d has a queue at every link", d.Unit, d.A-1)
 		return 0
 	}
 	unscheduled := func() int32 {
@@ -135,13 +137,33 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 		t.Fatal("every processor has a run scheduled")
 		return 0
 	}
+	// refused fails t unless Restore turns snap away with an error.
+	refused := func(name string) {
+		t.Helper()
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("PANIC: %v", r)
+				}
+			}()
+			return build().Restore(snap)
+		}()
+		switch {
+		case err == nil:
+			t.Errorf("%s: Restore accepted the snapshot", name)
+		case strings.HasPrefix(err.Error(), "PANIC"):
+			t.Errorf("%s: Restore panicked: %v", name, err)
+		default:
+			t.Logf("%s: %v", name, err)
+		}
+	}
 	for _, c := range []struct {
 		name, kind string
 		ok         func(sim.EventDesc) bool
 		corrupt    func(*sim.EventDesc)
 	}{
 		{"unknown component class", "cpu run", nil, func(d *sim.EventDesc) { d.Comp = 9 }},
-		{"no component class", "net free", nil, func(d *sim.EventDesc) { d.Comp = sim.CompNone }},
+		{"no component class", "net wake", nil, func(d *sim.EventDesc) { d.Comp = sim.CompNone }},
 		{"cpu unit negative", "cpu run", nil, func(d *sim.EventDesc) { d.Unit = -1 }},
 		{"cpu unit out of range", "cpu run", nil, func(d *sim.EventDesc) { d.Unit = int32(procs) }},
 		{"cpu kind unknown", "cpu run", nil, func(d *sim.EventDesc) { d.Kind = 9 }},
@@ -161,15 +183,15 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 		{"completion into a transient state", "module head", func(d sim.EventDesc) bool { return d.B&completes != 0 },
 			func(d *sim.EventDesc) { d.B = d.B&^(0xff<<16) | 3<<16 }},
 		{"network unit unknown", "net advance", nil, func(d *sim.EventDesc) { d.Unit = 2 }},
-		{"network kind unknown", "net free", nil, func(d *sim.EventDesc) { d.Kind = 9 }},
+		{"network kind unknown", "net wake", nil, func(d *sim.EventDesc) { d.Kind = 9 }},
 		{"advance from a source out of range", "net advance", nil, func(d *sim.EventDesc) { d.C = d.C&^0xffff | procs }},
 		{"advance to a destination out of range", "net advance", nil, func(d *sim.EventDesc) { d.C = d.C&^(0xffff<<16) | procs<<16 }},
 		{"advance past the last stage", "net advance", nil, func(d *sim.EventDesc) { d.B = d.B&^(0xffff<<16) | (stages+1)<<16 }},
 		{"advance of a message without flits", "net advance", nil, func(d *sim.EventDesc) { d.C &= 1<<32 - 1 }},
-		{"free of a stage that does not exist", "net free", nil, func(d *sim.EventDesc) { d.A = stages + 1 }},
-		{"free of an entrance out of range", "net free", nil, func(d *sim.EventDesc) { d.A, d.B = 0, procs }},
-		{"free of a link out of range", "net free", func(d sim.EventDesc) bool { return d.A > 0 }, func(d *sim.EventDesc) { d.B = 1 << 40 }},
-		{"free of an idle link", "net free", func(d sim.EventDesc) bool { return d.A > 0 }, func(d *sim.EventDesc) { d.B = idleLink(*d) }},
+		{"wake of a stage that does not exist", "net wake", nil, func(d *sim.EventDesc) { d.A = stages + 1 }},
+		{"wake of an entrance out of range", "net wake", nil, func(d *sim.EventDesc) { d.A, d.B = 0, procs }},
+		{"wake of a link out of range", "net wake", func(d sim.EventDesc) bool { return d.A > 0 }, func(d *sim.EventDesc) { d.B = 1 << 40 }},
+		{"wake of a link with nothing queued", "net wake", func(d sim.EventDesc) bool { return d.A > 0 }, func(d *sim.EventDesc) { d.B = emptyLink(*d) }},
 		{"space for a source out of range", "net space", nil, func(d *sim.EventDesc) { d.A = procs }},
 		{"machine kind unknown", "machine check", nil, func(d *sim.EventDesc) { d.Kind = 9 }},
 		{"tail to a module out of range", "machine tail", nil, func(d *sim.EventDesc) { d.B = d.B&(1<<32-1) | procs<<32 }},
@@ -178,21 +200,31 @@ func TestRestoreRejectsBadEvents(t *testing.T) {
 	} {
 		snap.Engine.Events = slices.Clone(good)
 		c.corrupt(&snap.Engine.Events[find(c.kind, c.ok)].Desc)
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("PANIC: %v", r)
-				}
-			}()
-			return build().Restore(snap)
-		}()
-		switch {
-		case err == nil:
-			t.Errorf("%s: Restore accepted the snapshot", c.name)
-		case strings.HasPrefix(err.Error(), "PANIC"):
-			t.Errorf("%s: Restore panicked: %v", c.name, err)
-		default:
-			t.Logf("%s: %v", c.name, err)
-		}
+		refused(c.name)
+	}
+
+	// A port with a queue has exactly one wake, at the cycle it frees.
+	wake := find("net wake", nil)
+	goodEngine := snap.Engine
+	for _, c := range []struct {
+		name string
+		edit func(es *sim.EngineState)
+	}{
+		{"a queued port with no wake", func(es *sim.EngineState) { es.Events = slices.Delete(es.Events, wake, wake+1) }},
+		{"a second wake for one port", func(es *sim.EngineState) {
+			// A copy right behind it: every later event and the
+			// engine's counter move up one sequence number.
+			es.Events = slices.Insert(es.Events, wake+1, es.Events[wake])
+			for j := wake + 1; j < len(es.Events); j++ {
+				es.Events[j].Seq++
+			}
+			es.Seq++
+		}},
+		{"a wake off the cycle its port frees", func(es *sim.EngineState) { es.Events[wake].At++ }},
+	} {
+		snap.Engine = goodEngine
+		snap.Engine.Events = slices.Clone(good)
+		c.edit(&snap.Engine)
+		refused(c.name)
 	}
 }

@@ -311,7 +311,7 @@ func (m *Machine) build() {
 	m.respNet = network.New(&m.Eng, procs, m.cfg.NetBuf, func(dst int, nm network.Message) {
 		msg := nm.Payload
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.RespRecv,
-			Src: nm.Src, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
+			Src: nm.Src, Dst: dst, What: msg.Kind, Addr: msg.Line})
 		m.caches[dst].Receive(msg)
 	})
 	m.respNet.SetUnit(netUnitResp)
@@ -321,7 +321,7 @@ func (m *Machine) build() {
 		msg := nm.Payload
 		src := nm.Src
 		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqRecv,
-			Src: src, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
+			Src: src, Dst: dst, What: msg.Kind, Addr: msg.Line})
 		if msg.Kind.CarriesData() {
 			m.Eng.ScheduleAfter(sim.Cycle(m.words), m.handler, tailEvent(dst, src, msg))
 		} else {
@@ -342,7 +342,7 @@ func (m *Machine) build() {
 				})
 				if ok {
 					m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.RespSend,
-						Src: id, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
+						Src: id, Dst: dst, What: msg.Kind, Addr: msg.Line})
 				}
 				return ok
 			},
@@ -356,7 +356,7 @@ func (m *Machine) build() {
 				})
 				if ok {
 					m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqSend,
-						Src: id, Dst: dst, What: msg.Kind.String(), Addr: msg.Line})
+						Src: id, Dst: dst, What: msg.Kind, Addr: msg.Line})
 				}
 				return ok
 			},

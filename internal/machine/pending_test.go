@@ -39,8 +39,11 @@ import (
 //
 // The table was regenerated when processors got their fixed place in
 // the cycle and the spin ghost (the twelfth kind, {CompCPU, 2}) went:
-// every cycle count moved, and a spin park stopped being an event.
-// Regenerate after an intentional change to simulated timing or to a
+// every cycle count moved, and a spin park stopped being an event. It
+// was regenerated again when network ports began to free themselves
+// lazily: kind {CompNet, 2} went from one free event per port service
+// to one wake per port with a queue, and saved ports record the cycle
+// they free instead of a busy flag. Regenerate after an intentional change to simulated timing or to a
 // saved type:
 //
 //	go test ./internal/machine -run TestPendingPinned -update
@@ -67,7 +70,7 @@ var eventKinds = map[[2]uint8]string{
 	{sim.CompCPU, 1}:   "cpu run",
 	{sim.CompCache, 1}: "cache bind", {sim.CompCache, 2}: "cache fill",
 	{sim.CompModule, 1}: "module unbusy", {sim.CompModule, 2}: "module head",
-	{sim.CompNet, 1}: "net advance", {sim.CompNet, 2}: "net free", {sim.CompNet, 3}: "net space",
+	{sim.CompNet, 1}: "net advance", {sim.CompNet, 2}: "net wake", {sim.CompNet, 3}: "net space",
 	{sim.CompMachine, 1}: "machine tail", {sim.CompMachine, 2}: "machine watchdog", {sim.CompMachine, 3}: "machine check",
 }
 

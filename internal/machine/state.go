@@ -311,5 +311,10 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if err := m.Eng.Load(s.Engine, m.resolveEvent); err != nil {
 		return fmt.Errorf("machine: restoring engine: %w", err)
 	}
+	for _, n := range []*network.Network{m.reqNet, m.respNet} {
+		if err := n.CheckWakes(s.Engine.Events); err != nil {
+			return fmt.Errorf("machine: restoring engine: %w", err)
+		}
+	}
 	return nil
 }

@@ -26,6 +26,8 @@ func TestStateComplete(t *testing.T) {
 		"mc":       "reset: detached. The machine saves the collector",
 		"netid":    "reset: with mc",
 	})
+	// freeAt is carried (PortState.FreeAt), so it takes no entry: Reset
+	// zeroes it with the port, and a zero freeAt is a free port.
 	statecheck.Resettable(t, port{}, PortState{}, map[string]string{
 		"head": "reset: empty. The queue is saved by walking it (PortState.Queue)",
 		"tail": "reset: empty, with head",

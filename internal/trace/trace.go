@@ -44,13 +44,14 @@ func (k Kind) String() string {
 
 // Event is one recorded occurrence. Src/Dst are endpoint ids (cache or
 // module indices); What describes the payload (e.g. a protocol message
-// kind); Addr is the line or word address involved.
+// kind, formatted only when printed); Addr is the line or word address
+// involved.
 type Event struct {
 	Cycle sim.Cycle
 	Kind  Kind
 	Src   int
 	Dst   int
-	What  string
+	What  fmt.Stringer
 	Addr  uint64
 }
 

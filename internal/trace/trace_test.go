@@ -3,6 +3,8 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"memsim/internal/memory"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -71,7 +73,7 @@ func TestFilterAddr(t *testing.T) {
 
 func TestDumpFormat(t *testing.T) {
 	r := New(4)
-	r.Record(Event{Cycle: 7, Kind: ReqSend, Src: 3, Dst: 5, What: "ReadReq", Addr: 0x400})
+	r.Record(Event{Cycle: 7, Kind: ReqSend, Src: 3, Dst: 5, What: memory.ReadReq, Addr: 0x400})
 	r.Record(Event{Cycle: 9, Kind: CPUHalt, Src: 2})
 	d := r.Dump()
 	if !strings.Contains(d, "ReadReq") || !strings.Contains(d, "0x400") {
