@@ -196,6 +196,11 @@ type CPU struct {
 	core     core
 	awaiting *pendingOp // issued sync/blocking op not yet complete
 
+	// The interlock summary, derived from the register file: bit r of
+	// pendMask is RegPending[r], and readyMax bounds the rest's RegReady.
+	pendMask uint32
+	readyMax sim.Cycle
+
 	// opFree heads the pendingOp free list; handler is c.fire, built
 	// once so that scheduling allocates nothing.
 	opFree  *pendingOp
@@ -257,6 +262,7 @@ func (c *CPU) Reset(cfg Config) {
 	}
 	c.spinFF = !cfg.NoSpinSkip
 	c.core = core{SpinPC: -1}
+	c.pendMask, c.readyMax = 0, 0
 	c.awaiting = nil
 	clear(c.priv.pages)
 	c.mc = nil
@@ -399,30 +405,56 @@ func (c *CPU) setReg(r isa.Reg, v uint64, ready sim.Cycle) {
 	c.core.Regs[r] = v
 	c.core.RegReady[r] = ready
 	c.core.RegPending[r] = false
+	c.pendMask &^= 1 << r
+	c.readyMax = max(c.readyMax, ready)
+}
+
+// markPending makes register r wait for a load miss to bind it through
+// setReg. R0 is never pending: the value it would receive is discarded.
+func (c *CPU) markPending(r isa.Reg) {
+	if r == isa.R0 {
+		return
+	}
+	c.core.RegPending[r] = true
+	c.core.RegReady[r] = notReady
+	c.pendMask |= 1 << r
+}
+
+// summary derives the interlock summary, least bound, from the registers.
+func (c *CPU) summary() (mask uint32, readyMax sim.Cycle) {
+	for r, pending := range c.core.RegPending {
+		if pending {
+			mask |= 1 << r
+		} else {
+			readyMax = max(readyMax, c.core.RegReady[r])
+		}
+	}
+	return mask, readyMax
+}
+
+// CheckInterlocks compares the interlock summary with the register file
+// it is derived from, for the machine's invariant checker.
+func (c *CPU) CheckInterlocks() error {
+	if mask, ready := c.summary(); mask != c.pendMask || ready > c.readyMax {
+		return fmt.Errorf("registers pending %#x, the rest ready by cycle %d, but the interlock summary says %#x by %d",
+			mask, ready, c.pendMask, c.readyMax)
+	}
+	return nil
 }
 
 // srcReady returns the cycle at which the instruction's source (and,
-// for WAW, destination) registers are all available, or notReady if
-// any awaits an outstanding miss.
-func (c *CPU) srcReady(in isa.Inst) sim.Cycle {
+// for WAW, destination) registers are all available: notReady, the
+// latest cycle there is, if any awaits an outstanding miss.
+func (c *CPU) srcReady(in *isa.Inst) sim.Cycle {
 	ready := sim.Cycle(0)
-	consider := func(r isa.Reg) {
-		if c.core.RegPending[r] {
-			ready = notReady
-			return
-		}
-		if c.core.RegReady[r] > ready {
-			ready = c.core.RegReady[r]
-		}
-	}
 	if in.Op.ReadsRs1() {
-		consider(in.Rs1)
+		ready = c.core.RegReady[in.Rs1]
 	}
 	if in.Op.ReadsRs2() {
-		consider(in.Rs2)
+		ready = max(ready, c.core.RegReady[in.Rs2])
 	}
 	if in.Op.WritesRd() {
-		consider(in.Rd) // WAW/interlock with an in-flight load
+		ready = max(ready, c.core.RegReady[in.Rd]) // WAW/interlock with an in-flight load
 	}
 	return ready
 }
@@ -475,22 +507,25 @@ func (c *CPU) run() {
 				return
 			}
 		}
-		if c.core.PC < 0 || c.core.PC >= len(c.prog) {
+		pc := c.core.PC
+		if uint(pc) >= uint(len(c.prog)) {
 			robust.Raise(&robust.SimError{Kind: robust.Program, Component: "cpu", Unit: c.id,
-				Cycle: c.eng.Now(), Detail: fmt.Sprintf("pc %d out of program (%d instructions)", c.core.PC, len(c.prog))})
+				Cycle: c.eng.Now(), Detail: fmt.Sprintf("pc %d out of program (%d instructions)", pc, len(c.prog))})
 		}
-		in := c.prog[c.core.PC]
+		in := &c.prog[pc]
 
-		// Register interlock.
-		ready := c.srcReady(in)
-		if ready == notReady {
-			c.park(parkRegs, t)
-			return
-		}
-		if ready > t {
-			c.core.Stats.StallInterlock += uint64(ready - t)
-			c.mc.Stall(c.id, metrics.CauseInterlock, t, uint64(ready-t))
-			t = ready
+		// Register interlock, checked only while some register can fail it.
+		if c.pendMask != 0 || c.readyMax > t {
+			ready := c.srcReady(in)
+			if ready == notReady {
+				c.park(parkRegs, t)
+				return
+			}
+			if ready > t {
+				c.core.Stats.StallInterlock += uint64(ready - t)
+				c.mc.Stall(c.id, metrics.CauseInterlock, t, uint64(ready-t))
+				t = ready
+			}
 		}
 
 		switch {

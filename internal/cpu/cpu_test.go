@@ -159,6 +159,36 @@ func TestR0HardwiredZero(t *testing.T) {
 	}
 }
 
+// TestR0LoadMissDoesNotWedge: a shared load or test-and-set into r0
+// that misses discards its value, so r0 never waits on it; the next
+// instruction that reads r0 runs, under every model, by both miss
+// paths (ordinary, and an acquire where the model makes it a sync op).
+func TestR0LoadMissDoesNotWedge(t *testing.T) {
+	for _, model := range consistency.Models {
+		for _, op := range []isa.Op{isa.LD, isa.LDX, isa.TAS} {
+			for _, cl := range []isa.Class{isa.ClassPlain, isa.ClassAcquire} {
+				prog := []isa.Inst{
+					{Op: isa.LI, Rd: 3, Imm: 0x100},
+					{Op: op, Rd: 0, Rs1: 3, Class: cl},
+					{Op: isa.ADDI, Rd: 4, Rs1: 0, Imm: 1},
+					{Op: isa.HALT},
+				}
+				r := newRig(t, model, prog)
+				r.mem[0x100] = 7
+				r.cpu.Start()
+				r.eng.RunLimit(nil, 1_000_000)
+				if !r.cpu.Halted() || r.cpu.Reg(0) != 0 || r.cpu.Reg(4) != 1 {
+					t.Errorf("%v %s !%s into r0: halted=%v (%s at pc %d), r0=%d r4=%d, want halted, 0, 1",
+						model, op, cl, r.cpu.Halted(), r.cpu.ParkedReason(), r.cpu.PC(), r.cpu.Reg(0), r.cpu.Reg(4))
+				}
+				if err := r.cpu.CheckInterlocks(); err != nil {
+					t.Errorf("%v %s !%s: %v", model, op, cl, err)
+				}
+			}
+		}
+	}
+}
+
 func TestLoadDelayInterlock(t *testing.T) {
 	// A private load followed immediately by a use stalls loadDelay
 	// cycles; with independent work in between it does not.

@@ -128,11 +128,9 @@ const (
 )
 
 // execALU performs a register-only instruction at local time t.
-func (c *CPU) execALU(in isa.Inst, t sim.Cycle) {
+func (c *CPU) execALU(in *isa.Inst, t sim.Cycle) {
 	a := c.core.Regs[in.Rs1]
 	b := c.core.Regs[in.Rs2]
-	fa := math.Float64frombits(a)
-	fb := math.Float64frombits(b)
 	var v uint64
 	switch in.Op {
 	case isa.ADD:
@@ -192,25 +190,25 @@ func (c *CPU) execALU(in isa.Inst, t sim.Cycle) {
 	case isa.MOV:
 		v = a
 	case isa.FADD:
-		v = math.Float64bits(fa + fb)
+		v = math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
 	case isa.FSUB:
-		v = math.Float64bits(fa - fb)
+		v = math.Float64bits(math.Float64frombits(a) - math.Float64frombits(b))
 	case isa.FMUL:
-		v = math.Float64bits(fa * fb)
+		v = math.Float64bits(math.Float64frombits(a) * math.Float64frombits(b))
 	case isa.FDIV:
-		v = math.Float64bits(fa / fb)
+		v = math.Float64bits(math.Float64frombits(a) / math.Float64frombits(b))
 	case isa.FNEG:
-		v = math.Float64bits(-fa)
+		v = math.Float64bits(-math.Float64frombits(a))
 	case isa.FABS:
-		v = math.Float64bits(math.Abs(fa))
+		v = math.Float64bits(math.Abs(math.Float64frombits(a)))
 	case isa.FSLT:
-		v = boolTo64(fa < fb)
+		v = boolTo64(math.Float64frombits(a) < math.Float64frombits(b))
 	case isa.FSLE:
-		v = boolTo64(fa <= fb)
+		v = boolTo64(math.Float64frombits(a) <= math.Float64frombits(b))
 	case isa.ITOF:
 		v = math.Float64bits(float64(int64(a)))
 	case isa.FTOI:
-		v = uint64(int64(fa))
+		v = uint64(int64(math.Float64frombits(a)))
 	default:
 		panic(fmt.Sprintf("cpu: execALU on %s", in.Op))
 	}
@@ -241,7 +239,7 @@ func branchTaken(op isa.Op, a, b uint64) bool {
 
 // branchTarget evaluates a control-transfer instruction and returns
 // the next pc.
-func (c *CPU) branchTarget(in isa.Inst) int {
+func (c *CPU) branchTarget(in *isa.Inst) int {
 	a := c.core.Regs[in.Rs1]
 	switch in.Op {
 	case isa.J:
@@ -259,7 +257,7 @@ func (c *CPU) branchTarget(in isa.Inst) int {
 }
 
 // execPrivate performs a private-memory access at local time t.
-func (c *CPU) execPrivate(in isa.Inst, addr uint64, t sim.Cycle) {
+func (c *CPU) execPrivate(in *isa.Inst, addr uint64, t sim.Cycle) {
 	switch in.Op {
 	case isa.LD, isa.LDX:
 		c.core.Stats.PrivReads++
@@ -278,7 +276,7 @@ func (c *CPU) execPrivate(in isa.Inst, addr uint64, t sim.Cycle) {
 // cycle. The extra return value adds stall cycles after a completed
 // access (e.g. a sync load hit holds the processor for the load
 // delay).
-func (c *CPU) sharedAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
+func (c *CPU) sharedAccess(in *isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
 	// Per-location coherence across a pending release: a buffered
 	// release performs in the background, possibly after program-later
 	// accesses — fine for other addresses (that is the point of RC),
@@ -325,7 +323,7 @@ func (c *CPU) cacheKind(op isa.Op) (cache.Kind, bool) {
 }
 
 // plainAccess issues an ordinary shared access.
-func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
+func (c *CPU) plainAccess(in *isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
 	if c.wbEnabled() {
 		switch in.Op {
 		case isa.ST:
@@ -404,8 +402,7 @@ func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim
 		c.core.Outstanding++
 		c.core.PrefetchFired = false
 		if in.Op.IsLoad() {
-			c.core.RegPending[in.Rd] = true
-			c.core.RegReady[in.Rd] = notReady
+			c.markPending(in.Rd)
 			if c.spec.BlockingLoads {
 				c.awaiting = po
 				c.core.AwaitWhy = parkBlocking
@@ -430,7 +427,7 @@ func (c *CPU) plainAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim
 // recordHit reports a shared-access hit's latency: loads and
 // test-and-sets deliver their value after the load delay, stores
 // perform in one cycle.
-func (c *CPU) recordHit(in isa.Inst, t sim.Cycle) {
+func (c *CPU) recordHit(in *isa.Inst, t sim.Cycle) {
 	switch in.Op {
 	case isa.LD, isa.LDX:
 		c.mc.Ref(metrics.RefReadHit, t, t+c.loadDelay)
@@ -442,7 +439,7 @@ func (c *CPU) recordHit(in isa.Inst, t sim.Cycle) {
 }
 
 // performHit executes the functional side of a shared-access hit.
-func (c *CPU) performHit(in isa.Inst, addr uint64, t sim.Cycle) {
+func (c *CPU) performHit(in *isa.Inst, addr uint64, t sim.Cycle) {
 	switch in.Op {
 	case isa.LD, isa.LDX:
 		v := c.mem.ReadWord(addr)
@@ -458,7 +455,7 @@ func (c *CPU) performHit(in isa.Inst, addr uint64, t sim.Cycle) {
 
 // syncAccess issues a synchronization operation that the processor
 // must wait on (WO sync points after draining; RC acquires).
-func (c *CPU) syncAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
+func (c *CPU) syncAccess(in *isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
 	kind, _ := c.cacheKind(in.Op)
 	po := c.allocOp()
 	po.Op = in.Op
@@ -489,8 +486,7 @@ func (c *CPU) syncAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.
 		c.core.Outstanding++
 		c.core.Stats.SyncOps++
 		if in.Op.IsLoad() {
-			c.core.RegPending[in.Rd] = true
-			c.core.RegReady[in.Rd] = notReady
+			c.markPending(in.Rd)
 		}
 		c.awaiting = po
 		c.core.AwaitWhy = parkSync
@@ -512,7 +508,7 @@ func (c *CPU) syncAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.
 // releaseAccess handles an RC release: the processor records it and
 // moves on; the release issues in the background once the references
 // outstanding at this moment have performed.
-func (c *CPU) releaseAccess(in isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
+func (c *CPU) releaseAccess(in *isa.Inst, addr uint64, t sim.Cycle) (accStatus, sim.Cycle) {
 	if in.Op != isa.ST {
 		panic(fmt.Sprintf("cpu %d: release class on %s (only stores release)", c.id, in.Op))
 	}

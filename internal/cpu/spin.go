@@ -47,7 +47,7 @@ import (
 // resync of this same load predicted exactly this cycle. That live
 // iteration pins everything the replay formulas assume — hit outcome,
 // loop period, cleared prefetch flag — in steady state.
-func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
+func (c *CPU) spinTry(in *isa.Inst, addr uint64, t sim.Cycle) bool {
 	if !c.spinFF || in.Op != isa.LD || in.Rd == isa.R0 || in.Rs1 == in.Rd {
 		return false
 	}
@@ -57,7 +57,7 @@ func (c *CPU) spinTry(in isa.Inst, addr uint64, t sim.Cycle) bool {
 	if bpc >= len(c.prog) {
 		return false
 	}
-	br := c.prog[bpc]
+	br := &c.prog[bpc]
 	switch br.Op {
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE:
 	default:

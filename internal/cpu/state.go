@@ -92,6 +92,7 @@ func (c *CPU) Load(st CPUState) error {
 		return fmt.Errorf("cpu %d: snapshot write buffer head %d, length %d (cap %d)", c.id, h, n, wbCap)
 	}
 	c.core = st.Core
+	c.pendMask, c.readyMax = c.summary()
 	c.priv.load(st.Priv)
 	for _, so := range st.Ops {
 		if (so.MSHR < 0) != so.Op.Retired || (so.Op.Retired && !so.Awaited) {

@@ -26,6 +26,8 @@ func TestStateComplete(t *testing.T) {
 		"spinNoticeFn": "kept: prebuilt callback",
 		"onHalt":       "reset: from the configuration",
 		"mc":           "reset: detached. The machine saves the collector",
+		"pendMask":     "reset: zeroed; derived from the register file, which Load recomputes it from",
+		"readyMax":     "reset: zeroed; derived from the register file, which Load recomputes it from",
 	})
 	statecheck.Resettable(t, pendingOp{}, opData{}, map[string]string{
 		"c":    "kept: owner pointer, set by allocOp",

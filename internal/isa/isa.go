@@ -153,65 +153,80 @@ type Inst struct {
 	Class Class // meaningful for LD, ST, TAS, FENCE only
 }
 
+// Operand flags: which of Rd, Rs1, Rs2 and Imm an opcode uses.
+const (
+	fRd uint8 = 1 << iota
+	fRs1
+	fRs2
+	fImm
+	dss = fRd | fRs1 | fRs2 // shapes: d a destination, s a source, i an immediate
+	dsi = fRd | fRs1 | fImm
+	ds  = fRd | fRs1
+	ssi = fRs1 | fRs2 | fImm
+)
+
 // opInfo captures per-opcode metadata for predicates and disassembly.
 type opInfo struct {
-	name                          string
-	hasRd, hasRs1, hasRs2, hasImm bool
+	name  string
+	flags uint8
 }
 
-var opTable = [numOps]opInfo{
-	NOP:   {name: "nop"},
-	HALT:  {name: "halt"},
-	ADD:   {name: "add", hasRd: true, hasRs1: true, hasRs2: true},
-	SUB:   {name: "sub", hasRd: true, hasRs1: true, hasRs2: true},
-	MUL:   {name: "mul", hasRd: true, hasRs1: true, hasRs2: true},
-	DIV:   {name: "div", hasRd: true, hasRs1: true, hasRs2: true},
-	REM:   {name: "rem", hasRd: true, hasRs1: true, hasRs2: true},
-	AND:   {name: "and", hasRd: true, hasRs1: true, hasRs2: true},
-	OR:    {name: "or", hasRd: true, hasRs1: true, hasRs2: true},
-	XOR:   {name: "xor", hasRd: true, hasRs1: true, hasRs2: true},
-	SLL:   {name: "sll", hasRd: true, hasRs1: true, hasRs2: true},
-	SRL:   {name: "srl", hasRd: true, hasRs1: true, hasRs2: true},
-	SRA:   {name: "sra", hasRd: true, hasRs1: true, hasRs2: true},
-	SLT:   {name: "slt", hasRd: true, hasRs1: true, hasRs2: true},
-	SLTU:  {name: "sltu", hasRd: true, hasRs1: true, hasRs2: true},
-	SEQ:   {name: "seq", hasRd: true, hasRs1: true, hasRs2: true},
-	ADDI:  {name: "addi", hasRd: true, hasRs1: true, hasImm: true},
-	ANDI:  {name: "andi", hasRd: true, hasRs1: true, hasImm: true},
-	ORI:   {name: "ori", hasRd: true, hasRs1: true, hasImm: true},
-	XORI:  {name: "xori", hasRd: true, hasRs1: true, hasImm: true},
-	SLLI:  {name: "slli", hasRd: true, hasRs1: true, hasImm: true},
-	SRLI:  {name: "srli", hasRd: true, hasRs1: true, hasImm: true},
-	SRAI:  {name: "srai", hasRd: true, hasRs1: true, hasImm: true},
-	SLTI:  {name: "slti", hasRd: true, hasRs1: true, hasImm: true},
-	LI:    {name: "li", hasRd: true, hasImm: true},
-	MOV:   {name: "mov", hasRd: true, hasRs1: true},
-	FADD:  {name: "fadd", hasRd: true, hasRs1: true, hasRs2: true},
-	FSUB:  {name: "fsub", hasRd: true, hasRs1: true, hasRs2: true},
-	FMUL:  {name: "fmul", hasRd: true, hasRs1: true, hasRs2: true},
-	FDIV:  {name: "fdiv", hasRd: true, hasRs1: true, hasRs2: true},
-	FNEG:  {name: "fneg", hasRd: true, hasRs1: true},
-	FABS:  {name: "fabs", hasRd: true, hasRs1: true},
-	FSLT:  {name: "fslt", hasRd: true, hasRs1: true, hasRs2: true},
-	FSLE:  {name: "fsle", hasRd: true, hasRs1: true, hasRs2: true},
-	ITOF:  {name: "itof", hasRd: true, hasRs1: true},
-	FTOI:  {name: "ftoi", hasRd: true, hasRs1: true},
-	LD:    {name: "ld", hasRd: true, hasRs1: true, hasImm: true},
-	LDX:   {name: "ldx", hasRd: true, hasRs1: true, hasImm: true},
-	ST:    {name: "st", hasRs1: true, hasRs2: true, hasImm: true},
-	TAS:   {name: "tas", hasRd: true, hasRs1: true, hasImm: true},
-	FENCE: {name: "fence"},
-	BEQ:   {name: "beq", hasRs1: true, hasRs2: true, hasImm: true},
-	BNE:   {name: "bne", hasRs1: true, hasRs2: true, hasImm: true},
-	BLT:   {name: "blt", hasRs1: true, hasRs2: true, hasImm: true},
-	BGE:   {name: "bge", hasRs1: true, hasRs2: true, hasImm: true},
-	J:     {name: "j", hasImm: true},
-	JAL:   {name: "jal", hasRd: true, hasImm: true},
-	JR:    {name: "jr", hasRs1: true},
+// opTable has an entry for every byte value, so each predicate below is
+// one load with no bounds check (the processor asks them once per issued
+// instruction); an undefined opcode has no name and no flags.
+var opTable = [256]opInfo{
+	NOP:   {"nop", 0},
+	HALT:  {"halt", 0},
+	ADD:   {"add", dss},
+	SUB:   {"sub", dss},
+	MUL:   {"mul", dss},
+	DIV:   {"div", dss},
+	REM:   {"rem", dss},
+	AND:   {"and", dss},
+	OR:    {"or", dss},
+	XOR:   {"xor", dss},
+	SLL:   {"sll", dss},
+	SRL:   {"srl", dss},
+	SRA:   {"sra", dss},
+	SLT:   {"slt", dss},
+	SLTU:  {"sltu", dss},
+	SEQ:   {"seq", dss},
+	ADDI:  {"addi", dsi},
+	ANDI:  {"andi", dsi},
+	ORI:   {"ori", dsi},
+	XORI:  {"xori", dsi},
+	SLLI:  {"slli", dsi},
+	SRLI:  {"srli", dsi},
+	SRAI:  {"srai", dsi},
+	SLTI:  {"slti", dsi},
+	LI:    {"li", fRd | fImm},
+	MOV:   {"mov", ds},
+	FADD:  {"fadd", dss},
+	FSUB:  {"fsub", dss},
+	FMUL:  {"fmul", dss},
+	FDIV:  {"fdiv", dss},
+	FNEG:  {"fneg", ds},
+	FABS:  {"fabs", ds},
+	FSLT:  {"fslt", dss},
+	FSLE:  {"fsle", dss},
+	ITOF:  {"itof", ds},
+	FTOI:  {"ftoi", ds},
+	LD:    {"ld", dsi},
+	LDX:   {"ldx", dsi},
+	ST:    {"st", ssi},
+	TAS:   {"tas", dsi},
+	FENCE: {"fence", 0},
+	BEQ:   {"beq", ssi},
+	BNE:   {"bne", ssi},
+	BLT:   {"blt", ssi},
+	BGE:   {"bge", ssi},
+	J:     {"j", fImm},
+	JAL:   {"jal", fRd | fImm},
+	JR:    {"jr", fRs1},
 }
 
 // Valid reports whether op is a defined operation code.
-func (op Op) Valid() bool { return op < numOps && opTable[op].name != "" }
+func (op Op) Valid() bool { return opTable[op].name != "" }
 
 func (op Op) String() string {
 	if !op.Valid() {
@@ -238,16 +253,16 @@ func (op Op) IsBranch() bool { return op >= BEQ && op <= JR }
 func (op Op) IsALU() bool { return op >= ADD && op <= FTOI }
 
 // WritesRd reports whether op writes its Rd operand.
-func (op Op) WritesRd() bool { return op.Valid() && opTable[op].hasRd }
+func (op Op) WritesRd() bool { return opTable[op].flags&fRd != 0 }
 
 // ReadsRs1 reports whether op reads its Rs1 operand.
-func (op Op) ReadsRs1() bool { return op.Valid() && opTable[op].hasRs1 }
+func (op Op) ReadsRs1() bool { return opTable[op].flags&fRs1 != 0 }
 
 // ReadsRs2 reports whether op reads its Rs2 operand.
-func (op Op) ReadsRs2() bool { return op.Valid() && opTable[op].hasRs2 }
+func (op Op) ReadsRs2() bool { return opTable[op].flags&fRs2 != 0 }
 
 // HasImm reports whether op uses its immediate operand.
-func (op Op) HasImm() bool { return op.Valid() && opTable[op].hasImm }
+func (op Op) HasImm() bool { return opTable[op].flags&fImm != 0 }
 
 // IsShared reports whether a memory access to addr goes to the shared
 // address space (through cache and network) rather than private memory.
@@ -256,10 +271,6 @@ func IsShared(addr uint64) bool { return addr < PrivBase }
 // String renders the instruction in assembler syntax, e.g.
 // "ld r5, 16(r3) !acquire".
 func (in Inst) String() string {
-	info := opTable[NOP]
-	if in.Op.Valid() {
-		info = opTable[in.Op]
-	}
 	s := in.Op.String()
 	sep := " "
 	switch in.Op {
@@ -268,19 +279,19 @@ func (in Inst) String() string {
 	case ST:
 		s += fmt.Sprintf(" r%d, %d(r%d)", in.Rs2, in.Imm, in.Rs1)
 	default:
-		if info.hasRd {
+		if in.Op.WritesRd() {
 			s += fmt.Sprintf("%sr%d", sep, in.Rd)
 			sep = ", "
 		}
-		if info.hasRs1 {
+		if in.Op.ReadsRs1() {
 			s += fmt.Sprintf("%sr%d", sep, in.Rs1)
 			sep = ", "
 		}
-		if info.hasRs2 {
+		if in.Op.ReadsRs2() {
 			s += fmt.Sprintf("%sr%d", sep, in.Rs2)
 			sep = ", "
 		}
-		if info.hasImm {
+		if in.Op.HasImm() {
 			s += fmt.Sprintf("%s%d", sep, in.Imm)
 		}
 	}

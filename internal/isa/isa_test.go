@@ -50,6 +50,50 @@ func TestOpPredicates(t *testing.T) {
 	}
 }
 
+// TestOpFlagTable holds every byte value's operand predicates to the
+// shapes written out here (d: writes Rd, 1: reads Rs1, 2: reads Rs2,
+// i: uses Imm), and the IsALU, IsBranch and IsMem ranges to a partition
+// of the valid opcodes less NOP, HALT and FENCE.
+func TestOpFlagTable(t *testing.T) {
+	shapes := map[Op]string{
+		NOP: "", HALT: "", FENCE: "",
+		ADD: "d12", SUB: "d12", MUL: "d12", DIV: "d12", REM: "d12", AND: "d12", OR: "d12", XOR: "d12",
+		SLL: "d12", SRL: "d12", SRA: "d12", SLT: "d12", SLTU: "d12", SEQ: "d12",
+		ADDI: "d1i", ANDI: "d1i", ORI: "d1i", XORI: "d1i", SLLI: "d1i", SRLI: "d1i", SRAI: "d1i", SLTI: "d1i",
+		LI: "di", MOV: "d1",
+		FADD: "d12", FSUB: "d12", FMUL: "d12", FDIV: "d12", FNEG: "d1", FABS: "d1", FSLT: "d12", FSLE: "d12",
+		ITOF: "d1", FTOI: "d1",
+		LD: "d1i", LDX: "d1i", ST: "12i", TAS: "d1i",
+		BEQ: "12i", BNE: "12i", BLT: "12i", BGE: "12i", J: "i", JAL: "di", JR: "1",
+	}
+	if len(shapes) != int(numOps) {
+		t.Fatalf("the test lists %d opcodes, the ISA defines %d", len(shapes), numOps)
+	}
+	for i := 0; i < 256; i++ {
+		op := Op(i)
+		shape, valid := shapes[op]
+		has := func(c string) bool { return strings.Contains(shape, c) }
+		if op.Valid() != valid || op.WritesRd() != has("d") || op.ReadsRs1() != has("1") ||
+			op.ReadsRs2() != has("2") || op.HasImm() != has("i") {
+			t.Errorf("op %d (%s): valid=%v rd=%v rs1=%v rs2=%v imm=%v, want valid=%v shape %q", i, op,
+				op.Valid(), op.WritesRd(), op.ReadsRs1(), op.ReadsRs2(), op.HasImm(), valid, shape)
+		}
+		classes := 0
+		for _, in := range []bool{op.IsALU(), op.IsBranch(), op.IsMem()} {
+			if in {
+				classes++
+			}
+		}
+		want := 0
+		if valid && op != NOP && op != HALT && op != FENCE {
+			want = 1
+		}
+		if classes != want {
+			t.Errorf("op %d (%s) is in %d of the ALU, branch and memory ranges, want %d", i, op, classes, want)
+		}
+	}
+}
+
 func TestEveryOpHasAName(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
 		if !op.Valid() {

@@ -23,7 +23,8 @@ import (
 //     a Shared holder must appear in the sharer set, and an Uncached
 //     entry must have no holders (stale sharer bits are legal —
 //     clean evictions are silent — but missing ones are not);
-//   - a Dirty directory entry names an owner that exists.
+//   - a Dirty directory entry names an owner that exists;
+//   - every processor's interlock summary agrees with its register file.
 //
 // Run schedules this every Config.CheckEvery cycles when non-zero.
 func (m *Machine) CheckNow() *robust.SimError {
@@ -32,6 +33,11 @@ func (m *Machine) CheckNow() *robust.SimError {
 		return &robust.SimError{
 			Kind: robust.Invariant, Component: "machine", Unit: -1, Cycle: now,
 			Line: line, HasLine: true, Detail: fmt.Sprintf(format, args...),
+		}
+	}
+	for i, c := range m.cpus {
+		if err := c.CheckInterlocks(); err != nil {
+			return &robust.SimError{Kind: robust.Invariant, Component: "cpu", Unit: i, Cycle: now, Detail: err.Error()}
 		}
 	}
 

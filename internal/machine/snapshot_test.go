@@ -99,6 +99,63 @@ func TestSnapshotRoundTripAllModels(t *testing.T) {
 	}
 }
 
+// TestSnapshotMidMissInterlockSummary: the processor's interlock
+// summary is derived state, never saved. A snapshot taken while a
+// register waits on a miss must restore into a machine whose summary
+// the invariant checker accepts at once and every CheckEvery cycles
+// after, and whose run ends on the uninterrupted checksum.
+func TestSnapshotMidMissInterlockSummary(t *testing.T) {
+	progs, _, _ := genRaceFreePrograms(rand.New(rand.NewSource(8)), 4)
+	for _, model := range consistency.Models {
+		cfg := snapCfg(model)
+		cfg.CheckEvery = 7
+		build := func() *Machine {
+			m, err := New(cfg, append([][]isa.Inst(nil), progs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		full, err := build().Run(0)
+		if err != nil {
+			t.Fatalf("%v: uninterrupted run: %v", model, err)
+		}
+		m1 := build()
+		pending := func(snap *Snapshot) bool {
+			for _, c := range snap.CPUs {
+				for _, p := range c.Core.RegPending {
+					if p {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		for at := uint64(10); ; at++ {
+			if at >= uint64(full.Cycles) {
+				t.Fatalf("%v: no register pending at any cycle of the run", model)
+			}
+			pauseAt(t, m1, at)
+			if snap, err := m1.Snapshot(); err != nil {
+				t.Fatal(err)
+			} else if pending(snap) {
+				break
+			}
+		}
+		m2 := roundTrip(t, m1, build)
+		if err := m2.CheckNow(); err != nil {
+			t.Fatalf("%v: restored at cycle %d: %v", model, m2.Eng.Now(), err)
+		}
+		res, err := m2.Run(0)
+		if err != nil {
+			t.Fatalf("%v: resumed run: %v", model, err)
+		}
+		if res.Checksum() != full.Checksum() {
+			t.Errorf("%v: checksum after a mid-miss restore at cycle %d drifted", model, m1.Eng.Now())
+		}
+	}
+}
+
 // TestSnapshotChain restores through several successive pauses — each
 // continuation is itself snapshotted — and still converges on the
 // uninterrupted checksum, proving restore composes.
