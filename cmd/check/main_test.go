@@ -54,6 +54,8 @@ func TestCommands(t *testing.T) {
 			stdout: []string{"SC1 -> TSO", `TSO \ SC1`, "P0: st x=1; ld y || P1: st y=1; ld x"}},
 		{name: "one behavioral class", args: []string{"compare", "-models", "SC1,SC2"}, code: 1,
 			stderr: []string{"check compare: "}},
+		{name: "degenerate budget", args: []string{"compare", "-threads", "1"}, code: 1,
+			stderr: []string{"check compare: ", "MaxThreads 1"}},
 		{name: "no command", code: 2, stderr: []string{"usage: check <command>"}},
 		{name: "unknown command", args: []string{"fuzz"}, code: 2,
 			stderr: []string{`unknown command "fuzz"`, "usage: check <command>", "replay"}},

@@ -10,6 +10,7 @@ package compare
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"memsim/internal/consistency"
@@ -82,6 +83,9 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 	if len(models) < 2 {
 		return nil, fmt.Errorf("compare: need at least two models")
 	}
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
 	res := &Result{Budget: b}
 	var classes []*Class
 	bySig := make(map[string]*Class)
@@ -102,39 +106,42 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 	}
 
 	// One pass over the program space; every class's outcome set is
-	// computed once per program and shared across all pair checks.
-	type pairState struct{ candidates []*Witness }
-	pairs := make(map[[2]int]*pairState)
+	// computed once per program, on one explorer, and shared across all
+	// pair checks.
+	type pairState struct {
+		weak, strong int
+		candidates   []*Witness
+	}
+	var pairs []pairState
 	for i := range classes {
 		for j := range classes {
 			if i != j {
-				pairs[[2]int{i, j}] = &pairState{}
+				pairs = append(pairs, pairState{weak: i, strong: j})
 			}
 		}
 	}
+	var x litmus.Explorer
 	var enumErr error
-	sets := make([]map[string]bool, len(classes))
+	outs := make([][]string, len(classes))
 	res.Exhausted = b.Enumerate(func(prog []litmus.Thread) bool {
 		res.Programs++
 		t, ops := litmus.SynthTest(prog)
-		outs := make([][]string, len(classes))
 		for ci, c := range classes {
-			out, err := Outcomes(t, c.spec)
+			out, err := x.Outcomes(t, c.spec)
 			if err != nil {
 				enumErr = err
 				return false
 			}
 			outs[ci] = out
-			sets[ci] = litmus.KeySet(out)
 		}
-		for pk, ps := range pairs {
+		for pi := range pairs {
+			ps := &pairs[pi]
 			if len(ps.candidates) >= maxCandidates {
 				continue
 			}
-			weak, strong := pk[0], pk[1]
 			var diff string
-			for _, k := range outs[weak] {
-				if !sets[strong][k] {
+			for _, k := range outs[ps.weak] {
+				if _, found := slices.BinarySearch(outs[ps.strong], k); !found {
 					diff = k
 					break
 				}
@@ -143,14 +150,14 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 				continue
 			}
 			ps.candidates = append(ps.candidates, &Witness{
-				Weak:          classes[weak].Name,
-				Strong:        classes[strong].Name,
+				Weak:          classes[ps.weak].Name,
+				Strong:        classes[ps.strong].Name,
 				Threads:       prog,
 				NLocs:         t.NLocs,
 				Ops:           ops,
 				Outcome:       diff,
-				WeakAllowed:   outs[weak],
-				StrongAllowed: outs[strong],
+				WeakAllowed:   outs[ps.weak],
+				StrongAllowed: outs[ps.strong],
 			})
 		}
 		return true
@@ -163,20 +170,14 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 	for i, c := range classes {
 		res.Classes[i] = *c
 	}
-	for i := range classes {
-		for j := range classes {
-			if i == j {
-				continue
-			}
-			ps := pairs[[2]int{i, j}]
-			p := Pair{Weak: classes[i].Name, Strong: classes[j].Name}
-			if len(ps.candidates) > 0 {
-				p.Separated = true
-				p.Witness = ps.candidates[0]
-				p.Candidates = ps.candidates
-			}
-			res.Pairs = append(res.Pairs, p)
+	for _, ps := range pairs {
+		p := Pair{Weak: classes[ps.weak].Name, Strong: classes[ps.strong].Name}
+		if len(ps.candidates) > 0 {
+			p.Separated = true
+			p.Witness = ps.candidates[0]
+			p.Candidates = ps.candidates
 		}
+		res.Pairs = append(res.Pairs, p)
 	}
 	sort.Slice(res.Pairs, func(a, b int) bool {
 		if res.Pairs[a].Weak != res.Pairs[b].Weak {

@@ -1,6 +1,8 @@
 package compare
 
 import (
+	"fmt"
+
 	"memsim/internal/litmus"
 )
 
@@ -23,6 +25,24 @@ type Budget struct {
 // shape).
 func DefaultBudget() Budget {
 	return Budget{MaxOps: 5, MaxThreads: 2, MaxLocs: 2, Fences: true, Annotations: true}
+}
+
+// The engine's op capacity and the synthesized programs' location names.
+const maxOps, maxLocs = 12, 4
+
+// Validate rejects a budget that admits no program, or more ops or
+// locations than the engine and the synthesizer hold: an empty search
+// must never pass for a verdict that every class is equivalent.
+func (b Budget) Validate() error {
+	switch {
+	case b.MaxThreads < 2:
+		return fmt.Errorf("compare: budget MaxThreads %d below 2", b.MaxThreads)
+	case b.MaxOps < 2 || b.MaxOps > maxOps:
+		return fmt.Errorf("compare: budget MaxOps %d outside 2..%d", b.MaxOps, maxOps)
+	case b.MaxLocs < 1 || b.MaxLocs > maxLocs:
+		return fmt.Errorf("compare: budget MaxLocs %d outside 1..%d", b.MaxLocs, maxLocs)
+	}
+	return nil
 }
 
 // alphabet lists the candidate operations in minimality order: plain

@@ -2,7 +2,7 @@ package litmus
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"memsim/internal/consistency"
@@ -68,7 +68,7 @@ func Signature(s consistency.Spec) string {
 		}
 		return ""
 	}
-	ann := map[annMode]string{annInvisible: "", annTwoSided: "sync", annOneSided: "rel/acq"}[annModeOf(s)]
+	ann := [...]string{annInvisible: "", annTwoSided: "sync", annOneSided: "rel/acq"}[annModeOf(s)]
 	parts := []string{flag(r.WR, "WR"), flag(r.WW, "WW"), flag(r.RR, "RR"), flag(r.RW, "RW"),
 		flag(s.WriteBuffer, "fwd"), ann}
 	out := parts[:0]
@@ -133,35 +133,69 @@ func ordered(s consistency.Spec, mode annMode, r consistency.Relaxation, a, b Op
 }
 
 // Outcomes returns the test's allowed outcome keys under a spec,
+// sorted: the engine run on a fresh Explorer.
+func (t *Test) Outcomes(spec consistency.Spec) ([]string, error) {
+	return new(Explorer).Outcomes(t, spec)
+}
+
+// Explorer is the engine's reusable scratch: the op table, the visited
+// set and the buffers final states are formatted from. A caller asking
+// for many outcome sets keeps one, and a warm search then allocates
+// only the keys it returns. The zero value is ready to use; it is not
+// safe for concurrent use.
+type Explorer struct {
+	ops   []engineOp
+	nOps  uint     // the executed bits are the state's low nOps bits
+	vbits uint     // width of each memory and observation field
+	seen  []uint64 // open addressing over nonzero states; 0 is empty
+	used  int
+	refs  []LoadRef
+	names []string
+	vals  []uint64 // a final state's memory, then its observations
+	buf   []byte
+	keys  []string
+}
+
+// engineOp is op oi of thread ti, bit threadBase+oi of the state.
+type engineOp struct {
+	kind  OpKind
+	bit   uint64 // this op's executed bit
+	pred  uint64 // program-earlier ops the spec orders before it
+	field uint   // shift of the location a store writes or a load reads
+	slot  uint   // shift of a load's observation
+	val   uint64 // a store's value, or what a forwarding load reads
+	fwd   uint64 // the store a load forwards from while unexecuted
+}
+
+// Outcomes returns the test's allowed outcome keys under a spec,
 // sorted. A declarative test gets the engine's set; a custom test has
 // no abstract ops to interpret and keeps its explicit SCSet on every
 // model. A test beyond the engine's capacity is an error, never an
-// empty set.
-func (t *Test) Outcomes(spec consistency.Spec) ([]string, error) {
+// empty set. The keys belong to the caller, the rest to the explorer.
+func (x *Explorer) Outcomes(t *Test, spec consistency.Spec) ([]string, error) {
 	if t.Threads == nil {
 		return t.OracleKeys()
 	}
-	totalOps := 0
+	if err := x.load(t, spec); err != nil {
+		return nil, err
+	}
+	clear(x.seen)
+	x.used, x.keys = 0, x.keys[:0]
+	x.explore(0)
+	keys := slices.Clone(x.keys)
+	slices.Sort(keys)
+	return keys, nil
+}
+
+// load flattens the test into the op table and sizes the packed
+// state: the executed bits, then NLocs memory fields, then one
+// observation field per load, each vbits wide.
+func (x *Explorer) load(t *Test, spec consistency.Spec) error {
+	nOps, nLoads, maxVal := 0, 0, uint64(0)
 	for _, th := range t.Threads {
-		totalOps += len(th)
-	}
-	if totalOps > maxEngineOps {
-		return nil, fmt.Errorf("litmus: %s has %d ops, engine limit is %d", t.Name, totalOps, maxEngineOps)
-	}
-
-	mode := annModeOf(spec)
-	relax := spec.Relaxations()
-	refs := t.loadRefs()
-
-	// Canonical observed-load slots, as the oracle assigns them.
-	loadIdx := make([][]int, len(t.Threads))
-	nLoads := 0
-	maxVal := uint64(0)
-	for ti, th := range t.Threads {
-		loadIdx[ti] = make([]int, len(th))
-		for oi, op := range th {
+		nOps += len(th)
+		for _, op := range th {
 			if op.Kind == OpLoad {
-				loadIdx[ti][oi] = nLoads
 				nLoads++
 			}
 			if op.Kind == OpStore && op.Val > maxVal {
@@ -169,105 +203,118 @@ func (t *Test) Outcomes(spec consistency.Spec) ([]string, error) {
 			}
 		}
 	}
+	if nOps > maxEngineOps {
+		return fmt.Errorf("litmus: %s has %d ops, engine limit is %d", t.Name, nOps, maxEngineOps)
+	}
 	vbits := 1
 	for (uint64(1) << vbits) <= maxVal {
 		vbits++
 	}
-	if totalOps+(t.NLocs+nLoads)*vbits > 64 {
-		return nil, fmt.Errorf("litmus: %s state (%d ops, %d locs, %d loads, %d value bits) exceeds packed-state capacity",
-			t.Name, totalOps, t.NLocs, nLoads, vbits)
+	if nOps+(t.NLocs+nLoads)*vbits > 64 {
+		return fmt.Errorf("litmus: %s state (%d ops, %d locs, %d loads, %d value bits) exceeds packed-state capacity",
+			t.Name, nOps, t.NLocs, nLoads, vbits)
 	}
-
-	execd := make([]uint32, len(t.Threads))
-	mem := make([]uint64, t.NLocs)
-	obs := make([]uint64, nLoads)
-	visited := make(map[uint64]bool)
-	var keys []string
-
-	pack := func() uint64 {
-		var k uint64
-		shift := 0
-		for ti := range t.Threads {
-			k |= uint64(execd[ti]) << shift
-			shift += len(t.Threads[ti])
-		}
-		for _, v := range mem {
-			k |= v << shift
-			shift += vbits
-		}
-		for _, v := range obs {
-			k |= v << shift
-			shift += vbits
-		}
-		return k
-	}
-
-	var rec func()
-	rec = func() {
-		k := pack()
-		if visited[k] {
-			return
-		}
-		visited[k] = true
-		anyReady := false
-		for ti, th := range t.Threads {
-			for oi, op := range th {
-				if execd[ti]&(1<<oi) != 0 {
-					continue
+	x.nOps, x.vbits = uint(nOps), uint(vbits)
+	field := func(i int) uint { return uint(nOps + i*vbits) }
+	mode, relax := annModeOf(spec), spec.Relaxations()
+	x.ops = x.ops[:0]
+	base, nObs := 0, 0
+	for _, th := range t.Threads {
+		for oi, op := range th {
+			e := engineOp{kind: op.Kind, bit: 1 << (base + oi), val: op.Val, field: field(op.Loc)}
+			for pj := 0; pj < oi; pj++ {
+				if ordered(spec, mode, relax, th[pj], op) {
+					e.pred |= 1 << (base + pj)
 				}
-				ready := true
-				for pj := 0; pj < oi; pj++ {
-					if execd[ti]&(1<<pj) == 0 && ordered(spec, mode, relax, th[pj], op) {
-						ready = false
+			}
+			if op.Kind == OpLoad {
+				e.slot = field(t.NLocs + nObs)
+				nObs++
+				// A write buffer forwards the newest program-earlier
+				// same-location store while it is unexecuted (the
+				// earlier ones stay ordered before it).
+				for pj := oi - 1; pj >= 0 && spec.WriteBuffer; pj-- {
+					if th[pj].Kind == OpStore && th[pj].Loc == op.Loc {
+						e.fwd, e.val = 1<<(base+pj), th[pj].Val
 						break
 					}
 				}
-				if !ready {
-					continue
-				}
-				anyReady = true
-				execd[ti] |= 1 << oi
-				switch op.Kind {
-				case OpFence:
-					rec()
-				case OpStore:
-					old := mem[op.Loc]
-					mem[op.Loc] = op.Val
-					rec()
-					mem[op.Loc] = old
-				case OpLoad:
-					v := mem[op.Loc]
-					if spec.WriteBuffer {
-						// Forward from the newest program-earlier
-						// same-location store still in the buffer.
-						// Same-location stores stay ordered, so if the
-						// newest one has executed, all earlier ones have.
-						for pj := oi - 1; pj >= 0; pj-- {
-							if th[pj].Kind == OpStore && th[pj].Loc == op.Loc {
-								if execd[ti]&(1<<pj) == 0 {
-									v = th[pj].Val
-								}
-								break
-							}
-						}
-					}
-					idx := loadIdx[ti][oi]
-					old := obs[idx]
-					obs[idx] = v
-					rec()
-					obs[idx] = old
-				}
-				execd[ti] &^= 1 << oi
+			}
+			x.ops = append(x.ops, e)
+		}
+		base += len(th)
+	}
+	x.refs = t.appendLoadRefs(x.refs[:0])
+	x.names = x.names[:0]
+	for l := 0; l < t.NLocs; l++ {
+		x.names = append(x.names, t.locName(l))
+	}
+	x.vals = slices.Grow(x.vals[:0], t.NLocs+nLoads)[:t.NLocs+nLoads]
+	return nil
+}
+
+// explore visits state k and every state reachable from it, appending
+// each final state's key to x.keys. An op is ready once its pred bits
+// are set; its successor is k with its bit set and the one field it
+// writes XORed from the old value to the new.
+func (x *Explorer) explore(k uint64) {
+	// Every op sets a bit, so the initial state 0 is never re-reached
+	// and stays out of the table.
+	if k != 0 && !x.visit(k) {
+		return
+	}
+	vmask := uint64(1)<<x.vbits - 1
+	final := true
+	for i := range x.ops {
+		op := &x.ops[i]
+		if k&op.bit != 0 || k&op.pred != op.pred {
+			continue
+		}
+		final = false
+		next := k | op.bit
+		switch op.kind {
+		case OpStore:
+			next ^= ((k>>op.field)&vmask ^ op.val) << op.field
+		case OpLoad:
+			v := (k >> op.field) & vmask
+			if k&op.fwd != op.fwd {
+				v = op.val
+			}
+			next ^= ((k>>op.slot)&vmask ^ v) << op.slot
+		}
+		x.explore(next)
+	}
+	if !final {
+		return
+	}
+	for i := range x.vals {
+		x.vals[i] = (k >> (x.nOps + uint(i)*x.vbits)) & vmask
+	}
+	nLocs := len(x.names)
+	x.buf = appendKey(x.buf[:0], x.refs, x.names, Outcome{Loads: x.vals[nLocs:], Mem: x.vals[:nLocs]})
+	x.keys = append(x.keys, string(x.buf))
+}
+
+// visit adds nonzero k to the visited set and reports whether it was
+// new. The table is a power of two, at most half full.
+func (x *Explorer) visit(k uint64) bool {
+	if 2*(x.used+1) > len(x.seen) {
+		old := x.seen
+		x.seen, x.used = make([]uint64, max(64, 2*len(old))), 0
+		for _, o := range old {
+			if o != 0 {
+				x.visit(o)
 			}
 		}
-		if anyReady {
-			return
-		}
-		// Every op has executed, and the visited set admits each
-		// packed state once, so each final state is appended once.
-		keys = append(keys, t.Key(refs, Outcome{Loads: obs, Mem: mem}))
 	}
-	rec()
-	sort.Strings(keys)
-	return keys, nil
+	mask := uint64(len(x.seen) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
+		switch x.seen[i] {
+		case 0:
+			x.seen[i], x.used = k, x.used+1
+			return true
+		case k:
+			return false
+		}
+	}
 }

@@ -64,3 +64,26 @@ func TestRunRejectsOverCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestVisitedSet: the explorer's open-addressing set admits each state
+// once, and keeps doing so across the doublings a large search makes.
+// (That a search forgets the last one's states is
+// TestExplorerMatchesReference's business: one explorer serves it all.)
+func TestVisitedSet(t *testing.T) {
+	var x Explorer
+	// Keys 64 apart share their low bits, and so would share a slot
+	// under a hash that kept only those.
+	for i := uint64(1); i <= 5000; i++ {
+		if !x.visit(i << 6) {
+			t.Fatalf("fresh state %#x reported seen", i<<6)
+		}
+	}
+	for i := uint64(1); i <= 5000; i++ {
+		if x.visit(i << 6) {
+			t.Fatalf("state %#x admitted twice", i<<6)
+		}
+	}
+	if !x.visit(1) || x.used != 5001 || len(x.seen) != 16384 {
+		t.Fatalf("%d states in a table of %d, want 5001 in 16384", x.used, len(x.seen))
+	}
+}

@@ -128,8 +128,10 @@ func (t *Test) locName(i int) string {
 
 // loadRefs returns the observed-load registry of a declarative test:
 // thread i's k-th load binds register obsBase+k.
-func (t *Test) loadRefs() []LoadRef {
-	var refs []LoadRef
+func (t *Test) loadRefs() []LoadRef { return t.appendLoadRefs(nil) }
+
+// appendLoadRefs appends the observed-load registry to refs.
+func (t *Test) appendLoadRefs(refs []LoadRef) []LoadRef {
 	for ti, th := range t.Threads {
 		k := 0
 		for _, op := range th {
@@ -155,7 +157,11 @@ func (t *Test) Key(refs []LoadRef, o Outcome) string {
 // FormatKey renders an outcome key from its raw parts, so a replay
 // bundle can reproduce keys without the Test that produced them.
 func FormatKey(refs []LoadRef, locNames []string, o Outcome) string {
-	b := make([]byte, 0, 64)
+	return string(appendKey(make([]byte, 0, 64), refs, locNames, o))
+}
+
+// appendKey appends an outcome key to b.
+func appendKey(b []byte, refs []LoadRef, locNames []string, o Outcome) []byte {
 	for i, r := range refs {
 		if i > 0 {
 			b = append(b, ' ')
@@ -178,7 +184,7 @@ func FormatKey(refs []LoadRef, locNames []string, o Outcome) string {
 		b = append(b, '=')
 		b = strconv.AppendUint(b, v, 10)
 	}
-	return string(b)
+	return b
 }
 
 // AllowedKeys returns the allowed outcome keys under a spec, sorted:

@@ -314,7 +314,7 @@ func (rs *RunSpec) executeOn(ctx context.Context, m *machine.Machine) (string, e
 	if err := m.Reset(cfg, all); err != nil {
 		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
 	}
-	if _, err := m.RunControlled(machine.RunControl{MaxEvents: runBudget, Ctx: ctx}); err != nil {
+	if err := m.Drive(machine.RunControl{MaxEvents: runBudget, Ctx: ctx}); err != nil {
 		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
 	}
 

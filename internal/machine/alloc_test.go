@@ -111,19 +111,24 @@ func allocatedBytes(f func()) uint64 {
 
 // TestConstructionBudget: the conformance checkers run a two-processor
 // machine some 9 000 times a pass, so what a run costs beyond its
-// simulation is their running cost. Three figures. A warm machine reset
-// and run again — what litmus.Run pays per run — allocates its Result
-// and the directory entries of the lines it touches, nothing that
-// scales with the machine. A machine made anew still costs 16 KB of
-// shared image and 8 KB of calendar ring before anything else, which
-// is what litmus.Run no longer pays per run; and a fresh Setup +
-// Execute is that plus the run's programs and replay record. The
-// ceilings are what the commit that set them measured (720 B, 33 816 B
-// and 38 344 B with go1.24 on amd64) plus a quarter. That commit took
-// the closure per network port and per MSHR, and the pooled event
-// records, out of machine.New (35 000 B and 39 832 B before it).
-// Before Reset, when a run's programs went through assembly text,
-// Setup + Execute measured 43 304 B — and every run paid it.
+// simulation is their running cost. Four figures. A warm machine reset
+// and run again allocates its Result and the directory entries of the
+// lines it touches, nothing that scales with the machine; reset and
+// driven — what litmus.Run pays per run, reading its outcome from
+// registers and memory — it allocates the directory entries alone. A
+// machine made anew still costs 16 KB of shared image and 8 KB of
+// calendar ring before anything else, which is what litmus.Run no
+// longer pays per run; and a fresh Setup + Execute is that plus the
+// run's programs and replay record. The ceilings are what the commits
+// that set them measured (720 B, 224 B, 33 816 B and 37 872 B with
+// go1.24 on amd64) plus a quarter — for Reset + Drive, a quarter over
+// the 304 B it measures under -race, still well short of a Result;
+// Setup + Execute measured 38 344 B while Execute still built one. The
+// commit that set the first and third took the closure per network
+// port and per MSHR, and the pooled event records, out of machine.New
+// (35 000 B and 39 832 B before it). Before Reset, when a run's
+// programs went through assembly text, Setup + Execute measured
+// 43 304 B — and every run paid it.
 func TestConstructionBudget(t *testing.T) {
 	sb, err := litmus.TestByName("sb")
 	if err != nil {
@@ -141,6 +146,14 @@ func TestConstructionBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	driveBytes := allocatedBytes(func() {
+		if err := warm.Reset(cfg, progs); err != nil {
+			t.Fatal(err)
+		}
+		if err := warm.Drive(machine.RunControl{}); err != nil {
+			t.Fatal(err)
+		}
+	})
 	newBytes := allocatedBytes(func() {
 		if _, err := machine.New(cfg, [][]isa.Inst{halt, halt}); err != nil {
 			t.Fatal(err)
@@ -155,10 +168,14 @@ func TestConstructionBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("Reset+Run %d B, machine.New %d B, litmus Setup+Execute %d B", resetBytes, newBytes, runBytes)
-	const resetCeiling, newCeiling, runCeiling = 900, 42_270, 47_930
+	t.Logf("Reset+Run %d B, Reset+Drive %d B, machine.New %d B, litmus Setup+Execute %d B",
+		resetBytes, driveBytes, newBytes, runBytes)
+	const resetCeiling, driveCeiling, newCeiling, runCeiling = 900, 380, 42_270, 47_340
 	if resetBytes > resetCeiling {
 		t.Errorf("Reset and run of a warm machine (sb/RC seed 1) allocates %d B, ceiling %d", resetBytes, resetCeiling)
+	}
+	if driveBytes > driveCeiling {
+		t.Errorf("Reset and Drive of a warm machine (sb/RC seed 1) allocates %d B, ceiling %d", driveBytes, driveCeiling)
 	}
 	if newBytes > newCeiling {
 		t.Errorf("machine.New for %+v allocates %d B, ceiling %d", cfg, newBytes, newCeiling)

@@ -469,7 +469,16 @@ type RunControl struct {
 // RunControlled executes the machine with cooperative pause,
 // cancellation and periodic-checkpoint hooks. A restored machine
 // continues exactly where its snapshot was taken.
-func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
+func (m *Machine) RunControlled(rc RunControl) (Result, error) {
+	if err := m.Drive(rc); err != nil {
+		return Result{}, err
+	}
+	return m.result(), nil
+}
+
+// Drive is RunControlled without building the Result, for a caller
+// that reads registers and memory (a litmus run).
+func (m *Machine) Drive(rc RunControl) (err error) {
 	if rc.MaxEvents == 0 {
 		rc.MaxEvents = 5_000_000_000
 	}
@@ -485,7 +494,7 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 		if se.Dump == "" {
 			se.Dump = m.Diagnostics(diagTraceEvents)
 		}
-		res, err = Result{}, se
+		err = se
 	}()
 	if !m.started {
 		m.started = true
@@ -531,28 +540,28 @@ func (m *Machine) RunControlled(rc RunControl) (res Result, err error) {
 		return false
 	}
 	if !m.Eng.RunLimit(done, rc.MaxEvents) {
-		return Result{}, m.failure(robust.EventLimit, fmt.Sprintf("run exceeded %d events", rc.MaxEvents))
+		return m.failure(robust.EventLimit, fmt.Sprintf("run exceeded %d events", rc.MaxEvents))
 	}
 	if canceled {
 		if rc.Checkpoint != nil {
 			if e := rc.Checkpoint(); e != nil {
-				return Result{}, fmt.Errorf("machine: final checkpoint after cancellation: %w", e)
+				return fmt.Errorf("machine: final checkpoint after cancellation: %w", e)
 			}
 		}
 		se := m.failure(robust.Canceled, fmt.Sprintf("run canceled: %v", rc.Ctx.Err()))
 		se.Err = rc.Ctx.Err()
-		return Result{}, se
+		return se
 	}
 	if ckptErr != nil {
-		return Result{}, fmt.Errorf("machine: checkpoint at cycle %d: %w", m.Eng.Now(), ckptErr)
+		return fmt.Errorf("machine: checkpoint at cycle %d: %w", m.Eng.Now(), ckptErr)
 	}
 	if !m.Done() {
 		if rc.Until > 0 && m.Eng.Now() >= rc.Until {
-			return Result{}, ErrPaused
+			return ErrPaused
 		}
-		return Result{}, m.failure(robust.Deadlock, "engine quiesced")
+		return m.failure(robust.Deadlock, "engine quiesced")
 	}
-	return m.result(), nil
+	return nil
 }
 
 // ctxPollEvents is how many engine events may execute between context
