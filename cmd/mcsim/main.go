@@ -52,7 +52,6 @@ import (
 	"memsim/internal/hostprof"
 	"memsim/internal/machine"
 	"memsim/internal/robust"
-	"memsim/internal/trace"
 )
 
 func main() {
@@ -70,7 +69,7 @@ func main() {
 		seed   = flag.Int64("seed", 1992, "workload seed")
 		vflag  = flag.Bool("v", false, "print per-processor detail")
 		noskip = flag.Bool("no-idle-skip", false, "disable spin fast-forward (A/B timing verification; never changes results)")
-		trc    = flag.Int("trace", 0, "dump the last N coherence-protocol events")
+		trc    = flag.Int("trace", 0, "dump the last N protocol messages")
 
 		metricsF = flag.String("metrics", "", "write the cycle-attribution report as JSON to this file (\"-\": stdout)")
 		csvF     = flag.String("metrics-csv", "", "write the cycle-attribution report as CSV to this file")
@@ -115,18 +114,13 @@ func main() {
 	if *faultProb > 0 {
 		cfg.Faults = robust.Faults{Seed: *faultSeed, DelayProb: *faultProb, MaxExtraDelay: *faultDelay}
 	}
-	var rec *trace.Recorder
-	if *trc > 0 {
-		rec = trace.New(*trc)
-	} else if *diag {
-		// A small ring so failure dumps can show the trailing protocol
-		// events even when -trace was not requested.
-		rec = trace.New(64)
-		rec.EnableOnly(trace.ReqSend, trace.ReqRecv, trace.RespSend, trace.RespRecv)
-	}
+	// One collector serves the reports, -trace and the failure dump's
+	// trailing protocol messages.
 	var mc *memsim.Metrics
-	if *metricsF != "" || *csvF != "" || *chromeF != "" || *histF {
+	report := *metricsF != "" || *csvF != "" || *chromeF != "" || *histF
+	if report || *trc > 0 || *diag {
 		mc = memsim.NewMetrics()
+		mc.SetMsgs(*trc)
 		if *epochF > 0 {
 			mc.SetEpoch(*epochF)
 		}
@@ -152,7 +146,7 @@ func main() {
 		fatal(err)
 	}
 	wallStart := time.Now()
-	res, syncProg, err := run(ctx, cfg, w, rec, mc, *ckptF, *ckptEvery, *restoreF)
+	res, syncProg, err := run(ctx, cfg, w, mc, *ckptF, *ckptEvery, *restoreF)
 	wall := time.Since(wallStart).Seconds()
 	if perr := stopProf(); perr != nil {
 		fmt.Fprintln(os.Stderr, "mcsim:", perr)
@@ -189,7 +183,11 @@ func main() {
 		res.ReqNet.Messages, res.ReqNet.Bypasses, res.RespNet.Messages)
 
 	if *trc > 0 {
-		fmt.Printf("\nlast %d of %d protocol events:\n%s", len(rec.Events()), rec.Total(), rec.Dump())
+		msgs, total := mc.Msgs()
+		fmt.Printf("\nlast %d of %d protocol events:\n", len(msgs), total)
+		for _, msg := range msgs {
+			fmt.Println(msg)
+		}
 	}
 	if rq, rs := res.ReqNet, res.RespNet; rq.FaultDelays+rs.FaultDelays > 0 {
 		fmt.Printf("  fault injection: %d delayed hops, %d extra cycles\n",
@@ -206,7 +204,7 @@ func main() {
 		}
 	}
 
-	if mc != nil {
+	if report {
 		if err := emitMetrics(mc, res, *metricsF, *csvF, *chromeF, *histF); err != nil {
 			fatal(err)
 		}
@@ -255,9 +253,9 @@ func writeTo(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// run executes the workload, optionally with a protocol tracer, a
-// metrics collector, checkpointing, and a snapshot to restore from.
-func run(ctx context.Context, cfg memsim.Config, w memsim.Workload, rec *trace.Recorder, mc *memsim.Metrics,
+// run executes the workload, optionally with a metrics collector,
+// checkpointing, and a snapshot to restore from.
+func run(ctx context.Context, cfg memsim.Config, w memsim.Workload, mc *memsim.Metrics,
 	ckpt string, ckptEvery uint64, restore string) (memsim.Result, uint64, error) {
 	if cfg.Procs == 0 {
 		cfg.Procs = w.Procs
@@ -268,9 +266,6 @@ func run(ctx context.Context, cfg memsim.Config, w memsim.Workload, rec *trace.R
 	m, err := machine.New(cfg, w.Programs)
 	if err != nil {
 		return memsim.Result{}, 0, err
-	}
-	if rec != nil {
-		m.AttachTracer(rec)
 	}
 	m.AttachMetrics(mc)
 	if restore != "" {

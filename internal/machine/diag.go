@@ -8,17 +8,17 @@ import (
 	"memsim/internal/memory"
 )
 
-// diagTraceEvents is how many trailing trace events a failure dump
-// includes when a tracer is attached.
-const diagTraceEvents = 16
+// diagMsgs is how many trailing protocol messages a failure dump
+// includes when a collector is attached.
+const diagMsgs = 16
 
 // Diagnostics renders a human-readable dump of the machine's live
 // state: per-processor status and outstanding references, MSHR
 // contents, network buffer occupancy, directory state for every line
-// with a miss in flight, and (when a tracer is attached) the last
-// lastEvents trace events. It reads state only and is safe at any
-// cycle; Run attaches it to every SimError it returns.
-func (m *Machine) Diagnostics(lastEvents int) string {
+// with a miss in flight, and (when a collector is attached) its last
+// lastMsgs protocol messages (0: all it kept). It reads state only and
+// is safe at any cycle; Run attaches it to every SimError it returns.
+func (m *Machine) Diagnostics(lastMsgs int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "=== diagnostic dump @ cycle %d (%d/%d processors halted) ===\n",
 		m.Eng.Now(), m.halted, m.cfg.Procs)
@@ -92,12 +92,12 @@ func (m *Machine) Diagnostics(lastEvents int) string {
 		sb.WriteString("  (none)\n")
 	}
 
-	if evs := m.tracer.Events(); len(evs) > 0 {
-		if lastEvents > 0 && len(evs) > lastEvents {
-			evs = evs[len(evs)-lastEvents:]
+	if msgs, total := m.mc.Msgs(); len(msgs) > 0 {
+		if lastMsgs > 0 && len(msgs) > lastMsgs {
+			msgs = msgs[len(msgs)-lastMsgs:]
 		}
-		fmt.Fprintf(&sb, "trace (last %d of %d events):\n", len(evs), m.tracer.Total())
-		for _, e := range evs {
+		fmt.Fprintf(&sb, "trace (last %d of %d events):\n", len(msgs), total)
+		for _, e := range msgs {
 			sb.WriteString("  ")
 			sb.WriteString(e.String())
 			sb.WriteByte('\n')

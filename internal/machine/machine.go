@@ -23,7 +23,6 @@ import (
 	"memsim/internal/network"
 	"memsim/internal/robust"
 	"memsim/internal/sim"
-	"memsim/internal/trace"
 )
 
 // Config describes one simulated system.
@@ -170,7 +169,6 @@ type Machine struct {
 
 	halted int
 	haltFn func(id int) // every processor's OnHalt, built once
-	tracer *trace.Recorder
 	mc     *metrics.Collector
 
 	words   int         // line size in 8-byte words (data-tail latency)
@@ -207,7 +205,7 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 // stays at its high-water mark (the engine's node pool, the shared
 // image, cache and MSHR slabs, directory tables, queue rings, network
 // ports, pooled records, prebuilt callbacks) and only what cfg decides
-// is derived again; another count builds anew. Tracer and collector are
+// is derived again; another count builds anew. The collector is
 // detached, watchdog and checker disarmed, as on a new machine. A
 // refused Reset leaves the machine as it was.
 func (m *Machine) Reset(cfg Config, progs [][]isa.Inst) error {
@@ -250,7 +248,7 @@ func (m *Machine) Reset(cfg Config, progs [][]isa.Inst) error {
 		m.faults = &m.injector
 	}
 	m.halted, m.started = 0, false
-	m.tracer, m.mc = nil, nil
+	m.mc = nil
 	m.watchdog = nil
 
 	m.Eng.Reset()
@@ -302,31 +300,21 @@ func (m *Machine) cpuConfig(i int) cpu.Config {
 func (m *Machine) build() {
 	procs := m.cfg.Procs
 	m.handler = m.fire
-	m.haltFn = func(id int) {
-		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.CPUHalt, Src: id})
-		m.halted++
-	}
+	m.haltFn = func(int) { m.halted++ }
 
 	// Response network: memory -> caches. Data messages bind/install
 	// inside the cache with its own head/tail scheduling.
 	m.respNet = network.New(&m.Eng, procs, m.cfg.NetBuf, func(dst int, nm network.Message) {
-		msg := nm.Payload
-		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.RespRecv,
-			Src: nm.Src, Dst: dst, What: msg.Kind, Addr: msg.Line})
-		m.caches[dst].Receive(msg)
+		m.caches[dst].Receive(nm.Payload)
 	})
 	m.respNet.SetUnit(netUnitResp)
 	// Request network: caches -> memory. Data-carrying messages reach
 	// the module when their tail arrives.
 	m.reqNet = network.New(&m.Eng, procs, m.cfg.NetBuf, func(dst int, nm network.Message) {
-		msg := nm.Payload
-		src := nm.Src
-		m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqRecv,
-			Src: src, Dst: dst, What: msg.Kind, Addr: msg.Line})
-		if msg.Kind.CarriesData() {
-			m.Eng.ScheduleAfter(sim.Cycle(m.words), m.handler, tailEvent(dst, src, msg))
+		if msg := nm.Payload; msg.Kind.CarriesData() {
+			m.Eng.ScheduleAfter(sim.Cycle(m.words), m.handler, tailEvent(dst, nm.Src, msg))
 		} else {
-			m.modules[dst].Receive(src, msg)
+			m.modules[dst].Receive(nm.Src, msg)
 		}
 	})
 	m.reqNet.SetUnit(netUnitReq)
@@ -338,14 +326,9 @@ func (m *Machine) build() {
 		id := i
 		m.modules[i] = memory.NewModule(&m.Eng, id, m.cfg.LineSize,
 			func(dst int, msg memory.Msg) bool {
-				ok := m.respNet.TrySend(network.Message{
+				return m.respNet.TrySend(network.Message{
 					Src: id, Dst: dst, Flits: msg.Flits(m.cfg.LineSize), Payload: msg,
 				})
-				if ok {
-					m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.RespSend,
-						Src: id, Dst: dst, What: msg.Kind, Addr: msg.Line})
-				}
-				return ok
 			},
 			func(fn func()) { m.respNet.WhenSpace(id, fn) },
 		)
@@ -353,24 +336,15 @@ func (m *Machine) build() {
 		m.caches[i] = cache.New(&m.Eng, id, m.cacheConfig(),
 			func(msg memory.Msg, bypass bool) bool {
 				dst := memory.ModuleFor(msg.Line, m.cfg.LineSize, m.cfg.Procs)
-				ok := m.reqNet.TrySend(network.Message{
+				return m.reqNet.TrySend(network.Message{
 					Src: id, Dst: dst, Flits: msg.Flits(m.cfg.LineSize), Bypass: bypass, Payload: msg,
 				})
-				if ok {
-					m.tracer.Record(trace.Event{Cycle: m.Eng.Now(), Kind: trace.ReqSend,
-						Src: id, Dst: dst, What: msg.Kind, Addr: msg.Line})
-				}
-				return ok
 			},
 			func(fn func()) { m.reqNet.WhenSpace(id, fn) },
 		)
 		m.cpus[i] = cpu.New(&m.Eng, m.cpuConfig(i))
 	}
 }
-
-// AttachTracer installs an event recorder; call before Run. A nil
-// machine tracer (the default) records nothing at zero cost.
-func (m *Machine) AttachTracer(r *trace.Recorder) { m.tracer = r }
 
 // AttachMetrics wires a cycle-attribution collector into every
 // component; call before Run. A nil collector is a no-op. Collection
@@ -492,7 +466,7 @@ func (m *Machine) Drive(rc RunControl) (err error) {
 			panic(r) // a genuine simulator bug, not a simulated failure
 		}
 		if se.Dump == "" {
-			se.Dump = m.Diagnostics(diagTraceEvents)
+			se.Dump = m.Diagnostics(diagMsgs)
 		}
 		err = se
 	}()

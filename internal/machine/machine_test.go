@@ -5,8 +5,8 @@ import (
 
 	"memsim/internal/consistency"
 	"memsim/internal/isa"
+	"memsim/internal/metrics"
 	"memsim/internal/sim"
-	"memsim/internal/trace"
 )
 
 func cfg16() Config {
@@ -527,9 +527,9 @@ func TestLDXValueCorrectAcrossModels(t *testing.T) {
 	}
 }
 
-// TestTracerRecordsProtocolTraffic: every read miss shows up as a
-// request/response pair in an attached tracer.
-func TestTracerRecordsProtocolTraffic(t *testing.T) {
+// TestCollectorRecordsProtocolTraffic: every read miss shows up as a
+// request/response pair in an attached collector's message ring.
+func TestCollectorRecordsProtocolTraffic(t *testing.T) {
 	prog := []isa.Inst{
 		{Op: isa.LI, Rd: 3, Imm: 0x100},
 		{Op: isa.LD, Rd: 4, Rs1: 3},
@@ -539,23 +539,25 @@ func TestTracerRecordsProtocolTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.New(64)
-	m.AttachTracer(rec)
+	mc := metrics.New()
+	m.AttachMetrics(mc)
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[trace.Kind]int{}
-	for _, e := range rec.Events() {
-		kinds[e.Kind]++
+	type kind struct {
+		net  metrics.Net
+		recv bool
 	}
-	if kinds[trace.ReqSend] == 0 || kinds[trace.ReqRecv] == 0 {
+	kinds := map[kind]int{}
+	msgs, _ := mc.Msgs()
+	for _, e := range msgs {
+		kinds[kind{e.Net, e.Recv}]++
+	}
+	if kinds[kind{metrics.NetReq, false}] == 0 || kinds[kind{metrics.NetReq, true}] == 0 {
 		t.Errorf("no request traffic recorded: %v", kinds)
 	}
-	if kinds[trace.RespSend] == 0 || kinds[trace.RespRecv] == 0 {
+	if kinds[kind{metrics.NetResp, false}] == 0 || kinds[kind{metrics.NetResp, true}] == 0 {
 		t.Errorf("no response traffic recorded: %v", kinds)
-	}
-	if kinds[trace.CPUHalt] != 16 {
-		t.Errorf("halts recorded = %d, want 16", kinds[trace.CPUHalt])
 	}
 }
 

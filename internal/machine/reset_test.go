@@ -18,7 +18,6 @@ import (
 	"memsim/internal/network"
 	"memsim/internal/robust"
 	"memsim/internal/sim"
-	"memsim/internal/trace"
 	"memsim/internal/workloads"
 )
 
@@ -279,19 +278,19 @@ func TestResetDirtyOrders(t *testing.T) {
 	if err := r.Reset(base, progs); err != nil {
 		t.Fatal(err)
 	}
-	mc, tr := metrics.New(), trace.New(1<<10)
+	mc := metrics.New()
 	r.AttachMetrics(mc)
-	r.AttachTracer(tr)
 	if _, err := r.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Total() == 0 || len(mc.Save().Stalls) == 0 {
-		t.Fatalf("the attached run recorded nothing (%d trace events)", tr.Total())
+	_, traced := mc.Msgs()
+	if traced == 0 || len(mc.Save().Stalls) == 0 {
+		t.Fatalf("the attached run recorded nothing (%d protocol messages)", traced)
 	}
-	traced, collected := tr.Total(), mc.Save()
+	collected := mc.Save()
 	sameAsFresh(t, "detached after attached", r, small, progs, 40, nil)
-	if tr.Total() != traced {
-		t.Errorf("a reset machine still records to the last run's tracer (%d events, then %d)", traced, tr.Total())
+	if _, total := mc.Msgs(); total != traced {
+		t.Errorf("a reset machine still records to the last run's collector (%d messages, then %d)", traced, total)
 	}
 	var before, after bytes.Buffer
 	if err := errors.Join(gob.NewEncoder(&before).Encode(collected), gob.NewEncoder(&after).Encode(mc.Save())); err != nil {

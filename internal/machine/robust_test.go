@@ -3,12 +3,14 @@ package machine
 import (
 	"errors"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
 	"memsim/internal/cache"
 	"memsim/internal/consistency"
 	"memsim/internal/isa"
+	"memsim/internal/metrics"
 	"memsim/internal/robust"
 )
 
@@ -57,7 +59,9 @@ func TestValidateRejectsNegativeAndNonPowerOfTwo(t *testing.T) {
 // TestWatchdogDetectsRetirementStall arms the watchdog with a window
 // far smaller than a miss latency, so the quiet period while CPU 0's
 // only load is in flight trips it: the run must fail with a Stall
-// error carrying a diagnostic dump that names the in-flight line.
+// error carrying a diagnostic dump that names the in-flight line. With
+// a collector attached the dump also ends with the trailing protocol
+// messages, the load's request among them; without one it has none.
 func TestWatchdogDetectsRetirementStall(t *testing.T) {
 	prog := []isa.Inst{
 		{Op: isa.LI, Rd: 3, Imm: 0x100},
@@ -67,18 +71,30 @@ func TestWatchdogDetectsRetirementStall(t *testing.T) {
 	cfg := cfg16()
 	cfg.Procs = 4
 	cfg.StallCycles = 4
-	m, err := New(cfg, onlyCPU0(cfg.Procs, prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.Run(1_000_000)
-	se := asSimError(t, err, robust.Stall)
-	if se.Dump == "" {
-		t.Fatal("stall error carries no diagnostic dump")
-	}
-	for _, want := range []string{"cpu0", "line 0x100", "request", "response"} {
-		if !strings.Contains(se.Dump, want) {
-			t.Errorf("dump missing %q:\n%s", want, se.Dump)
+	for _, collect := range []bool{false, true} {
+		m, err := New(cfg, onlyCPU0(cfg.Procs, prog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if collect {
+			m.AttachMetrics(metrics.New())
+		}
+		_, err = m.Run(1_000_000)
+		se := asSimError(t, err, robust.Stall)
+		if se.Dump == "" {
+			t.Fatal("stall error carries no diagnostic dump")
+		}
+		for _, want := range []string{"cpu0", "line 0x100", "request", "response"} {
+			if !strings.Contains(se.Dump, want) {
+				t.Errorf("collector %v: dump missing %q:\n%s", collect, want, se.Dump)
+			}
+		}
+		if got := strings.Contains(se.Dump, "trace (last"); got != collect {
+			t.Errorf("collector %v: dump has a trace section: %v:\n%s", collect, got, se.Dump)
+		}
+		sent := regexp.MustCompile(`(?m)^  \[ *\d+\] req-send +0 -> \d+ +ReadReq +0x100$`)
+		if collect && !sent.MatchString(se.Dump) {
+			t.Errorf("dump does not show the read request's send:\n%s", se.Dump)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func (m *Machine) failure(kind robust.Kind, what string) *robust.SimError {
 	return &robust.SimError{
 		Kind: kind, Component: "machine", Unit: -1, Cycle: m.Eng.Now(),
 		Detail: fmt.Sprintf("%s (halted %d/%d processors)", what, m.halted, m.cfg.Procs),
-		Dump:   m.Diagnostics(diagTraceEvents),
+		Dump:   m.Diagnostics(diagMsgs),
 	}
 }
 
@@ -176,9 +176,9 @@ func (m *Machine) respSpace(src int) func() { return m.modules[src].DrainFunc() 
 
 // Snapshot is the complete serializable state of a machine mid-run:
 // restoring it into a freshly built machine with the same Config and
-// programs continues the run with bit-identical results. Tracers and
-// metrics samplers are re-attached by the restoring process; all
-// accumulated metrics observations travel in the snapshot.
+// programs continues the run with bit-identical results. The restoring
+// process re-attaches a collector; its accumulated observations travel
+// in the snapshot, all but the protocol-message ring.
 type Snapshot struct {
 	Cfg      Config
 	ProgHash [32]byte

@@ -6,14 +6,18 @@
 // exporters to JSON, CSV and the Chrome trace-event format (loadable
 // in Perfetto).
 //
-// Collectors follow the trace.Recorder nil-receiver pattern: every
-// hook is safe (and a no-op) on a nil *Collector, so components thread
-// an optional collector without nil checks. A collector only observes
-// — it never schedules engine events and never alters component
-// behavior — so enabling one leaves simulated timing and every
-// machine.Result field bit-identical (asserted by the machine
+// The collector also keeps a ring of the most recent protocol messages
+// for -trace listings and failure dumps.
+//
+// Every hook is safe (and a no-op) on a nil *Collector, so components
+// thread an optional collector without nil checks. A collector only
+// observes — it never schedules engine events and never alters
+// component behavior — so enabling one leaves simulated timing and
+// every machine.Result field bit-identical (asserted by the machine
 // package's timing-neutrality test).
 package metrics
+
+import "fmt"
 
 // StallCause classifies why a processor was not retiring
 // instructions. The taxonomy follows the paper's §4 analysis: where do
@@ -135,6 +139,7 @@ type Slice struct {
 type Collector struct {
 	st      CollectorState
 	sampler func() Sample
+	msgs    msgRing
 }
 
 // CollectorState is everything a Collector has accumulated, as plain
@@ -165,12 +170,16 @@ type CollectorState struct {
 const (
 	DefaultEpoch     = 4096
 	DefaultMaxSlices = 1 << 18
+	DefaultMsgs      = 64
 	minEpoch         = 64
 )
 
 // New creates an empty collector with default epoch and timeline cap.
 func New() *Collector {
-	return &Collector{st: CollectorState{Epoch: DefaultEpoch, MaxSlices: DefaultMaxSlices}}
+	return &Collector{
+		st:   CollectorState{Epoch: DefaultEpoch, MaxSlices: DefaultMaxSlices},
+		msgs: msgRing{buf: make([]Msg, 0, DefaultMsgs)},
+	}
 }
 
 // SetEpoch sets the utilization sampling interval in cycles (clamped
@@ -193,6 +202,16 @@ func (c *Collector) SetMaxSlices(n int) {
 		return
 	}
 	c.st.MaxSlices = n
+}
+
+// SetMsgs sets how many of the most recent protocol messages the
+// collector keeps (n < 1 keeps the current size). Call before the run
+// starts: the ring is emptied.
+func (c *Collector) SetMsgs(n int) {
+	if c == nil || n < 1 {
+		return
+	}
+	c.msgs = msgRing{buf: make([]Msg, 0, n)}
 }
 
 // EnsureProcs grows the per-processor tables to hold at least procs
@@ -305,6 +324,63 @@ func (c *Collector) NetRetry(n Net, src int, at uint64) {
 	if src < len(c.st.NetRetries[n]) {
 		c.st.NetRetries[n][src]++
 	}
+}
+
+// Msg is one protocol message: it entered network Net at cycle At
+// (Recv false) or its head reached Dst then (Recv true). What is the
+// message kind, formatted only when printed; Addr is the line.
+type Msg struct {
+	At       uint64
+	Net      Net
+	Recv     bool
+	Src, Dst int
+	What     fmt.Stringer
+	Addr     uint64
+}
+
+func (m Msg) String() string {
+	kind := m.Net.String() + "-send"
+	if m.Recv {
+		kind = m.Net.String() + "-recv"
+	}
+	return fmt.Sprintf("[%8d] %-9s %2d -> %-2d %-13s %#x", m.At, kind, m.Src, m.Dst, m.What, m.Addr)
+}
+
+// msgRing keeps the most recent messages and counts every one.
+type msgRing struct {
+	buf   []Msg
+	next  int // the oldest message once buf is full
+	total uint64
+}
+
+// Message records a protocol message entering network n or reaching
+// its destination. It does not advance the sampler, so the ring leaves
+// every epoch, and with it every report, as it would be without it.
+func (c *Collector) Message(n Net, recv bool, at uint64, src, dst int, what fmt.Stringer, addr uint64) {
+	if c == nil {
+		return
+	}
+	c.msgs.add(Msg{At: at, Net: n, Recv: recv, Src: src, Dst: dst, What: what, Addr: addr})
+}
+
+func (r *msgRing) add(m Msg) {
+	r.total++
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, m)
+		return
+	}
+	r.buf[r.next] = m
+	r.next = (r.next + 1) % len(r.buf)
+}
+
+// Msgs returns the retained protocol messages, oldest first, and how
+// many were recorded in all (evicted ones included).
+func (c *Collector) Msgs() (msgs []Msg, total uint64) {
+	if c == nil {
+		return nil, 0
+	}
+	r := &c.msgs
+	return append(append(msgs, r.buf[r.next:]...), r.buf[:r.next]...), r.total
 }
 
 // Slices returns the retained timeline (tests and exporters).

@@ -11,5 +11,6 @@ import (
 func TestStateComplete(t *testing.T) {
 	statecheck.Fields(t, Collector{}, CollectorState{}, map[string]string{
 		"sampler": "re-installed by machine.AttachMetrics",
+		"msgs":    "a debugging window onto recent traffic, not attribution: a restored run's ring starts empty",
 	})
 }

@@ -219,8 +219,9 @@ func (n *Network) Stats() Stats { return n.stats }
 func (n *Network) SetFaults(inj *robust.Injector) { n.faults = inj }
 
 // SetMetrics attaches a cycle-attribution collector (nil disables).
-// The network reports per-message queue delays and entrance-buffer
-// back-pressure; collection never changes timing.
+// The network reports per-message queue delays, entrance-buffer
+// back-pressure and every message it accepts and delivers; collection
+// never changes timing.
 func (n *Network) SetMetrics(mc *metrics.Collector, which metrics.Net) {
 	n.mc = mc
 	n.netid = which
@@ -299,6 +300,7 @@ func (n *Network) TrySend(m Message) bool {
 		n.stats.BypassedOver += uint64(p.qlen)
 	}
 	n.arrive(p, 0, m.Src, &d, front)
+	n.mc.Message(n.netid, false, n.eng.Now(), m.Src, m.Dst, m.Payload.Kind, m.Payload.Line)
 	return true
 }
 

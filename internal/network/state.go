@@ -68,6 +68,7 @@ func (n *Network) fire(d *sim.EventDesc) {
 			n.stats.Messages++
 			n.inFlight--
 			m := message(d)
+			n.mc.Message(n.netid, true, n.eng.Now(), m.Src, m.Dst, m.Payload.Kind, m.Payload.Line)
 			n.deliver(m.Dst, m)
 			return
 		}
