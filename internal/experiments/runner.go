@@ -215,11 +215,11 @@ func (r *Runner) normalize(s RunSpec) RunSpec {
 // spec, e.g. "Gauss/SC1/cache4K/line8".
 func (r *Runner) Key(s RunSpec) string { return describe(r.normalize(s)) }
 
-// Build constructs a fresh machine for a spec with its workload set up
-// but not yet run. Callers drive the simulation themselves — e.g. the
-// snapshot property tests, which pause mid-run via machine.RunControl.
-// The machine is not memoized and does not pass through retry or
-// checkpoint policy.
+// Build takes a pooled machine, as new, for a spec with its workload set
+// up but not yet run; it is the caller's, to keep or to Release. Callers
+// drive the simulation themselves — e.g. the snapshot property tests,
+// which pause mid-run via machine.RunControl. The machine is not
+// memoized and does not pass through retry or checkpoint policy.
 func (r *Runner) Build(s RunSpec) (*machine.Machine, error) {
 	s = r.normalize(s)
 	w := r.workload(s)
@@ -405,7 +405,8 @@ func FileName(key string) string {
 	return strings.NewReplacer("/", "_", " ", "").Replace(key)
 }
 
-// build constructs the machine (and optional collector) for a spec.
+// build takes a pooled machine (and attaches a new collector, if the
+// sink wants one) for a spec.
 func (r *Runner) build(s RunSpec, w workloads.Workload) (*machine.Machine, *metrics.Collector, error) {
 	p := r.Params
 	delay := s.LoadDelay
@@ -421,7 +422,7 @@ func (r *Runner) build(s RunSpec, w workloads.Workload) (*machine.Machine, *metr
 		MSHRs:       s.MSHRs,
 		SharedWords: w.SharedWords,
 	}
-	m, err := machine.New(cfg, w.Programs)
+	m, err := machine.Acquire(cfg, w.Programs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -439,11 +440,16 @@ func (r *Runner) build(s RunSpec, w workloads.Workload) (*machine.Machine, *metr
 // or a genuine simulator bug escaping RunControlled — are recovered
 // into a typed Panic SimError carrying the goroutine stack, so one
 // poisoned config fails its own run instead of killing the caller's
-// worker goroutine.
+// worker goroutine. The machine goes back to the pool unless a panic
+// left it in a state nobody knows.
 func (r *Runner) attempt(ctx context.Context, s RunSpec, key string) (res machine.Result, err error) {
+	var m *machine.Machine
 	defer func() {
 		rec := recover()
 		if rec == nil {
+			if m != nil {
+				m.Release()
+			}
 			return
 		}
 		se, typed := robust.Recovered(rec)
@@ -468,9 +474,10 @@ func (r *Runner) attempt(ctx context.Context, s RunSpec, key string) (res machin
 	if ckpt != "" {
 		if snap, rerr := machine.ReadSnapshotFile(ckpt); rerr == nil {
 			if lerr := m.Restore(snap); lerr != nil {
-				// Stale or incompatible snapshot: rebuild untouched and
-				// fall back to a fresh run.
+				// Stale or incompatible snapshot: the next Acquire resets
+				// what it left, and the run starts fresh.
 				r.logf("  checkpoint for %s unusable (%v); rerunning\n", key, lerr)
+				m.Release()
 				if m, mc, err = r.build(s, w); err != nil {
 					return machine.Result{}, fmt.Errorf("experiments: %s: %w", key, err)
 				}

@@ -148,19 +148,36 @@ func (t *Test) emitThread(code []isa.Inst, lay Layout, th Thread, stagger int, w
 // NumThreads). The programs are new on every call, the caller's to
 // keep, and share one array sized for the longest a thread can come to.
 func (t *Test) Programs(lay Layout, stagger []int, warm []uint64) ([][]isa.Inst, []LoadRef, error) {
+	_, progs, refs, err := t.emit(nil, nil, nil, lay, stagger, warm)
+	return progs, refs, err
+}
+
+// emit is Programs into the arrays of code, progs and refs, which it
+// overwrites and returns, grown where they were short; code is the
+// array the programs share.
+func (t *Test) emit(code []isa.Inst, progs [][]isa.Inst, refs []LoadRef, lay Layout, stagger []int, warm []uint64) ([]isa.Inst, [][]isa.Inst, []LoadRef, error) {
 	if t.Threads == nil {
-		return t.Build(lay, stagger)
+		progs, refs, err := t.Build(lay, stagger)
+		return code, progs, refs, err
 	}
 	n := 0
 	for ti, th := range t.Threads {
 		n += stagger[ti] + 3*t.NLocs + 2*len(th) + 1
 	}
-	code := make([]isa.Inst, 0, n)
-	progs := make([][]isa.Inst, len(t.Threads))
+	code, progs = resize(code, n)[:0], resize(progs, len(t.Threads))
 	for ti, th := range t.Threads {
 		start := len(code)
 		code = t.emitThread(code, lay, th, stagger[ti], warm[ti])
 		progs[ti] = code[start:len(code):len(code)]
 	}
-	return progs, t.loadRefs(), nil
+	return code, progs, t.appendLoadRefs(refs[:0]), nil
+}
+
+// resize returns s at length n: in s's array when that is long enough,
+// else in a new one, never nil (a record encodes nil as null).
+func resize[E any](s []E, n int) []E {
+	if s == nil || cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }

@@ -127,20 +127,21 @@ func (v variation) String() string {
 	return s
 }
 
-// drawVariation derives run i's configuration from the seed stream.
-func drawVariation(x *uint64, threads int) variation {
+// drawVariation derives run i's configuration from the seed stream
+// into v, reusing its stagger and warm arrays.
+func drawVariation(x *uint64, threads int, v *variation) {
 	pick := func(vals []int) int { return vals[robust.SplitMix64(x)%uint64(len(vals))] }
-	v := variation{
+	*v = variation{
 		cacheSize: pick([]int{512, 1024, 2048}),
 		lineSize:  pick([]int{8, 16, 32, 64}),
 		mshrs:     pick([]int{2, 5}),
 		netBuf:    pick([]int{1, 2, 4}),
 		loadDelay: pick([]int{1, 2, 4, 7}),
-		stagger:   make([]int, threads),
+		stagger:   resize(v.stagger, threads),
 		// A word-granular base offset reshuffles which home module
 		// each location maps to, run by run.
 		layout: Layout{Base: locBase + 8*(robust.SplitMix64(x)%32)},
-		warm:   make([]uint64, threads),
+		warm:   resize(v.warm, threads),
 	}
 	// Per-thread warm mask: 1/4 cold, 1/4 fully warmed, 1/2 a random
 	// subset of locations. Full warming makes a thread's loads hit
@@ -167,7 +168,6 @@ func drawVariation(x *uint64, threads int) variation {
 	for t := range v.stagger {
 		v.stagger[t] = int(robust.SplitMix64(x) % 8)
 	}
-	return v
 }
 
 // haltProg occupies processors beyond the test's threads.
@@ -204,8 +204,10 @@ type RunSpec struct {
 
 	// A spec fresh from Setup carries the compiled programs and the
 	// drawn variation instead of Programs and Desc; text derives those
-	// two wherever the record is read as text.
+	// two wherever the record is read as text. code is the array the
+	// programs share.
 	progs [][]isa.Inst
+	code  []isa.Inst
 	vari  variation
 }
 
@@ -232,19 +234,31 @@ func (rs RunSpec) MarshalJSON() ([]byte, error) {
 
 // Setup resolves one seeded run without executing it: it derives the
 // perturbation variation from the seed, generates and assembles the
-// test's programs, and returns the serializable RunSpec.
+// test's programs, and returns the serializable RunSpec, new and the
+// caller's to keep.
 func Setup(t *Test, model consistency.Model, seed int64, mutate consistency.Mutation) (*RunSpec, error) {
+	rs := new(RunSpec)
+	if err := rs.setup(t, model, seed, mutate); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// setup is Setup into rs, whose arrays it reuses: what a spec set up
+// before held is overwritten.
+func (rs *RunSpec) setup(t *Test, model consistency.Model, seed int64, mutate consistency.Mutation) error {
 	x := uint64(seed)
 	robust.SplitMix64(&x) // decorrelate consecutive seeds
 	threads := t.NumThreads()
-	v := drawVariation(&x, threads)
+	v := rs.vari
+	drawVariation(&x, threads, &v)
 	v.layout.Stride = t.Stride
 
-	progs, refs, err := t.Programs(v.layout, v.stagger, v.warm)
+	code, progs, refs, err := t.emit(rs.code, rs.progs, rs.Refs, v.layout, v.stagger, v.warm)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rs := &RunSpec{
+	*rs = RunSpec{
 		Test:  t.Name,
 		Model: model.String(),
 		Seed:  seed,
@@ -261,9 +275,10 @@ func Setup(t *Test, model consistency.Model, seed int64, mutate consistency.Muta
 			Mutate:      mutate,
 		},
 		Refs:     refs,
-		LocNames: make([]string, t.NLocs),
-		LocAddrs: make([]uint64, t.NLocs),
+		LocNames: resize(rs.LocNames, t.NLocs),
+		LocAddrs: resize(rs.LocAddrs, t.NLocs),
 		progs:    progs,
+		code:     code,
 		vari:     v,
 	}
 	if mutate != consistency.MutNone {
@@ -273,7 +288,7 @@ func Setup(t *Test, model consistency.Model, seed int64, mutate consistency.Muta
 		rs.LocNames[l] = t.locName(l)
 		rs.LocAddrs[l] = v.layout.Addr(l)
 	}
-	return rs, nil
+	return nil
 }
 
 // Execute runs the spec on a newly built simulated machine and returns
@@ -282,12 +297,14 @@ func Setup(t *Test, model consistency.Model, seed int64, mutate consistency.Muta
 // programs. A nil ctx runs uninterruptible; a canceled ctx surfaces
 // as a Canceled SimError unwrapping to the context error.
 func (rs *RunSpec) Execute(ctx context.Context) (string, error) {
-	return rs.executeOn(ctx, new(machine.Machine))
+	m := new(machine.Machine)
+	return rs.executeOn(ctx, &m)
 }
 
-// executeOn is Execute on a machine the caller keeps: m is reset to
-// the spec's configuration and programs, whatever ran on it before.
-func (rs *RunSpec) executeOn(ctx context.Context, m *machine.Machine) (string, error) {
+// executeOn is Execute on a machine the caller keeps: *m is reset to
+// the spec's configuration and programs, whatever ran on it before; a
+// nil *m is acquired from the machine pool.
+func (rs *RunSpec) executeOn(ctx context.Context, m **machine.Machine) (string, error) {
 	progs := rs.progs
 	if progs == nil {
 		progs = make([][]isa.Inst, len(rs.Programs))
@@ -311,10 +328,15 @@ func (rs *RunSpec) executeOn(ctx context.Context, m *machine.Machine) (string, e
 	for len(all) < cfg.Procs {
 		all = append(all, haltProg)
 	}
-	if err := m.Reset(cfg, all); err != nil {
-		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
+	if *m == nil {
+		*m, err = machine.Acquire(cfg, all)
+	} else {
+		err = (*m).Reset(cfg, all)
 	}
-	if err := m.Drive(machine.RunControl{MaxEvents: runBudget, Ctx: ctx}); err != nil {
+	if err == nil {
+		err = (*m).Drive(machine.RunControl{MaxEvents: runBudget, Ctx: ctx})
+	}
+	if err != nil {
 		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
 	}
 
@@ -323,10 +345,10 @@ func (rs *RunSpec) executeOn(ctx context.Context, m *machine.Machine) (string, e
 		Mem:   make([]uint64, len(rs.LocAddrs)),
 	}
 	for i, r := range rs.Refs {
-		o.Loads[i] = m.CPU(r.Thread).Reg(r.Reg)
+		o.Loads[i] = (*m).CPU(r.Thread).Reg(r.Reg)
 	}
 	for l, addr := range rs.LocAddrs {
-		o.Mem[l] = m.ReadWord(addr)
+		o.Mem[l] = (*m).ReadWord(addr)
 	}
 	return FormatKey(rs.Refs, rs.LocNames, o), nil
 }
@@ -336,7 +358,8 @@ func (rs *RunSpec) executeOn(ctx context.Context, m *machine.Machine) (string, e
 // reflects the unmutated model contract; a test beyond the engine's
 // capacity is an error. This is the only seeded check loop: the
 // differential tester and the comparator's witness replay call it on
-// their synthesized tests.
+// their synthesized tests. It takes one machine from the pool for all
+// its seeds and releases it with the report.
 func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 100
@@ -358,28 +381,27 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 	if cfg.Mutate != consistency.MutNone {
 		rep.Mutate = cfg.Mutate.String()
 	}
-	// One machine serves every run, reset to each run's configuration:
-	// a run then costs its simulation, not a construction.
-	m := new(machine.Machine)
+	// One pooled machine and one replay record serve every run, reset
+	// to each run's seed: a run then costs its simulation and its
+	// outcome, not a construction.
+	var m *machine.Machine
+	var rs RunSpec
 	for i := 0; i < cfg.Runs; i++ {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			rep.Runs, rep.Interrupted = i, true
-			return rep, nil
+			break
 		}
 		seed := cfg.Seed + int64(i)
-		// The run's full spec rides along in any verdict against it, so
-		// a violation replays without this library.
-		rs, err := Setup(t, model, seed, cfg.Mutate)
-		if err != nil {
+		if err := rs.setup(t, model, seed, cfg.Mutate); err != nil {
 			return nil, err
 		}
-		key, err := rs.executeOn(cfg.Ctx, m)
+		key, err := rs.executeOn(cfg.Ctx, &m)
 		if err != nil {
 			if cfg.Ctx != nil && cfg.Ctx.Err() != nil && errors.Is(err, cfg.Ctx.Err()) {
 				// Canceled mid-run: the partial coverage so far is the
 				// report, not an error.
 				rep.Runs, rep.Interrupted = i, true
-				return rep, nil
+				break
 			}
 			return nil, err
 		}
@@ -388,13 +410,18 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 		}
 		rep.Witnessed[key]++
 		if !allowed[key] {
-			rep.Violations = append(rep.Violations, Violation{
-				Seed:    seed,
-				Config:  rs.text().Desc,
-				Outcome: key,
-				Replay:  rs,
-			})
+			// The run's full spec rides along in the verdict, so it
+			// replays without this library: a record of its own, since
+			// Run's is set up again for the next seed.
+			v, err := Setup(t, model, seed, cfg.Mutate)
+			if err != nil {
+				return nil, err
+			}
+			rep.Violations = append(rep.Violations, Violation{Seed: seed, Config: v.text().Desc, Outcome: key, Replay: v})
 		}
+	}
+	if m != nil {
+		m.Release()
 	}
 	return rep, nil
 }

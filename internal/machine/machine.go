@@ -13,6 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"runtime"
+	"sync"
 
 	"memsim/internal/cache"
 	"memsim/internal/consistency"
@@ -197,6 +200,68 @@ func New(cfg Config, progs [][]isa.Inst) (*Machine, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// idle holds released machines, a free list per processor count (a
+// Reset to another count builds the wiring anew), told apart by
+// bits.Len. As from a sync.Pool, the GC takes machines that wait
+// through two collections, so idle ones do not tax every later mark;
+// unlike one, it has no per-P slots, which a goroutine that changed P
+// cannot see: between collections, Acquire after Release always reuses.
+var idle struct {
+	sync.Mutex
+	free, old [bits.UintSize + 1][]*Machine
+}
+
+// gcTick's finalizer runs after each collection and re-arms itself.
+type gcTick struct{ _ *byte }
+
+func init() { runtime.SetFinalizer(new(gcTick), tick) }
+
+func tick(t *gcTick) { ageIdle(); runtime.SetFinalizer(t, tick) }
+
+// ageIdle drops the machines that waited through the last collection
+// and marks those waiting now as old.
+func ageIdle() {
+	idle.Lock()
+	idle.old, idle.free = idle.free, [bits.UintSize + 1][]*Machine{}
+	idle.Unlock()
+}
+
+// Acquire is New on a released machine of cfg's processor count when
+// one is waiting: a run then costs its simulation, not a construction.
+func Acquire(cfg Config, progs [][]isa.Inst) (*Machine, error) {
+	var m *Machine
+	k := bits.Len(uint(cfg.Procs))
+	idle.Lock()
+	f := &idle.free[k]
+	if len(*f) == 0 {
+		f = &idle.old[k]
+	}
+	if n := len(*f) - 1; n >= 0 {
+		m, (*f)[n], *f = (*f)[n], nil, (*f)[:n]
+	}
+	idle.Unlock()
+	if m == nil {
+		return New(cfg, progs)
+	}
+	if err := m.Reset(cfg, progs); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Release hands the machine back for a later Acquire, whose Reset undoes
+// whatever it was doing; neither it nor its shared image may be touched
+// again. At most GOMAXPROCS machines of a count wait, as many as can run
+// at once. A machine a foreign panic left in an unknown state is dropped.
+func (m *Machine) Release() {
+	k := bits.Len(uint(m.cfg.Procs))
+	idle.Lock()
+	if len(idle.free[k])+len(idle.old[k]) < runtime.GOMAXPROCS(0) {
+		idle.free[k] = append(idle.free[k], m)
+	}
+	idle.Unlock()
 }
 
 // Reset returns the machine to exactly the state New(cfg, progs) would

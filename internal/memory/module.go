@@ -118,6 +118,7 @@ type Module struct {
 	dir       []*entry
 	entries   int // non-nil slots of dir
 	slotShift uint
+	spare     []*entry // zeroed entries of earlier runs, for entryFor to reuse
 
 	inq ring[queued] // requests waiting for the module, in service order
 	occ occupancy
@@ -158,10 +159,17 @@ func NewModule(eng *sim.Engine, id, lineSize int, send func(dst int, m Msg) bool
 
 // Reset returns the module to the state NewModule leaves it in, for a
 // power-of-two line size and any module count: empty directory and
-// queues, idle, counters zero, no collector; table and rings keep size.
+// queues, idle, counters zero, no collector; table and rings keep size,
+// and entries wait on the spare list, zeroed but for their waiter arrays.
 func (m *Module) Reset(lineSize, modules int) {
 	m.words = lineSize / 8
 	m.slotShift = uint(bits.TrailingZeros(uint(lineSize)) + bits.Len(uint(modules)) - 1)
+	for _, e := range m.dir {
+		if e != nil {
+			*e = entry{Pending: e.Pending[:0]}
+			m.spare = append(m.spare, e)
+		}
+	}
 	clear(m.dir)
 	m.dir, m.entries = m.dir[:0], 0
 	m.inq.reset()
@@ -251,7 +259,7 @@ func ModuleFor(line uint64, lineSize, modules int) int {
 	return int((line >> bits.TrailingZeros(uint(lineSize))) % uint64(modules))
 }
 
-// entryFor returns (creating if needed) the directory entry.
+// entryFor returns the directory entry, made if needed (spares first).
 func (m *Module) entryFor(line uint64) *entry {
 	s := line >> m.slotShift
 	if n := uint64(len(m.dir)); s >= n {
@@ -259,7 +267,12 @@ func (m *Module) entryFor(line uint64) *entry {
 	}
 	e := m.dir[s]
 	if e == nil {
-		e = &entry{State: uncached, line: line}
+		if n := len(m.spare); n > 0 {
+			e, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			e = new(entry)
+		}
+		e.line = line // and uncached, as new or as Reset left it
 		m.dir[s] = e
 		m.entries++
 	}
