@@ -2,6 +2,8 @@ package compare
 
 import (
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"memsim/internal/consistency"
@@ -38,7 +40,7 @@ func TestEngineForwardingShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		return litmus.KeySet(keys)[outcome]
+		return slices.Contains(keys, outcome)
 	}
 	for _, m := range []consistency.Model{consistency.TSO, consistency.PSO, consistency.PC} {
 		if !allows(m) {
@@ -274,4 +276,27 @@ func TestEnumerateCanonical(t *testing.T) {
 		t.Fatal("enumerator produced nothing")
 	}
 	t.Logf("%d canonical programs at ops<=4", count)
+}
+
+// TestLeastMissingIsStringLeast: the witness outcome is the least key
+// of weak \ strong in string order, the one a scan of sorted keys
+// meets first, even where word order puts another first.
+func TestLeastMissingIsStringLeast(t *testing.T) {
+	key := func(w uint64) string { return strconv.FormatUint(w, 10) }
+	for _, c := range []struct {
+		weak, strong []uint64
+		want         string
+		found        bool
+	}{
+		{[]uint64{2, 10, 11}, []uint64{11}, "10", true},
+		{[]uint64{2, 10, 11}, []uint64{1, 10}, "11", true},
+		{[]uint64{3, 9}, []uint64{9}, "3", true},
+		{[]uint64{2, 10}, []uint64{2, 10, 12}, "", false},
+		{nil, []uint64{1}, "", false},
+	} {
+		got, found := leastMissing(c.weak, c.strong, key)
+		if got != c.want || found != c.found {
+			t.Errorf("leastMissing(%v, %v) = %q, %v; want %q, %v", c.weak, c.strong, got, found, c.want, c.found)
+		}
+	}
 }

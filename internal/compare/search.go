@@ -122,31 +122,26 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 	}
 	var x litmus.Explorer
 	var enumErr error
-	outs := make([][]string, len(classes))
+	words := make([][]uint64, len(classes))
 	res.Exhausted = b.Enumerate(func(prog []litmus.Thread) bool {
 		res.Programs++
 		t, ops := litmus.SynthTest(prog)
 		for ci, c := range classes {
-			out, err := x.Outcomes(t, c.spec)
+			ws, err := x.Words(t, c.spec)
 			if err != nil {
 				enumErr = err
 				return false
 			}
-			outs[ci] = out
+			words[ci] = append(words[ci][:0], ws...)
 		}
+		// Every class's words are of this program: x formats any of them.
 		for pi := range pairs {
 			ps := &pairs[pi]
 			if len(ps.candidates) >= maxCandidates {
 				continue
 			}
-			var diff string
-			for _, k := range outs[ps.weak] {
-				if _, found := slices.BinarySearch(outs[ps.strong], k); !found {
-					diff = k
-					break
-				}
-			}
-			if diff == "" {
+			diff, found := leastMissing(words[ps.weak], words[ps.strong], x.Key)
+			if !found {
 				continue
 			}
 			ps.candidates = append(ps.candidates, &Witness{
@@ -156,8 +151,8 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 				NLocs:         t.NLocs,
 				Ops:           ops,
 				Outcome:       diff,
-				WeakAllowed:   outs[ps.weak],
-				StrongAllowed: outs[ps.strong],
+				WeakAllowed:   x.Keys(words[ps.weak]),
+				StrongAllowed: x.Keys(words[ps.strong]),
 			})
 		}
 		return true
@@ -186,6 +181,20 @@ func Compare(models []consistency.Model, b Budget) (*Result, error) {
 		return res.Pairs[a].Strong < res.Pairs[b].Strong
 	})
 	return res, nil
+}
+
+// leastMissing returns the string-least key, as key formats it, of the
+// words in weak but not in strong (sorted): the witness outcome a scan
+// of the sorted keys would pick first.
+func leastMissing(weak, strong []uint64, key func(uint64) string) (least string, found bool) {
+	for _, w := range weak {
+		if _, in := slices.BinarySearch(strong, w); !in {
+			if k := key(w); !found || k < least {
+				least, found = k, true
+			}
+		}
+	}
+	return least, found
 }
 
 // Outcomes is the allowed outcome set of a test under a spec, as

@@ -208,20 +208,22 @@ func canonical(prog []litmus.Thread) bool {
 		}
 	}
 	// No permutation of the threads that keeps the length sequence
-	// (and hence the composition shape) yields a smaller encoding.
-	identity := make([]int, len(prog))
-	for i := range identity {
-		identity[i] = i
+	// (and hence the composition shape) yields a smaller encoding; an
+	// encoding has an entry per op and per thread, at most two per op.
+	var ids, origBuf, permBuf [2 * maxOps]int
+	perm := ids[:len(prog)]
+	for i := range perm {
+		perm[i] = i
 	}
-	orig := encode(prog, identity)
+	orig := encode(origBuf[:0], prog, perm)
 	smaller := false
-	permute(identity, 0, func(perm []int) {
+	permute(perm, 0, func() {
 		for i := range perm {
 			if len(prog[perm[i]]) != len(prog[i]) {
 				return
 			}
 		}
-		if lexLess(encode(prog, perm), orig) {
+		if lexLess(encode(permBuf[:0], prog, perm), orig) {
 			smaller = true
 		}
 	})
@@ -236,10 +238,11 @@ func popcount(x int) int {
 	return n
 }
 
-// permute invokes fn on every permutation of p (p is scratch space).
-func permute(p []int, from int, fn func([]int)) {
+// permute invokes fn with p holding each of its permutations in turn
+// (p is scratch space).
+func permute(p []int, from int, fn func()) {
 	if from == len(p) {
-		fn(p)
+		fn()
 		return
 	}
 	for i := from; i < len(p); i++ {
@@ -249,15 +252,14 @@ func permute(p []int, from int, fn func([]int)) {
 	}
 }
 
-// encode flattens a permuted program with first-use location renaming
-// into a comparable integer sequence.
-func encode(prog []litmus.Thread, perm []int) []int {
+// encode appends a permuted program, flattened with first-use
+// location renaming into a comparable integer sequence, to out.
+func encode(out []int, prog []litmus.Thread, perm []int) []int {
 	rename := [8]int{}
 	for i := range rename {
 		rename[i] = -1
 	}
 	next := 0
-	var out []int
 	for _, pi := range perm {
 		for _, op := range prog[pi] {
 			o := op

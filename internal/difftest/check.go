@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"memsim/internal/consistency"
 	"memsim/internal/litmus"
@@ -57,8 +58,8 @@ func (p Program) test() *litmus.Test {
 	return t
 }
 
-// crossCheck validates one engine set against the program's SC
-// interleaving oracle set: an SC spec's engine set must equal the
+// crossCheck validates one engine set (sorted) against the program's
+// SC interleaving oracle set: an SC spec's engine set must equal the
 // oracle set exactly, and a relaxed spec's must contain it (the engine
 // only ever adds outcomes by relaxing order). A mismatch is an engine
 // soundness bug and comes back as a typed Conformance error.
@@ -71,9 +72,8 @@ func crossCheck(p Program, spec consistency.Spec, engine, oracle []string) error
 			Detail:    fmt.Sprintf(format, args...) + " program " + litmus.FormatProgram(p.Threads),
 		}
 	}
-	engineSet := litmus.KeySet(engine)
 	for _, k := range oracle {
-		if !engineSet[k] {
+		if _, found := slices.BinarySearch(engine, k); !found {
 			return unsound("engine under %s drops SC-reachable outcome %q of", spec.Name, k)
 		}
 	}

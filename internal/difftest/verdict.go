@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"memsim/internal/consistency"
@@ -124,7 +125,6 @@ func (v *Verdict) Replay(ctx context.Context) ([]Replayed, error) {
 	if err != nil {
 		return nil, err
 	}
-	allowed := litmus.KeySet(keys)
 	out := make([]Replayed, len(v.Violations))
 	for i := range v.Violations {
 		viol := &v.Violations[i]
@@ -132,7 +132,7 @@ func (v *Verdict) Replay(ctx context.Context) ([]Replayed, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = Replayed{Violation: viol, Key: key, Forbidden: !allowed[viol.Outcome]}
+		out[i] = Replayed{Violation: viol, Key: key, Forbidden: !slices.Contains(keys, viol.Outcome)}
 	}
 	return out, nil
 }

@@ -37,16 +37,18 @@ func runBytes(t *testing.T, name string, mutate consistency.Mutation, runs int) 
 }
 
 // TestLitmusRunAllocs: past its first, a seed of a warm Run costs its
-// simulation and its outcome — the observed values and their key — and
-// not a machine, a replay record, programs or directory entries: Run
-// keeps one pooled machine and one record for all its seeds. A seed
-// that breaks the model also pays for the record its violation keeps,
-// and only for that. What Run pays once (the allowed set, the
-// report) cancels out of both figures: the first is the difference
-// between 201 seeds and 1, the second between 200 seeds of sb+fence
-// with the wb-no-drain defect and without it. The ceilings are what
-// the commit that set them measured with go1.24 on amd64 (84 B a seed,
-// 5 704 B a violation) plus a quarter; before it, a seed cost 1 798 B.
+// simulation and nothing else — not a machine, a replay record,
+// programs, directory entries or its outcome: Run keeps one pooled
+// machine and one record for all its seeds, and checks each outcome as
+// a word. A seed that breaks the model pays for its key and for the
+// record its violation keeps, and only for that. What Run pays once
+// (the allowed set, the report) cancels out of both figures: the first
+// is the difference between 201 seeds and 1, the second between 200
+// seeds of sb+fence with the wb-no-drain defect and without it. The
+// ceilings are what the commits that set them measured with go1.24 on
+// amd64 plus a quarter (5 704 B a violation), and 8 B a seed, which
+// absorbs the integer division of a measured 0 B; before outcomes were
+// words a seed cost 84 B, and before machines were reused 1 798 B.
 func TestLitmusRunAllocs(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -68,12 +70,42 @@ func TestLitmusRunAllocs(t *testing.T) {
 	}
 	perViolation := (int64(mutated) - int64(clean)) / int64(v)
 	t.Logf("a seed %d B, a violation %d B (%d of 200 seeds)", perSeed, perViolation, v)
-	const seedCeiling, violationCeiling = 105, 7_130
+	const seedCeiling, violationCeiling = 8, 7_130
 	if perSeed > seedCeiling {
 		t.Errorf("a seed of a warm Run of sb under TSO allocates %d B, ceiling %d", perSeed, seedCeiling)
 	}
 	if perViolation > violationCeiling {
 		t.Errorf("a violation of sb+fence under TSO with wb-no-drain costs %d B, ceiling %d", perViolation, violationCeiling)
+	}
+}
+
+// TestLitmusRunCallAllocs: a whole warm Run of 40 seeds allocates its
+// report — the allowed keys, the witnessed maps — and next to nothing
+// else: the explorer, the record and the per-word counts come from a
+// pooled scratch, the lock test's programs from a pooled builder. The
+// ceilings are what the commit that set them measured with go1.24 on
+// amd64 plus a quarter; before it a call cost 8 552 B (sb), 107 605 B
+// (mp+crowd) and 203 632 B (lock).
+func TestLitmusRunCallAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, c := range []struct {
+		test    string
+		ceiling uint64
+	}{
+		{"sb", 1_040},        // measured 832 B
+		{"mp+crowd", 16_068}, // measured 12 854 B
+		{"lock", 920},        // measured 736 B
+	} {
+		got, v := runBytes(t, c.test, consistency.MutNone, 40)
+		if v != 0 {
+			t.Fatalf("%s under TSO: %d violations, want none", c.test, v)
+		}
+		t.Logf("a warm 40-seed Run of %s under TSO allocates %d B", c.test, got)
+		if got > c.ceiling {
+			t.Errorf("a warm 40-seed Run of %s under TSO allocates %d B, ceiling %d", c.test, got, c.ceiling)
+		}
 	}
 }
 

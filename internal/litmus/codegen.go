@@ -36,6 +36,8 @@ const (
 	// FIFO order and hiding real reorderings.
 	locStride = 72
 	locBase   = 512
+
+	maxStagger = 7 // the largest start skew drawVariation draws
 )
 
 // Layout places the test's abstract locations in shared memory. The
@@ -154,15 +156,15 @@ func (t *Test) Programs(lay Layout, stagger []int, warm []uint64) ([][]isa.Inst,
 
 // emit is Programs into the arrays of code, progs and refs, which it
 // overwrites and returns, grown where they were short; code is the
-// array the programs share.
+// array the programs share, sized for the largest stagger drawn so
+// that a record's array grows once per test.
 func (t *Test) emit(code []isa.Inst, progs [][]isa.Inst, refs []LoadRef, lay Layout, stagger []int, warm []uint64) ([]isa.Inst, [][]isa.Inst, []LoadRef, error) {
 	if t.Threads == nil {
-		progs, refs, err := t.Build(lay, stagger)
-		return code, progs, refs, err
+		return t.Build(code, progs, refs, lay, stagger)
 	}
 	n := 0
 	for ti, th := range t.Threads {
-		n += stagger[ti] + 3*t.NLocs + 2*len(th) + 1
+		n += max(stagger[ti], maxStagger) + 3*t.NLocs + 2*len(th) + 1
 	}
 	code, progs = resize(code, n)[:0], resize(progs, len(t.Threads))
 	for ti, th := range t.Threads {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"memsim/internal/consistency"
+	"memsim/internal/isa"
 )
 
 // The allowed-outcome engine: the one definition of which final
@@ -133,27 +134,33 @@ func ordered(s consistency.Spec, mode annMode, r consistency.Relaxation, a, b Op
 }
 
 // Outcomes returns the test's allowed outcome keys under a spec,
-// sorted: the engine run on a fresh Explorer.
+// sorted: the engine run on the explorer of a pooled run scratch.
 func (t *Test) Outcomes(spec consistency.Spec) ([]string, error) {
-	return new(Explorer).Outcomes(t, spec)
+	sc := scratches.Get().(*runScratch)
+	defer scratches.Put(sc)
+	return sc.x.Outcomes(t, spec)
 }
 
 // Explorer is the engine's reusable scratch: the op table, the visited
-// set and the buffers final states are formatted from. A caller asking
-// for many outcome sets keeps one, and a warm search then allocates
-// only the keys it returns. The zero value is ready to use; it is not
-// safe for concurrent use.
+// set and the allowed words, each a final state less its executed bits.
+// Key and Pack map the words of the test loaded last to keys and
+// outcomes, one to one. A warm search allocates only the keys asked
+// for. The zero value is ready; it is not safe for concurrent use.
 type Explorer struct {
 	ops   []engineOp
 	nOps  uint     // the executed bits are the state's low nOps bits
 	vbits uint     // width of each memory and observation field
 	seen  []uint64 // open addressing over nonzero states; 0 is empty
+	spare []uint64 // the table seen grew from, for the next growth
 	used  int
 	refs  []LoadRef
 	names []string
 	vals  []uint64 // a final state's memory, then its observations
 	buf   []byte
-	keys  []string
+	words []uint64
+	code  []isa.Inst // a custom test's programs, built for its refs
+	progs [][]isa.Inst
+	skew  []int // their stagger, all 0
 }
 
 // engineOp is op oi of thread ti, bit threadBase+oi of the state.
@@ -168,36 +175,90 @@ type engineOp struct {
 }
 
 // Outcomes returns the test's allowed outcome keys under a spec,
-// sorted. A declarative test gets the engine's set; a custom test has
-// no abstract ops to interpret and keeps its explicit SCSet on every
-// model. A test beyond the engine's capacity is an error, never an
-// empty set. The keys belong to the caller, the rest to the explorer.
+// sorted: Keys of Words. The keys belong to the caller, the rest to
+// the explorer.
 func (x *Explorer) Outcomes(t *Test, spec consistency.Spec) ([]string, error) {
-	if t.Threads == nil {
-		return t.OracleKeys()
+	words, err := x.Words(t, spec)
+	if err != nil {
+		return nil, err
 	}
+	return x.Keys(words), nil
+}
+
+// Words returns the test's allowed outcomes under a spec as sorted
+// words: the engine's set, or a custom test's SCSet on every model. A
+// test beyond the engine's capacity is an error, never an empty set.
+// The words belong to the explorer until its next call.
+func (x *Explorer) Words(t *Test, spec consistency.Spec) ([]uint64, error) {
 	if err := x.load(t, spec); err != nil {
 		return nil, err
 	}
-	clear(x.seen)
-	x.used, x.keys = 0, x.keys[:0]
-	x.explore(0)
-	keys := slices.Clone(x.keys)
+	x.words = x.words[:0]
+	for _, o := range t.SCSet {
+		w, ok := x.Pack(o)
+		if !ok {
+			return nil, fmt.Errorf("litmus: %s: SCSet outcome %v does not fit the test", t.Name, o)
+		}
+		x.words = append(x.words, w)
+	}
+	if t.Threads != nil {
+		// A search grows its own table: it costs what it visits.
+		x.seen, x.used = x.seen[:0], 0
+		x.explore(0)
+	}
+	slices.Sort(x.words)
+	return slices.Compact(x.words), nil
+}
+
+// Key formats a word of the test loaded last as its outcome key.
+func (x *Explorer) Key(w uint64) string {
+	vmask := uint64(1)<<x.vbits - 1
+	for i := range x.vals {
+		x.vals[i] = (w >> (uint(i) * x.vbits)) & vmask
+	}
+	n := len(x.names)
+	x.buf = appendKey(x.buf[:0], x.refs, x.names, Outcome{Loads: x.vals[n:], Mem: x.vals[:n]})
+	return string(x.buf)
+}
+
+// Keys formats words of the test loaded last as their keys, sorted.
+func (x *Explorer) Keys(words []uint64) []string {
+	keys := make([]string, len(words))
+	for i, w := range words {
+		keys[i] = x.Key(w)
+	}
 	slices.Sort(keys)
-	return keys, nil
+	return keys
+}
+
+// Pack packs an outcome of the test loaded last into its word, or
+// reports false when a value does not fit its field (or the shape is
+// wrong): such an outcome is no word of the test, so never allowed.
+func (x *Explorer) Pack(o Outcome) (w uint64, ok bool) {
+	if len(o.Mem) != len(x.names) || len(o.Mem)+len(o.Loads) != len(x.vals) {
+		return 0, false
+	}
+	vmask, shift := uint64(1)<<x.vbits-1, uint(0)
+	for _, vals := range [2][]uint64{o.Mem, o.Loads} {
+		for _, v := range vals {
+			if v > vmask {
+				return 0, false
+			}
+			w, shift = w|v<<shift, shift+x.vbits
+		}
+	}
+	return w, true
 }
 
 // load flattens the test into the op table and sizes the packed
 // state: the executed bits, then NLocs memory fields, then one
-// observation field per load, each vbits wide.
-func (x *Explorer) load(t *Test, spec consistency.Spec) error {
-	nOps, nLoads, maxVal := 0, 0, uint64(0)
+// observation field per load, each vbits wide. A custom test has no
+// ops; its fields are wide enough for the largest SCSet value.
+func (x *Explorer) load(t *Test, spec consistency.Spec) (err error) {
+	nOps, maxVal := 0, uint64(0)
 	for _, th := range t.Threads {
 		nOps += len(th)
 		for _, op := range th {
-			if op.Kind == OpLoad {
-				nLoads++
-			}
 			if op.Kind == OpStore && op.Val > maxVal {
 				maxVal = op.Val
 			}
@@ -206,8 +267,23 @@ func (x *Explorer) load(t *Test, spec consistency.Spec) error {
 	if nOps > maxEngineOps {
 		return fmt.Errorf("litmus: %s has %d ops, engine limit is %d", t.Name, nOps, maxEngineOps)
 	}
-	vbits := 1
-	for (uint64(1) << vbits) <= maxVal {
+	x.refs = t.appendLoadRefs(x.refs[:0])
+	if t.Threads == nil {
+		x.skew = resize(x.skew, t.NThreads)
+		x.code, x.progs, x.refs, err = t.Build(x.code, x.progs, x.refs[:0], DefaultLayout, x.skew)
+		if err != nil {
+			return err
+		}
+		for _, o := range t.SCSet {
+			for _, vals := range [2][]uint64{o.Loads, o.Mem} {
+				for _, v := range vals {
+					maxVal = max(maxVal, v)
+				}
+			}
+		}
+	}
+	nLoads, vbits := len(x.refs), 1
+	for vbits < 64 && (uint64(1)<<vbits) <= maxVal {
 		vbits++
 	}
 	if nOps+(t.NLocs+nLoads)*vbits > 64 {
@@ -244,7 +320,6 @@ func (x *Explorer) load(t *Test, spec consistency.Spec) error {
 		}
 		base += len(th)
 	}
-	x.refs = t.appendLoadRefs(x.refs[:0])
 	x.names = x.names[:0]
 	for l := 0; l < t.NLocs; l++ {
 		x.names = append(x.names, t.locName(l))
@@ -254,7 +329,7 @@ func (x *Explorer) load(t *Test, spec consistency.Spec) error {
 }
 
 // explore visits state k and every state reachable from it, appending
-// each final state's key to x.keys. An op is ready once its pred bits
+// each final state's word to x.words. An op is ready once its pred bits
 // are set; its successor is k with its bit set and the one field it
 // writes XORed from the old value to the new.
 func (x *Explorer) explore(k uint64) {
@@ -284,15 +359,9 @@ func (x *Explorer) explore(k uint64) {
 		}
 		x.explore(next)
 	}
-	if !final {
-		return
+	if final {
+		x.words = append(x.words, k>>x.nOps)
 	}
-	for i := range x.vals {
-		x.vals[i] = (k >> (x.nOps + uint(i)*x.vbits)) & vmask
-	}
-	nLocs := len(x.names)
-	x.buf = appendKey(x.buf[:0], x.refs, x.names, Outcome{Loads: x.vals[nLocs:], Mem: x.vals[:nLocs]})
-	x.keys = append(x.keys, string(x.buf))
 }
 
 // visit adds nonzero k to the visited set and reports whether it was
@@ -300,7 +369,8 @@ func (x *Explorer) explore(k uint64) {
 func (x *Explorer) visit(k uint64) bool {
 	if 2*(x.used+1) > len(x.seen) {
 		old := x.seen
-		x.seen, x.used = make([]uint64, max(64, 2*len(old))), 0
+		x.seen, x.spare, x.used = resize(x.spare, max(64, 2*len(old))), old, 0
+		clear(x.seen)
 		for _, o := range old {
 			if o != 0 {
 				x.visit(o)

@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,9 +32,8 @@ func TestEngineAgainstOracle(t *testing.T) {
 				}
 				continue
 			}
-			set := KeySet(engine)
 			for _, k := range oracle {
-				if !set[k] {
+				if !slices.Contains(engine, k) {
 					t.Errorf("%s/%s: engine drops SC-reachable outcome %q", lt.Name, m, k)
 				}
 			}

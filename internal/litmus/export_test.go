@@ -7,3 +7,10 @@ var Update = update
 // RefOutcomes is the pre-explorer engine, the reference the explorer
 // is held to from package litmus_test.
 var RefOutcomes = refOutcomes
+
+// ValueBits is the width of each field of the words of the test the
+// explorer loaded last.
+func (x *Explorer) ValueBits() uint { return x.vbits }
+
+// RaceBuild reports whether the test binary carries the race detector.
+var RaceBuild = raceBuild

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"memsim/internal/consistency"
 	"memsim/internal/isa"
@@ -104,9 +105,10 @@ type Test struct {
 	// false-sharing programs so locations share a line.
 	Stride uint64
 
-	// Custom-test fields (mutually exclusive with Threads).
+	// Custom-test fields (mutually exclusive with Threads). Build has
+	// emit's contract: it overwrites and returns the arrays it is given.
 	NThreads int
-	Build    func(lay Layout, stagger []int) ([][]isa.Inst, []LoadRef, error)
+	Build    func(code []isa.Inst, progs [][]isa.Inst, refs []LoadRef, lay Layout, stagger []int) ([]isa.Inst, [][]isa.Inst, []LoadRef, error)
 	SCSet    []Outcome
 }
 
@@ -197,31 +199,6 @@ func (t *Test) AllowedKeys(spec consistency.Spec) []string {
 		panic(err)
 	}
 	return keys
-}
-
-// Allowed returns AllowedKeys as a membership set.
-func (t *Test) Allowed(spec consistency.Spec) map[string]bool {
-	return KeySet(t.AllowedKeys(spec))
-}
-
-// KeySet turns a list of outcome keys into a membership set.
-func KeySet(keys []string) map[string]bool {
-	m := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		m[k] = true
-	}
-	return m
-}
-
-// Refs returns the test's observed-load registry without generating
-// full programs (declarative tests derive it; custom tests build once
-// with zero stagger, which is cheap and deterministic).
-func (t *Test) Refs() ([]LoadRef, error) {
-	if t.Threads != nil {
-		return t.loadRefs(), nil
-	}
-	_, refs, err := t.Build(DefaultLayout, make([]int, t.NThreads))
-	return refs, err
 }
 
 // Library returns the litmus-test library, in presentation order.
@@ -417,6 +394,9 @@ func FormatProgram(prog []Thread) string {
 	return b.String()
 }
 
+// builders serves the lock test: one builder, reset per program.
+var builders = sync.Pool{New: func() any { return progb.New() }}
+
 // Lock-test shared-memory layout: the synclib lock word and the
 // counter it guards, on the standard litmus location addresses.
 const (
@@ -437,11 +417,12 @@ func lockTest() *Test {
 		LocNames: []string{"l", "c"},
 		NThreads: 2,
 	}
-	t.Build = func(lay Layout, stagger []int) ([][]isa.Inst, []LoadRef, error) {
-		progs := make([][]isa.Inst, t.NThreads)
-		refs := make([]LoadRef, t.NThreads)
+	t.Build = func(code []isa.Inst, progs [][]isa.Inst, refs []LoadRef, lay Layout, stagger []int) ([]isa.Inst, [][]isa.Inst, []LoadRef, error) {
+		b := builders.Get().(*progb.Builder)
+		defer builders.Put(b)
+		code, progs, refs = code[:0], resize(progs, t.NThreads), refs[:0]
 		for tid := 0; tid < t.NThreads; tid++ {
-			b := progb.New()
+			b.Reset()
 			obs := b.Alloc() // allocated first: stable register across threads
 			for i := 0; i < stagger[tid]; i++ {
 				b.Nop()
@@ -457,14 +438,14 @@ func lockTest() *Test {
 			b.St(ca, 0, tmp)
 			workloads.EmitUnlock(b, la)
 			b.Halt()
-			p, err := b.Build()
+			p, err := b.AppendProgram(code)
 			if err != nil {
-				return nil, nil, fmt.Errorf("litmus: lock test thread %d: %w", tid, err)
+				return code, progs, refs, fmt.Errorf("litmus: lock test thread %d: %w", tid, err)
 			}
-			progs[tid] = p
-			refs[tid] = LoadRef{Thread: tid, Reg: obs}
+			// A program appended before code grows keeps its old array.
+			code, progs[tid], refs = p, p[len(code):len(p):len(p)], append(refs, LoadRef{Thread: tid, Reg: obs})
 		}
-		return progs, refs, nil
+		return code, progs, refs, nil
 	}
 	t.SCSet = []Outcome{
 		{Loads: []uint64{0, 1}, Mem: []uint64{0, 2}},

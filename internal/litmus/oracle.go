@@ -1,6 +1,10 @@
 package litmus
 
-import "sort"
+import (
+	"sort"
+
+	"memsim/internal/consistency"
+)
 
 // The sequential-consistency oracle. A litmus test's abstract ops are
 // small enough (a handful per thread, at most four threads) that the
@@ -11,14 +15,9 @@ import "sort"
 // invisible to the oracle — under SC every access is already strongly
 // ordered.
 
-// scOutcomes enumerates the SC outcome set. Custom tests supply it
-// explicitly (SCSet); declarative tests are enumerated by depth-first
-// search over which thread performs its next operation.
+// scOutcomes enumerates a declarative test's SC outcome set by
+// depth-first search over which thread performs its next operation.
 func (t *Test) scOutcomes() []Outcome {
-	if t.Threads == nil {
-		return t.SCSet
-	}
-
 	// loadIdx[thread][opIndex] is the canonical observed-load slot.
 	loadIdx := make([][]int, len(t.Threads))
 	nLoads := 0
@@ -87,13 +86,13 @@ func (t *Test) scOutcomes() []Outcome {
 // OracleKeys returns the oracle's SC outcome set as sorted keys. The
 // oracle defines no model's allowed set (Outcomes does); it is the
 // independent reference the engine is checked against — equal under
-// an SC spec, contained under every spec.
+// an SC spec, contained under every spec. A custom test's set is its
+// SCSet, on every model and for the oracle too.
 func (t *Test) OracleKeys() ([]string, error) {
-	refs, err := t.Refs()
-	if err != nil {
-		return nil, err
+	if t.Threads == nil {
+		return t.Outcomes(consistency.SpecFor(consistency.SC1))
 	}
-	outcomes := t.scOutcomes()
+	refs, outcomes := t.loadRefs(), t.scOutcomes()
 	keys := make([]string, len(outcomes))
 	for i, o := range outcomes {
 		keys[i] = t.Key(refs, o)

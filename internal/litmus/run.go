@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"memsim/internal/asm"
 	"memsim/internal/consistency"
@@ -166,7 +168,7 @@ func drawVariation(x *uint64, threads int, v *variation) {
 		}
 	}
 	for t := range v.stagger {
-		v.stagger[t] = int(robust.SplitMix64(x) % 8)
+		v.stagger[t] = int(robust.SplitMix64(x) % (maxStagger + 1))
 	}
 }
 
@@ -205,10 +207,11 @@ type RunSpec struct {
 	// A spec fresh from Setup carries the compiled programs and the
 	// drawn variation instead of Programs and Desc; text derives those
 	// two wherever the record is read as text. code is the array the
-	// programs share.
+	// programs share; obs holds the outcome executeOn observed last.
 	progs [][]isa.Inst
 	code  []isa.Inst
 	vari  variation
+	obs   Outcome
 }
 
 // text fills in Programs and Desc on a spec fresh from Setup (a decoded
@@ -280,6 +283,7 @@ func (rs *RunSpec) setup(t *Test, model consistency.Model, seed int64, mutate co
 		progs:    progs,
 		code:     code,
 		vari:     v,
+		obs:      rs.obs,
 	}
 	if mutate != consistency.MutNone {
 		rs.Mutate = mutate.String()
@@ -298,20 +302,24 @@ func (rs *RunSpec) setup(t *Test, model consistency.Model, seed int64, mutate co
 // as a Canceled SimError unwrapping to the context error.
 func (rs *RunSpec) Execute(ctx context.Context) (string, error) {
 	m := new(machine.Machine)
-	return rs.executeOn(ctx, &m)
+	o, err := rs.executeOn(ctx, &m)
+	if err != nil {
+		return "", err
+	}
+	return FormatKey(rs.Refs, rs.LocNames, o), nil
 }
 
-// executeOn is Execute on a machine the caller keeps: *m is reset to
-// the spec's configuration and programs, whatever ran on it before; a
-// nil *m is acquired from the machine pool.
-func (rs *RunSpec) executeOn(ctx context.Context, m **machine.Machine) (string, error) {
+// executeOn is Execute on a machine the caller keeps, returning the
+// outcome in arrays the record reuses: *m is reset to the spec, whatever
+// ran on it before; a nil *m is acquired from the machine pool.
+func (rs *RunSpec) executeOn(ctx context.Context, m **machine.Machine) (Outcome, error) {
 	progs := rs.progs
 	if progs == nil {
 		progs = make([][]isa.Inst, len(rs.Programs))
 		for i, src := range rs.Programs {
 			p, err := asm.Assemble(src)
 			if err != nil {
-				return "", fmt.Errorf("litmus: replay %s/%s seed %d thread %d: %w", rs.Test, rs.Model, rs.Seed, i, err)
+				return Outcome{}, fmt.Errorf("litmus: replay %s/%s seed %d thread %d: %w", rs.Test, rs.Model, rs.Seed, i, err)
 			}
 			progs[i] = p
 		}
@@ -319,7 +327,7 @@ func (rs *RunSpec) executeOn(ctx context.Context, m **machine.Machine) (string, 
 	cfg := rs.Machine
 	mu, err := consistency.ParseMutation(rs.Mutate)
 	if err != nil {
-		return "", fmt.Errorf("litmus: replay %s/%s seed %d: %w", rs.Test, rs.Model, rs.Seed, err)
+		return Outcome{}, fmt.Errorf("litmus: replay %s/%s seed %d: %w", rs.Test, rs.Model, rs.Seed, err)
 	}
 	cfg.Mutate = mu // Config.Mutate is json:"-"; the string field is authoritative
 
@@ -337,21 +345,30 @@ func (rs *RunSpec) executeOn(ctx context.Context, m **machine.Machine) (string, 
 		err = (*m).Drive(machine.RunControl{MaxEvents: runBudget, Ctx: ctx})
 	}
 	if err != nil {
-		return "", fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
+		return Outcome{}, fmt.Errorf("litmus: %s/%s seed %d (%s): %w", rs.Test, rs.Model, rs.Seed, rs.text().Desc, err)
 	}
 
-	o := Outcome{
-		Loads: make([]uint64, len(rs.Refs)),
-		Mem:   make([]uint64, len(rs.LocAddrs)),
-	}
+	o := Outcome{Loads: resize(rs.obs.Loads, len(rs.Refs)), Mem: resize(rs.obs.Mem, len(rs.LocAddrs))}
 	for i, r := range rs.Refs {
 		o.Loads[i] = (*m).CPU(r.Thread).Reg(r.Reg)
 	}
 	for l, addr := range rs.LocAddrs {
 		o.Mem[l] = (*m).ReadWord(addr)
 	}
-	return FormatKey(rs.Refs, rs.LocNames, o), nil
+	rs.obs = o
+	return o, nil
 }
+
+// runScratch is what Run reuses between calls: the explorer, the replay
+// record, and per allowed word its count and first seed.
+type runScratch struct {
+	x     Explorer
+	rs    RunSpec
+	count []int
+	first []int64
+}
+
+var scratches = sync.Pool{New: func() any { return new(runScratch) }}
 
 // Run executes the full perturbed conformance sweep of one test under
 // one model and returns the verdict report. The allowed set always
@@ -360,32 +377,34 @@ func (rs *RunSpec) executeOn(ctx context.Context, m **machine.Machine) (string, 
 // differential tester and the comparator's witness replay call it on
 // their synthesized tests. It takes one machine from the pool for all
 // its seeds and releases it with the report.
+//
+// An outcome is checked and counted as a word; keys are formatted for
+// the report alone. One that packs to no allowed word is a violation,
+// under its FormatKey key.
 func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 100
 	}
-	keys, err := t.Outcomes(consistency.SpecFor(model))
+	sc := scratches.Get().(*runScratch)
+	defer scratches.Put(sc)
+	words, err := sc.x.Words(t, consistency.SpecFor(model))
 	if err != nil {
 		return nil, err
 	}
-	allowed := KeySet(keys)
+	sc.count, sc.first = resize(sc.count, len(words)), resize(sc.first, len(words))
+	count, first := sc.count, sc.first
+	clear(count)
 
-	rep := &Report{
-		Test:      t.Name,
-		Model:     model.String(),
-		Runs:      cfg.Runs,
-		Allowed:   keys,
-		Witnessed: make(map[string]int),
-		FirstSeed: make(map[string]int64),
-	}
+	rep := &Report{Test: t.Name, Model: model.String(), Runs: cfg.Runs,
+		Witnessed: make(map[string]int), FirstSeed: make(map[string]int64)}
 	if cfg.Mutate != consistency.MutNone {
 		rep.Mutate = cfg.Mutate.String()
 	}
 	// One pooled machine and one replay record serve every run, reset
-	// to each run's seed: a run then costs its simulation and its
-	// outcome, not a construction.
+	// to each run's seed: a run then costs its simulation, not a
+	// construction.
 	var m *machine.Machine
-	var rs RunSpec
+	rs := &sc.rs
 	for i := 0; i < cfg.Runs; i++ {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 			rep.Runs, rep.Interrupted = i, true
@@ -395,7 +414,7 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 		if err := rs.setup(t, model, seed, cfg.Mutate); err != nil {
 			return nil, err
 		}
-		key, err := rs.executeOn(cfg.Ctx, &m)
+		o, err := rs.executeOn(cfg.Ctx, &m)
 		if err != nil {
 			if cfg.Ctx != nil && cfg.Ctx.Err() != nil && errors.Is(err, cfg.Ctx.Err()) {
 				// Canceled mid-run: the partial coverage so far is the
@@ -405,24 +424,41 @@ func Run(t *Test, model consistency.Model, cfg Config) (*Report, error) {
 			}
 			return nil, err
 		}
+		if w, ok := sc.x.Pack(o); ok {
+			if j, found := slices.BinarySearch(words, w); found {
+				if count[j] == 0 {
+					first[j] = seed
+				}
+				count[j]++
+				continue
+			}
+		}
+		// The run's full spec rides along in the verdict, so it replays
+		// without this library: a record of its own, since Run's is
+		// set up again for the next seed.
+		v, err := Setup(t, model, seed, cfg.Mutate)
+		if err != nil {
+			return nil, err
+		}
+		key := FormatKey(rs.Refs, rs.LocNames, o)
 		if rep.Witnessed[key] == 0 {
 			rep.FirstSeed[key] = seed
 		}
 		rep.Witnessed[key]++
-		if !allowed[key] {
-			// The run's full spec rides along in the verdict, so it
-			// replays without this library: a record of its own, since
-			// Run's is set up again for the next seed.
-			v, err := Setup(t, model, seed, cfg.Mutate)
-			if err != nil {
-				return nil, err
-			}
-			rep.Violations = append(rep.Violations, Violation{Seed: seed, Config: v.text().Desc, Outcome: key, Replay: v})
-		}
+		rep.Violations = append(rep.Violations, Violation{Seed: seed, Config: v.text().Desc, Outcome: key, Replay: v})
 	}
 	if m != nil {
 		m.Release()
 	}
+	rep.Allowed = make([]string, len(words))
+	for j, w := range words {
+		key := sc.x.Key(w)
+		rep.Allowed[j] = key
+		if count[j] > 0 {
+			rep.Witnessed[key], rep.FirstSeed[key] = count[j], first[j]
+		}
+	}
+	slices.Sort(rep.Allowed)
 	return rep, nil
 }
 

@@ -13,6 +13,7 @@ package progb
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"memsim/internal/isa"
 )
@@ -51,6 +52,15 @@ var reserved = map[isa.Reg]bool{
 // New returns an empty builder with a full register pool.
 func New() *Builder {
 	b := &Builder{allocated: make(map[isa.Reg]bool)}
+	b.Reset()
+	return b
+}
+
+// Reset empties the builder and refills its pool, keeping its arrays and
+// labels: a label made before a Reset must not be used after it.
+func (b *Builder) Reset() {
+	b.insts, b.fixups, b.labels, b.free = b.insts[:0], b.fixups[:0], b.labels[:0], b.free[:0]
+	clear(b.allocated)
 	// Hand out high registers first so short programs keep low
 	// registers free for debugging conventions.
 	for r := isa.Reg(isa.NumRegs - 1); r >= 3; r-- {
@@ -58,7 +68,6 @@ func New() *Builder {
 			b.free = append(b.free, r)
 		}
 	}
-	return b
 }
 
 // Alloc takes a register from the pool.
@@ -103,9 +112,13 @@ func (b *Builder) Emit(in isa.Inst) { b.insts = append(b.insts, in) }
 
 // NewLabel creates an unbound label.
 func (b *Builder) NewLabel() *Label {
-	l := &Label{id: len(b.labels)}
-	b.labels = append(b.labels, l)
-	return l
+	id := len(b.labels)
+	b.labels = slices.Grow(b.labels, 1)[:id+1] // a Reset's labels lie past len
+	if b.labels[id] == nil {
+		b.labels[id] = new(Label)
+	}
+	*b.labels[id] = Label{id: id}
+	return b.labels[id]
 }
 
 // Bind points the label at the next instruction.
@@ -130,21 +143,27 @@ func (b *Builder) branch(op isa.Op, rs1, rs2 isa.Reg, rd isa.Reg, l *Label) {
 	b.Emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
 }
 
-// Build resolves fixups, validates the program, and returns it. The
-// builder can keep emitting afterwards (Build copies).
+// Build resolves fixups, validates the program, and returns it in a
+// new array. The builder can keep emitting afterwards.
 func (b *Builder) Build() ([]isa.Inst, error) {
-	prog := make([]isa.Inst, len(b.insts))
-	copy(prog, b.insts)
+	return b.AppendProgram(nil)
+}
+
+// AppendProgram is Build appending to dst: it returns dst extended by
+// the program, or dst unchanged and the error.
+func (b *Builder) AppendProgram(dst []isa.Inst) ([]isa.Inst, error) {
+	start := len(dst)
+	dst = append(dst, b.insts...)
 	for _, f := range b.fixups {
 		if !f.label.bound {
-			return nil, fmt.Errorf("progb: unbound label %d referenced at pc %d", f.label.id, f.pc)
+			return dst[:start], fmt.Errorf("progb: unbound label %d referenced at pc %d", f.label.id, f.pc)
 		}
-		prog[f.pc].Imm = int64(f.label.pc)
+		dst[start+f.pc].Imm = int64(f.label.pc)
 	}
-	if err := isa.ValidateProgram(prog); err != nil {
-		return nil, err
+	if err := isa.ValidateProgram(dst[start:]); err != nil {
+		return dst[:start], err
 	}
-	return prog, nil
+	return dst, nil
 }
 
 // MustBuild is Build that panics on error (builder bugs, not input

@@ -1,6 +1,7 @@
 package progb
 
 import (
+	"reflect"
 	"testing"
 
 	"memsim/internal/isa"
@@ -60,6 +61,54 @@ func TestLabelsResolve(t *testing.T) {
 	}
 	if prog[2].Op != isa.BNE || prog[2].Imm != 1 {
 		t.Errorf("branch = %v, want bne to 1", prog[2])
+	}
+}
+
+// TestResetBuildsAfresh: a reset builder, appending into one array,
+// builds what new builders build — same registers, same resolved
+// labels — and reuses its labels; a failed append leaves dst as it was.
+func TestResetBuildsAfresh(t *testing.T) {
+	emit := func(b *Builder, n int) {
+		r := b.Alloc()
+		done := b.NewLabel()
+		b.Li(r, int64(n))
+		top := b.Here()
+		b.Beq(r, isa.R0, done)
+		b.Addi(r, r, -1)
+		b.Jmp(top)
+		b.Bind(done)
+		b.Halt()
+	}
+	reused := New()
+	var code []isa.Inst
+	var lens []int
+	for n := 1; n <= 3; n++ {
+		fresh := New()
+		emit(fresh, n)
+		want := fresh.MustBuild()
+
+		reused.Reset()
+		emit(reused, n)
+		start := len(code)
+		var err error
+		if code, err = reused.AppendProgram(code); err != nil {
+			t.Fatal(err)
+		}
+		if got := code[start:]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("program %d: reset builder appended %v, a new one built %v", n, got, want)
+		}
+		lens = append(lens, len(code)-start)
+		if reused.InUse() != 1 || len(reused.labels) != 2 {
+			t.Fatalf("program %d: %d registers in use and %d labels, want 1 and 2", n, reused.InUse(), len(reused.labels))
+		}
+	}
+	if len(code) != lens[0]+lens[1]+lens[2] {
+		t.Fatalf("appended %d instructions, programs hold %v", len(code), lens)
+	}
+	reused.Reset()
+	reused.Jmp(reused.NewLabel())
+	if got, err := reused.AppendProgram(code); err == nil || len(got) != len(code) {
+		t.Fatalf("an unbound label appended %d instructions to %d (%v), want an error and none", len(got), len(code), err)
 	}
 }
 
