@@ -62,11 +62,11 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchParams())
-		small, large, err := experiments.RunFigure6(r)
+		f, err := experiments.RunFigure6(r)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sink = small.String() + large.String()
+		sink = f.String()
 	}
 }
 

@@ -49,9 +49,11 @@ import (
 	"time"
 
 	"memsim"
+	"memsim/internal/experiments"
 	"memsim/internal/hostprof"
 	"memsim/internal/machine"
 	"memsim/internal/robust"
+	"memsim/internal/workloads"
 )
 
 func main() {
@@ -97,7 +99,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w, err := buildWorkload(*bench, *procs, *n, *iters, *sched, *seed)
+	w, err := workload(*bench, *sched, *procs, *n, *iters, *delay, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -303,59 +305,35 @@ func run(ctx context.Context, cfg memsim.Config, w memsim.Workload, mc *memsim.M
 	return res, m.SyncInstructions(), nil
 }
 
-func buildWorkload(bench string, procs, n, iters int, sched string, seed int64) (memsim.Workload, error) {
-	switch bench {
-	case "gauss":
-		if n == 0 {
-			n = 96
-			if procs > n {
-				n = procs // at least one matrix row per processor
-			}
-		}
-		return memsim.GaussWorkload(procs, n, seed), nil
-	case "qsort":
-		if n == 0 {
-			n = 6000
-		}
-		return memsim.QsortWorkload(procs, n, seed), nil
-	case "relax":
-		if n == 0 {
-			n = 64
-			if procs > n {
-				n = procs // at least one grid row per processor
-			}
-		}
-		s, err := parseSched(sched)
-		if err != nil {
+// workload builds the cell the sweep would run: the scaled preset
+// with the flags written into its Params, -n (when set) replacing the
+// named benchmark's size.
+func workload(bench, sched string, procs, n, iters, delay int, seed int64) (memsim.Workload, error) {
+	b, err := experiments.ParseBench(bench)
+	if err != nil {
+		return memsim.Workload{}, err
+	}
+	p := experiments.Scaled()
+	p.Procs, p.LoadDelay, p.RelaxIters, p.Seed = procs, delay, iters, seed
+	s := experiments.RunSpec{Bench: b}
+	if b == experiments.BRelax {
+		if s.RelaxSched, err = workloads.ParseRelaxSchedule(sched); err != nil {
 			return memsim.Workload{}, err
 		}
-		return memsim.RelaxWorkload(procs, n, iters, s, seed), nil
-	case "psim":
-		if n == 0 {
-			n = 48
-		}
-		// Scale the simulated network with the machine (four ports per
-		// processor once the machine outgrows the historical 64-port
-		// default) so every processor injects and services packets.
-		ports := 64
-		if 4*procs > ports {
-			ports = 4 * procs
-		}
-		return memsim.PsimWorkload(procs, ports, n, seed), nil
 	}
-	return memsim.Workload{}, fmt.Errorf("unknown benchmark %q", bench)
-}
-
-func parseSched(s string) (memsim.RelaxSchedule, error) {
-	switch s {
-	case "default":
-		return memsim.RelaxDefault, nil
-	case "miss-first":
-		return memsim.RelaxMissFirst, nil
-	case "miss-last":
-		return memsim.RelaxMissLast, nil
+	if n != 0 {
+		switch b {
+		case experiments.BGauss:
+			p.GaussN = n
+		case experiments.BQsort:
+			p.QsortN = n
+		case experiments.BRelax:
+			p.RelaxN = n
+		case experiments.BPsim:
+			p.PsimRefs = n
+		}
 	}
-	return 0, fmt.Errorf("unknown schedule %q", s)
+	return experiments.Workload(p, s), nil
 }
 
 func fatal(err error) {

@@ -12,11 +12,8 @@
 //	sweep -all -state runs/ -resume  # continue an interrupted sweep
 //	sweep -exp t2 -cpuprofile c.pprof -memprofile m.pprof  # profile the host
 //
-// Experiments: t2 (Table 2 + appendix), f2, f4, f5, f6, f7, f8, f9,
-// t3-6 (the delay-sensitivity tables), the extension ablations
-// rwo (read-with-ownership Qsort) and mshr (WO1 MSHR-count sweep),
-// zoo (TSO/PSO/PC gains and MWPI next to the paper's models), and
-// scaling (the SC1-vs-RC gap from 16 up to 256 processors).
+// Experiments: the ids of experiments.Experiments, in -all order, and
+// scaling (the SC1-vs-RC gap from 16 up to 256 processors, -exp only).
 //
 // One Runner (and its memoization cache) is shared by every path —
 // -md and -all/-exp together run shared baselines once, and -j spreads
@@ -64,7 +61,7 @@ import (
 func main() {
 	var (
 		all      = flag.Bool("all", false, "run every experiment")
-		exp      = flag.String("exp", "", "comma-separated experiment ids (t2,f2,f4,f5,f6,f7,f8,f9,t3-6,rwo,mshr,zoo,scaling)")
+		exp      = flag.String("exp", "", "comma-separated experiment ids ("+strings.Join(experiments.ExperimentIDs(), ",")+")")
 		preset   = flag.String("preset", "scaled", "parameter preset: quick, scaled, paper")
 		outF     = flag.String("out", "", "also write the report to this file")
 		mdF      = flag.String("md", "", "write the full EXPERIMENTS.md-style report to this file")
@@ -90,6 +87,24 @@ func main() {
 	}
 	if *resume && *stateDir == "" {
 		fatal(errors.New("-resume requires -state"))
+	}
+	// Every id resolves before anything runs. scaling is not part of
+	// -all: its 128/256-processor runs take minutes even at the quick
+	// preset. Request it with -exp scaling.
+	var exps []experiments.Experiment
+	if *all {
+		exps = experiments.Experiments
+	} else if *exp != "" {
+		for _, id := range strings.Split(*exp, ",") {
+			e, err := experiments.LookupExperiment(strings.TrimSpace(id))
+			if err != nil {
+				fatal(err)
+			}
+			exps = append(exps, e)
+		}
+	} else if *mdF == "" {
+		flag.Usage()
+		os.Exit(2)
 	}
 	stop, err := hostprof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -189,55 +204,39 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "sweep: wrote %s\n", *mdF)
-		if !*all && *exp == "" {
+		if len(exps) == 0 {
 			stopProf()
 			return
 		}
-	}
-
-	ids := []string{}
-	if *all {
-		// scaling is not part of -all: its 128/256-processor runs take
-		// minutes even at the quick preset. Request it with -exp scaling.
-		ids = []string{"t2", "f2", "f4", "f5", "f6", "f7", "f8", "f9", "t3-6", "rwo", "mshr", "zoo"}
-	} else if *exp != "" {
-		ids = strings.Split(*exp, ",")
-	} else {
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	workers := *jobs
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
+	workers = min(workers, len(exps))
 
 	// Run the experiments on a bounded worker pool; results land in a
 	// slice indexed by position so output order stays deterministic. A
 	// failed experiment is recorded and the rest continue.
 	type outcome struct {
-		text string
+		body fmt.Stringer
 		err  error
 	}
-	results := make([]outcome, len(ids))
+	results := make([]outcome, len(exps))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for i, id := range ids {
-		i, id := i, strings.TrimSpace(id)
+	for i, e := range exps {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if ctx.Err() != nil {
-				results[i] = outcome{"", fmt.Errorf("%s: %w", id, ctx.Err())}
+				results[i].err = fmt.Errorf("%s: %w", e.ID, ctx.Err())
 				return
 			}
-			text, err := runOne(r, id)
-			results[i] = outcome{text, err}
+			results[i].body, results[i].err = e.Run(r)
 		}()
 	}
 	wg.Wait()
@@ -248,13 +247,13 @@ func main() {
 	for i, res := range results {
 		if res.err != nil {
 			failed++
-			report.WriteString(fmt.Sprintf("experiment %s FAILED: %v\n\n", strings.TrimSpace(ids[i]), res.err))
+			report.WriteString(fmt.Sprintf("experiment %s FAILED: %v\n\n", exps[i].ID, res.err))
 			complain(res.err)
 			continue
 		}
-		report.WriteString(res.text)
-		report.WriteString("\n")
-		fmt.Println(res.text)
+		text := res.body.String()
+		report.WriteString(text + "\n")
+		fmt.Println(text)
 	}
 	if *outF != "" {
 		if err := os.WriteFile(*outF, []byte(report.String()), 0o644); err != nil {
@@ -269,7 +268,7 @@ func main() {
 	// what tells -resume there is work left.
 	if journal != nil {
 		if ctx.Err() == nil {
-			if err := journal.Finish(failed, len(ids)); err != nil {
+			if err := journal.Finish(failed, len(exps)); err != nil {
 				complain(err)
 			}
 		}
@@ -278,7 +277,7 @@ func main() {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d of %d experiments failed\n", failed, len(ids))
+		fmt.Fprintf(os.Stderr, "sweep: %d of %d experiments failed\n", failed, len(exps))
 		if ctx.Err() != nil && *stateDir != "" {
 			fmt.Fprintf(os.Stderr, "sweep: interrupted; rerun with -state %s -resume to continue\n", *stateDir)
 		}
@@ -308,61 +307,6 @@ func metricsSink(dir string) func(string, machine.Result, *metrics.Collector) {
 			mu.Unlock()
 		}
 	}
-}
-
-func runOne(r *experiments.Runner, id string) (string, error) {
-	switch id {
-	case "t2":
-		t, err := experiments.RunTable2(r)
-		return stringify(t, err)
-	case "f2":
-		f, err := experiments.RunFigure2(r)
-		return stringify(f, err)
-	case "f4":
-		f, err := experiments.RunFigure4(r)
-		return stringify(f, err)
-	case "f5":
-		f, err := experiments.RunFigure5(r)
-		return stringify(f, err)
-	case "f6":
-		small, large, err := experiments.RunFigure6(r)
-		if err != nil {
-			return "", err
-		}
-		return small.String() + "\n" + large.String(), nil
-	case "f7":
-		f, err := experiments.RunFigure7(r)
-		return stringify(f, err)
-	case "f8":
-		f, err := experiments.RunFigure8(r)
-		return stringify(f, err)
-	case "f9":
-		f, err := experiments.RunFigure9(r)
-		return stringify(f, err)
-	case "t3-6":
-		t, err := experiments.RunTables3to6(r)
-		return stringify(t, err)
-	case "rwo":
-		a, err := experiments.RunAblationRWO(r)
-		return stringify(a, err)
-	case "mshr":
-		a, err := experiments.RunAblationMSHR(r)
-		return stringify(a, err)
-	case "zoo":
-		z, err := experiments.RunZoo(r)
-		return stringify(z, err)
-	case "scaling":
-		s, err := experiments.RunScaling(r)
-		return stringify(s, err)
-	}
-	return "", fmt.Errorf("unknown experiment %q", id)
-}
-
-func stringify(s fmt.Stringer, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return s.String(), nil
 }
 
 // diag mirrors the -diag flag for error reporting (set before any run

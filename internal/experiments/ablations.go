@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"memsim/internal/consistency"
-	"memsim/internal/workloads"
 )
 
 // This file holds the extension experiments beyond the paper's own
@@ -125,21 +124,4 @@ func (a *AblationMSHR) String() string {
 		fmt.Fprintf(&sb, "  %d MSHRs: %10d cycles  (%.1f%% over SC1)\n", n, c, gain)
 	}
 	return sb.String()
-}
-
-// BQsortRWO is the read-with-ownership Qsort variant (extension; not
-// part of the paper's benchmark set).
-const BQsortRWO Bench = "QsortRWO"
-
-// ablationWorkload extends the runner's workload dispatch; called from
-// Runner.workload.
-func ablationWorkload(p Params, s RunSpec) (workloads.Workload, bool) {
-	if s.Bench == BQsortRWO {
-		procs := s.Procs
-		if procs == 0 {
-			procs = p.Procs
-		}
-		return workloads.QsortRWO(procs, p.QsortN, p.Seed), true
-	}
-	return workloads.Workload{}, false
 }

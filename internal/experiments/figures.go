@@ -83,20 +83,21 @@ func RunFigure5(r *Runner) (*GainFigure, error) {
 	return runGainFigure(r, "Figure 5", consistency.SC1, r.Params.LargeCache, 0, Benches, consistency.RelaxedModels)
 }
 
+// Figure6 is one GainFigure per cache size, small first.
+type Figure6 [2]*GainFigure
+
+func (f Figure6) String() string { return f[0].String() + "\n" + f[1].String() }
+
 // RunFigure6 is Gauss at 32 processors (paper Figure 6; the paper
-// omitted WO2 at 32 processors, and so do we). It returns one
-// GainFigure per cache size.
-func RunFigure6(r *Runner) (*GainFigure, *GainFigure, error) {
+// omitted WO2 at 32 processors, and so do we).
+func RunFigure6(r *Runner) (Figure6, error) {
 	models := []consistency.Model{consistency.SC2, consistency.WO1, consistency.RC}
 	small, err := runGainFigure(r, "Figure 6 (small cache)", consistency.SC1, r.Params.SmallCache, 32, []Bench{BGauss}, models)
 	if err != nil {
-		return nil, nil, err
+		return Figure6{}, err
 	}
 	large, err := runGainFigure(r, "Figure 6 (large cache)", consistency.SC1, r.Params.LargeCache, 32, []Bench{BGauss}, models)
-	if err != nil {
-		return nil, nil, err
-	}
-	return small, large, nil
+	return Figure6{small, large}, err
 }
 
 func runGainFigure(r *Runner, title string, baseline consistency.Model, cache, procs int, benches []Bench, models []consistency.Model) (*GainFigure, error) {

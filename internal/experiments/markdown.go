@@ -10,12 +10,10 @@ import (
 	"memsim/internal/litmus"
 )
 
-// WriteMarkdown runs every experiment (paper artifacts plus the
-// extension ablations) and writes the EXPERIMENTS.md report: for each
-// table and figure, what the paper reports, what this reproduction
-// measures, and whether the shape holds. The commentary strings are
-// the paper's claims (§§3.3-5.3) and are fixed; the measured blocks
-// come from live runs of the given preset.
+// WriteMarkdown runs every entry of Experiments and writes the
+// EXPERIMENTS.md report: for each table and figure, what the paper
+// reports, what this reproduction measures (live runs of the given
+// preset), and whether the shape holds; then the comparator's witness.
 func WriteMarkdown(w io.Writer, r *Runner, stamp time.Time) error {
 	p := r.Params
 	fmt.Fprintf(w, `# EXPERIMENTS — paper vs. measured
@@ -40,122 +38,15 @@ claims checked here are the paper's qualitative and ordering results.
 `, p.Name, p.Procs, p.SmallCache>>10, p.LargeCache>>10, p.LineSizes, p.LoadDelay,
 		p.Name, stamp.Format("2006-01-02"))
 
-	section := func(title, paperClaim string, body fmt.Stringer, assessment string) {
+	for _, e := range Experiments {
+		body, err := e.Run(r)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "## %s\n\n**Paper:** %s\n\n```\n%s```\n\n**Assessment:** %s\n\n",
-			title, paperClaim, body.String(), assessment)
+			e.Title, e.Paper, body.String(), e.Assessment)
 	}
-
-	t2, err := RunTable2(r)
-	if err != nil {
-		return err
-	}
-	section("Table 2 (and appendix Tables 7–9): benchmark statistics",
-		"Gauss: low hit rates at the small cache (64–94% by line size) but uniformly high at the large cache — the matrix fits 64K, not 16K. Qsort: hit rates 69–81% at *both* caches (working set fits neither). Relax: hit rate set by the line size, nearly independent of cache size. Psim: ~90% hit rate regardless of configuration; write hit rates well below read hit rates everywhere because a write to a Shared line is a write miss under directory coherence.",
-		t2,
-		"Measured hit rates reproduce every relationship: Gauss improves sharply with the large cache, Qsort barely moves, Relax tracks line size, Psim stays flat; write hit rates sit well below read hit rates.")
-
-	f2, err := RunFigure2(r)
-	if err != nil {
-		return err
-	}
-	section("Figure 2: SC1 run time by line size",
-		"Larger lines speed up Gauss dramatically at 16K (~50% from 8B to 64B) but barely matter at 64K. Qsort is *slowest* at 64B lines despite higher hit rates (long lines cost network/memory occupancy). Psim's run time grows with line size (latency proportional to line size under heavy sharing).",
-		f2,
-		"Gauss gains strongly from longer lines at the small cache and little at the large; Qsort and Psim pay for 64-byte lines exactly as the paper describes.")
-
-	f4, err := RunFigure4(r)
-	if err != nil {
-		return err
-	}
-	section("Figure 4: % gain over SC1, small cache",
-		"Gains of 1–36% depending mostly on benchmark and line size. Gauss: largest gains at 8B lines (lowest hit rate), shrinking as lines grow. Qsort: 13–18%. Relax: ≤5% (the natural schedule already hides most latency). Psim: ~8–10%, driven by its inflated latency from sharing, with SC2 capable of *hurting* at 64B lines. No major difference among WO1/WO2/RC.",
-		f4,
-		"Orderings hold: Gauss gains fall monotonically with line size; Qsort's gains are large at both caches; Relax's default schedule gains the least of the high-miss benchmarks; WO1 ≈ WO2 ≈ RC within a few points everywhere.")
-
-	f5, err := RunFigure5(r)
-	if err != nil {
-		return err
-	}
-	section("Figure 5: % gain over SC1, large cache",
-		"Gauss's gains collapse below 2% once the matrix fits in the cache; Qsort's gains persist (13–18%); Relax and Psim change little from the 16K results.",
-		f5,
-		"Gauss's relaxed-model benefit collapses at the large cache while Qsort's persists — the paper's central 'hit rate is the best predictor' point.")
-
-	f6s, f6l, err := RunFigure6(r)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "## Figure 6: Gauss at 32 processors\n\n**Paper:** same trends as 16 processors with slightly higher benefit per line size (one extra network stage raises memory latency: 18 → 20 cycles); 64K gains stay under 2%%.\n\n```\n%s\n%s```\n\n**Assessment:** the small-cache gains remain ordered by line size and exceed the 16-processor gains slightly; the large-cache gains are small.\n\n",
-		f6s.String(), f6l.String())
-
-	f7, err := RunFigure7(r)
-	if err != nil {
-		return err
-	}
-	section("Figure 7: blocking loads, small cache",
-		"bSC1 ≈ SC1 (non-blocking loads alone barely help a sequentially consistent machine). Relax: bWO1 ≈ bSC1 — almost all of WO1's benefit on Relax is *read* latency, so blocking loads forfeit it. Psim: bWO1 keeps 75–85% of WO1's gain (mostly write latency hidden). Gauss 16K: mostly write latency.",
-		f7,
-		"SC1 tracks bSC1 closely; WO1 beats bWO1 most on the read-latency-bound benchmarks, least where write latency dominates — the paper's §5.1 decomposition.")
-
-	f8, err := RunFigure8(r)
-	if err != nil {
-		return err
-	}
-	section("Figure 8: blocking loads, large cache",
-		"Same decomposition at 64K; Gauss's differences become noise because there is almost no latency left to hide.",
-		f8,
-		"With the large cache the absolute spreads compress, as in the paper.")
-
-	f9, err := RunFigure9(r)
-	if err != nil {
-		return err
-	}
-	section("Figure 9: Relax schedule quality",
-		"Hand-scheduling the nine stencil loads moves run time by up to ~8%, and the optimal order depends on the model: SC wants the missing load issued last (other loads would stall behind it), weak ordering wants it first (maximum overlap distance). A deliberately bad schedule costs real time.",
-		f9,
-		"The signs flip exactly as predicted: miss-first hurts SC1 and helps WO1; miss-last (≈ the compiler's natural raster order) is SC1's best order. The best schedule depends on the consistency model — the paper's §5.2 conclusion.")
-
-	t36, err := RunTables3to6(r)
-	if err != nil {
-		return err
-	}
-	section("Tables 3–6: two- vs four-cycle load/branch delays",
-		"WO1's absolute benefit over SC1 is of the same magnitude at both delays for every benchmark; relative percentages shift (shorter delays shrink total run time), but the conclusions are unchanged.",
-		t36,
-		"Absolute benefits at delay 2 and delay 4 stay within the same magnitude per configuration; no conclusion flips.")
-
-	rwo, err := RunAblationRWO(r)
-	if err != nil {
-		return err
-	}
-	section("Extension: read-with-ownership Qsort (paper §3.3 discussion)",
-		"The paper argues a read-with-ownership request would recover Qsort's write hit rate (its bus-based predecessor study saw ~100%), but that the compiler must know which reads precede writes.",
-		rwo,
-		"With LDX on the read-before-swap loads, Qsort's write hit rate rises sharply, confirming the paper's diagnosis of where its write misses come from.")
-
-	mshr, err := RunAblationMSHR(r)
-	if err != nil {
-		return err
-	}
-	section("Extension: WO1 MSHR count",
-		"The paper fixes five MSHRs and calls the lockup-free cache's cost 'significant'; this sweep locates the knee of the benefit curve.",
-		mshr,
-		"Most of WO1's benefit arrives by 2–3 MSHRs; five (the paper's choice) sits past the knee.")
-
-	z, err := RunZoo(r)
-	if err != nil {
-		return err
-	}
-	section("Extension: model zoo (TSO, PSO, PC)",
-		"Not in the paper. The commercial store-buffer models — TSO (FIFO write buffer, blocking loads), PSO (per-line buffer retirement), PC (TSO's buffer with non-blocking loads) — on the paper's grid, compared against SC1 like Figures 4–5 and Table 9.",
-		z,
-		"The write buffer alone recovers a large share of weak ordering's gain on the miss-dominated benchmarks; PC's non-blocking loads recover the read latency TSO forfeits (most striking on Relax, whose relaxed-model benefit Figure 7 showed to be nearly all read latency: TSO gains almost nothing, PC matches WO1); and on sync-heavy Psim the buffer's drain at every sync point can cost slightly more than it buys — the paper's §5 caveat about buffering under frequent synchronization.")
-
-	if err := writeWitnessSection(w); err != nil {
-		return err
-	}
-
-	return nil
+	return writeWitnessSection(w)
 }
 
 // writeWitnessSection demonstrates the model comparator (DESIGN.md

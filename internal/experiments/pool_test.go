@@ -79,7 +79,7 @@ func TestRunnerPooledMachinesReproduceGoldens(t *testing.T) {
 			if _, err := wedged.Run(small); !errors.As(err, &se) || se.Kind != robust.EventLimit {
 				t.Fatalf("after %s: want an event-limit failure, got %v", key, err)
 			}
-			w := r.workload(s)
+			w := Workload(r.Params, s)
 			m, err := machine.Acquire(machine.Config{Procs: w.Procs, Model: s.Model, CacheSize: s.CacheSize,
 				LineSize: s.LineSize, LoadDelay: p.LoadDelay, SharedWords: w.SharedWords, StallCycles: 3}, w.Programs)
 			if err != nil {

@@ -28,10 +28,23 @@ const (
 	BQsort Bench = "Qsort"
 	BRelax Bench = "Relax"
 	BPsim  Bench = "Psim"
+	// BQsortRWO is the read-with-ownership Qsort variant (extension;
+	// not part of the paper's benchmark set).
+	BQsortRWO Bench = "QsortRWO"
 )
 
 // Benches lists the paper's benchmarks in presentation order.
 var Benches = []Bench{BGauss, BQsort, BRelax, BPsim}
+
+// ParseBench reads the name of one of Benches, in any case.
+func ParseBench(name string) (Bench, error) {
+	for _, b := range Benches {
+		if strings.EqualFold(name, string(b)) {
+			return b, nil
+		}
+	}
+	return "", fmt.Errorf("experiments: unknown benchmark %q (want Gauss, Qsort, Relax or Psim)", name)
+}
 
 // RunSpec identifies one simulation configuration.
 type RunSpec struct {
@@ -147,16 +160,19 @@ func (r *Runner) logf(format string, args ...interface{}) {
 	r.logMu.Unlock()
 }
 
-// workload instantiates the benchmark for a spec.
-func (r *Runner) workload(s RunSpec) workloads.Workload {
-	p := r.Params
-	procs := s.Procs
-	if procs == 0 {
-		procs = p.Procs
+// specProcs is the processor count a spec runs at under p.
+func specProcs(p Params, s RunSpec) int {
+	if s.Procs == 0 {
+		return p.Procs
 	}
-	if w, ok := ablationWorkload(p, s); ok {
-		return w
-	}
+	return s.Procs
+}
+
+// Workload instantiates the benchmark a spec names under p. It is the
+// one table from (preset, spec) to workload: the Runner, mcsim and the
+// server all build their cells here.
+func Workload(p Params, s RunSpec) workloads.Workload {
+	procs := specProcs(p, s)
 	switch s.Bench {
 	case BGauss:
 		n := p.GaussN
@@ -175,6 +191,8 @@ func (r *Runner) workload(s RunSpec) workloads.Workload {
 		return workloads.Gauss(procs, n, p.Seed)
 	case BQsort:
 		return workloads.Qsort(procs, p.QsortN, p.Seed)
+	case BQsortRWO:
+		return workloads.QsortRWO(procs, p.QsortN, p.Seed)
 	case BRelax:
 		n := p.RelaxN
 		if n < procs {
@@ -198,8 +216,9 @@ func (r *Runner) workload(s RunSpec) workloads.Workload {
 	panic(fmt.Sprintf("experiments: unknown benchmark %q", s.Bench))
 }
 
-// normalize rewrites explicit preset defaults to zero so memoization
-// (and journal keys) unify equivalent specs.
+// normalize rewrites explicit preset defaults to zero, and drops a
+// schedule off Relax, so memoization (and journal keys) unify
+// equivalent specs.
 func (r *Runner) normalize(s RunSpec) RunSpec {
 	p := r.Params
 	if s.LoadDelay == p.LoadDelay {
@@ -207,6 +226,9 @@ func (r *Runner) normalize(s RunSpec) RunSpec {
 	}
 	if s.Procs == p.Procs {
 		s.Procs = 0
+	}
+	if s.Bench != BRelax {
+		s.RelaxSched = workloads.RelaxDefault
 	}
 	return s
 }
@@ -222,7 +244,7 @@ func (r *Runner) Key(s RunSpec) string { return describe(r.normalize(s)) }
 // memoized and does not pass through retry or checkpoint policy.
 func (r *Runner) Build(s RunSpec) (*machine.Machine, error) {
 	s = r.normalize(s)
-	w := r.workload(s)
+	w := Workload(r.Params, s)
 	m, _, err := r.build(s, w)
 	if err != nil {
 		return nil, err
@@ -405,24 +427,34 @@ func FileName(key string) string {
 	return strings.NewReplacer("/", "_", " ", "").Replace(key)
 }
 
-// build takes a pooled machine (and attaches a new collector, if the
-// sink wants one) for a spec.
-func (r *Runner) build(s RunSpec, w workloads.Workload) (*machine.Machine, *metrics.Collector, error) {
-	p := r.Params
+// config is the machine a spec runs on, for procs processors and a
+// shared image of sharedWords words (0: the machine's default).
+func (r *Runner) config(s RunSpec, procs, sharedWords int) machine.Config {
 	delay := s.LoadDelay
 	if delay == 0 {
-		delay = p.LoadDelay
+		delay = r.Params.LoadDelay
 	}
-	cfg := machine.Config{
-		Procs:       w.Procs,
+	return machine.Config{
+		Procs:       procs,
 		Model:       s.Model,
 		CacheSize:   s.CacheSize,
 		LineSize:    s.LineSize,
 		LoadDelay:   delay,
 		MSHRs:       s.MSHRs,
-		SharedWords: w.SharedWords,
+		SharedWords: sharedWords,
 	}
-	m, err := machine.Acquire(cfg, w.Programs)
+}
+
+// Validate reports why the machine would refuse a spec, without
+// building its workload: what a service checks before admitting it.
+func (r *Runner) Validate(s RunSpec) error {
+	return r.config(s, specProcs(r.Params, s), 0).Validate()
+}
+
+// build takes a pooled machine (and attaches a new collector, if the
+// sink wants one) for a spec.
+func (r *Runner) build(s RunSpec, w workloads.Workload) (*machine.Machine, *metrics.Collector, error) {
+	m, err := machine.Acquire(r.config(s, w.Procs, w.SharedWords), w.Programs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -463,7 +495,7 @@ func (r *Runner) attempt(ctx context.Context, s RunSpec, key string) (res machin
 		res, err = machine.Result{}, fmt.Errorf("experiments: %s: %w", key, se)
 	}()
 	p := r.Params
-	w := r.workload(s)
+	w := Workload(p, s)
 	m, mc, err := r.build(s, w)
 	if err != nil {
 		return machine.Result{}, fmt.Errorf("experiments: %s: %w", key, err)
@@ -548,7 +580,12 @@ func (r *Runner) attempt(ctx context.Context, s RunSpec, key string) (res machin
 }
 
 func describe(s RunSpec) string {
-	d := fmt.Sprintf("%s/%s/cache%dK/line%d", s.Bench, s.Model, s.CacheSize>>10, s.LineSize)
+	// A size that is not a whole KB keeps its bytes: no two sizes share a key.
+	size, unit := s.CacheSize>>10, 'K'
+	if s.CacheSize%1024 != 0 {
+		size, unit = s.CacheSize, 'B'
+	}
+	d := fmt.Sprintf("%s/%s/cache%d%c/line%d", s.Bench, s.Model, size, unit, s.LineSize)
 	if s.Bench == BRelax && s.RelaxSched != workloads.RelaxDefault {
 		d += "/" + s.RelaxSched.String()
 	}

@@ -86,9 +86,11 @@ func (c Config) withDefaults() Config {
 
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// validate runs after withDefaults, so zero-valued knobs have already
-// been replaced; what it rejects are values a caller set explicitly.
-func (c Config) validate() error {
+// Validate reports why no machine can be built for c. It runs after
+// withDefaults, so zero-valued knobs have already been replaced; what
+// it rejects are values a caller set explicitly.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	if c.Procs < 2 {
 		return fmt.Errorf("machine: need >= 2 processors, got %d", c.Procs)
 	}
@@ -274,10 +276,10 @@ func (m *Machine) Release() {
 // detached, watchdog and checker disarmed, as on a new machine. A
 // refused Reset leaves the machine as it was.
 func (m *Machine) Reset(cfg Config, progs [][]isa.Inst) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	cfg = cfg.withDefaults()
 	if len(progs) != cfg.Procs {
 		return fmt.Errorf("machine: %d programs for %d processors", len(progs), cfg.Procs)
 	}

@@ -2,8 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
-	"strings"
 
 	"memsim/internal/consistency"
 	"memsim/internal/experiments"
@@ -28,28 +26,19 @@ type SubmitRequest struct {
 	RelaxSched string `json:"relaxSched,omitempty"`
 }
 
-// Spec converts the wire request into a RunSpec, validating the names.
+// Spec converts the wire request into a RunSpec, validating the names;
+// the numbers are the machine's to judge (Runner.Validate).
 func (q SubmitRequest) Spec() (experiments.RunSpec, error) {
-	var s experiments.RunSpec
-	bench, err := parseBench(q.Bench)
+	bench, err := experiments.ParseBench(q.Bench)
 	if err != nil {
-		return s, err
+		return experiments.RunSpec{}, err
 	}
 	model, err := consistency.ParseModel(q.Model)
 	if err != nil {
-		return s, err
+		return experiments.RunSpec{}, err
 	}
-	sched, err := parseRelaxSched(q.RelaxSched)
-	if err != nil {
-		return s, err
-	}
-	if q.CacheSize <= 0 {
-		return s, fmt.Errorf("server: cacheSize must be positive, got %d", q.CacheSize)
-	}
-	if q.LineSize <= 0 {
-		return s, fmt.Errorf("server: lineSize must be positive, got %d", q.LineSize)
-	}
-	s = experiments.RunSpec{
+	sched, err := workloads.ParseRelaxSchedule(q.RelaxSched)
+	return experiments.RunSpec{
 		Bench:      bench,
 		Model:      model,
 		CacheSize:  q.CacheSize,
@@ -58,29 +47,7 @@ func (q SubmitRequest) Spec() (experiments.RunSpec, error) {
 		Procs:      q.Procs,
 		MSHRs:      q.MSHRs,
 		RelaxSched: sched,
-	}
-	return s, nil
-}
-
-func parseBench(name string) (experiments.Bench, error) {
-	for _, b := range experiments.Benches {
-		if strings.EqualFold(name, string(b)) {
-			return b, nil
-		}
-	}
-	return "", fmt.Errorf("server: unknown benchmark %q (want Gauss, Qsort, Relax or Psim)", name)
-}
-
-func parseRelaxSched(name string) (workloads.RelaxSchedule, error) {
-	switch {
-	case name == "" || strings.EqualFold(name, "default"):
-		return workloads.RelaxDefault, nil
-	case strings.EqualFold(name, "miss-first"):
-		return workloads.RelaxMissFirst, nil
-	case strings.EqualFold(name, "miss-last"):
-		return workloads.RelaxMissLast, nil
-	}
-	return 0, fmt.Errorf("server: unknown relax schedule %q (want default, miss-first or miss-last)", name)
+	}, err
 }
 
 // JobResponse describes a job's current state. Result is present only

@@ -270,14 +270,18 @@ func (s *Server) journalAppend(e experiments.JournalEntry) {
 }
 
 // submit routes one spec: cache hit → done response (always served,
-// even draining or overloaded); known job → its current state; new
-// job → admission control. The returned code is the HTTP status.
+// even draining or overloaded); a spec the machine refuses → 400;
+// known job → its current state; new job → admission control. The
+// returned code is the HTTP status.
 func (s *Server) submit(spec experiments.RunSpec) (JobResponse, int) {
 	key := s.runner.Key(spec)
 	id := jobID(s.paramsJSON, key)
 	if e, ok := s.cache.Get(id); ok {
 		s.cacheHits.Add(1)
 		return e.response(true), http.StatusOK
+	}
+	if err := s.runner.Validate(spec); err != nil {
+		return JobResponse{ID: id, Key: key, Error: err.Error()}, http.StatusBadRequest
 	}
 
 	s.mu.Lock()

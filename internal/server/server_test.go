@@ -845,3 +845,95 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// TestSubKBCachesAreDistinctJobs: a 512 B and a 256 B cache are two
+// jobs with two results, each the checksum a direct Runner run gives,
+// and not one job keyed "cache0K" serving the first size's result for
+// the second.
+func TestSubKBCachesAreDistinctJobs(t *testing.T) {
+	s, err := New(Config{Params: experiments.Quick(), StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	c := newTestClient(t, s)
+	direct := experiments.NewRunner(experiments.Quick())
+	ids := map[string]bool{}
+	for _, size := range []int{512, 256} {
+		req := SubmitRequest{Bench: "Gauss", Model: "SC1", CacheSize: size, LineSize: 8}
+		jr, code := c.submit(req)
+		if code != http.StatusAccepted {
+			t.Fatalf("cacheSize %d: HTTP %d (%s), want 202", size, code, jr.Error)
+		}
+		ids[jr.ID] = true
+		final := c.waitDone(jr.ID, 30*time.Second)
+		res, err := direct.Run(mustSpec(t, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Checksum != res.Checksum() {
+			t.Errorf("cacheSize %d (%s): served %s, direct run %s", size, final.Key, final.Checksum, res.Checksum())
+		}
+	}
+	if len(ids) != 2 {
+		t.Errorf("two cache sizes got %d job id(s)", len(ids))
+	}
+}
+
+// TestAdmissionValidatesAgainstTheMachine: a spec the machine refuses
+// is answered 400 with the machine's reason, on its own and in a
+// sweep, before it is admitted, journaled or run.
+func TestAdmissionValidatesAgainstTheMachine(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Params: experiments.Quick(), StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	c := newTestClient(t, s)
+	journal := func() string {
+		b, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	before := journal()
+	for _, row := range []struct {
+		edit func(*SubmitRequest)
+		want string
+	}{
+		{func(q *SubmitRequest) { q.Procs = -1 }, "need >= 2 processors"},
+		{func(q *SubmitRequest) { q.Procs = 3 }, "not a power of two"},
+		{func(q *SubmitRequest) { q.Procs = 512 }, "sharer map"},
+		{func(q *SubmitRequest) { q.CacheSize = 0 }, "cache size 0"},
+		{func(q *SubmitRequest) { q.CacheSize = 1000 }, "cache size 1000"},
+		{func(q *SubmitRequest) { q.LineSize = 24 }, "line size 24"},
+		{func(q *SubmitRequest) { q.MSHRs = -2 }, "MSHR count -2"},
+		{func(q *SubmitRequest) { q.LoadDelay = -1 }, "load delay -1"},
+	} {
+		req := gaussReq
+		row.edit(&req)
+		resp, body := c.postJSON("/api/v1/jobs", req)
+		var reply errorResponse
+		json.Unmarshal(body, &reply)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, row.want) {
+			t.Errorf("%+v: HTTP %d %q, want 400 mentioning %q", req, resp.StatusCode, reply.Error, row.want)
+		}
+		resp, body = c.postJSON("/api/v1/sweep", SweepRequest{Specs: []SubmitRequest{req}})
+		var sweep SweepResponse
+		if err := json.Unmarshal(body, &sweep); err != nil || resp.StatusCode != http.StatusOK || len(sweep.Jobs) != 1 {
+			t.Fatalf("sweep of %+v: HTTP %d %s (%v)", req, resp.StatusCode, body, err)
+		}
+		if it := sweep.Jobs[0]; it.Code != http.StatusBadRequest || !strings.Contains(it.Error, row.want) {
+			t.Errorf("sweep of %+v: item %d %q, want 400 mentioning %q", req, it.Code, it.Error, row.want)
+		}
+	}
+	st := s.Stats()
+	if st.Admitted != 0 || st.Failed != 0 || st.Panics != 0 {
+		t.Errorf("refused specs reached the pool: admitted %d, failed %d, panics %d", st.Admitted, st.Failed, st.Panics)
+	}
+	if after := journal(); after != before {
+		t.Errorf("refused specs were journaled:\n%s", strings.TrimPrefix(after, before))
+	}
+}

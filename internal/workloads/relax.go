@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"memsim/internal/isa"
 	"memsim/internal/progb"
@@ -42,6 +43,20 @@ func (s RelaxSchedule) String() string {
 		return "miss-last"
 	}
 	return fmt.Sprintf("schedule(%d)", int(s))
+}
+
+// ParseRelaxSchedule reads a schedule by its String form, in any case;
+// "" is the default schedule.
+func ParseRelaxSchedule(name string) (RelaxSchedule, error) {
+	if name == "" {
+		return RelaxDefault, nil
+	}
+	for s := RelaxDefault; s < numRelaxSchedules; s++ {
+		if strings.EqualFold(name, s.String()) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("workloads: unknown relax schedule %q (want default, miss-first or miss-last)", name)
 }
 
 // relaxLoad identifies one stencil load: which row pointer and which
