@@ -267,7 +267,7 @@ func (c *CPU) Reset(cfg Config) {
 	c.core = core{SpinPC: -1}
 	c.pendMask, c.readyMax = 0, 0
 	c.awaiting = nil
-	clear(c.priv.pages)
+	c.priv.reset()
 	c.mc = nil
 }
 

@@ -390,6 +390,30 @@ func TestPrivMem(t *testing.T) {
 	p.Read(isa.PrivBase + 3)
 }
 
+// TestPrivMemResetKeepsZeroedPages: reset empties the store as
+// NewPrivMem leaves it, and the pages it kept serve the next writes,
+// to whatever page numbers, zeroed.
+func TestPrivMemResetKeepsZeroedPages(t *testing.T) {
+	p := NewPrivMem()
+	for pg := uint64(0); pg < 3; pg++ {
+		p.Write(isa.PrivBase+pg*privPageWords*8+8, 0xdead)
+	}
+	p.reset()
+	if p.Words() != 0 || len(p.spare) != 3 {
+		t.Fatalf("after reset: %d words, %d spare pages; want 0 and 3", p.Words(), len(p.spare))
+	}
+	for pg := uint64(5); pg < 8; pg++ {
+		addr := isa.PrivBase + pg*privPageWords*8
+		p.Write(addr, 1)
+		if p.Read(addr+8) != 0 {
+			t.Errorf("page %d: a kept page was handed out with an old word", pg)
+		}
+	}
+	if len(p.spare) != 0 || p.Words() != 3*privPageWords {
+		t.Errorf("after three writes: %d spare pages, %d words; want 0 and %d", len(p.spare), p.Words(), 3*privPageWords)
+	}
+}
+
 func TestSyncOpsCountedOncePerIssue(t *testing.T) {
 	// An acquire that misses parks and resumes; it must count once.
 	prog := []isa.Inst{

@@ -16,6 +16,7 @@ const privPageWords = 1024
 // network; its only cost is the load delay.
 type PrivMem struct {
 	pages map[uint64][]uint64
+	spare [][]uint64 // zeroed pages of earlier runs, taken before allocating
 }
 
 // NewPrivMem returns an empty private memory.
@@ -49,10 +50,24 @@ func (p *PrivMem) Write(addr uint64, v uint64) {
 	page, off := privIndex(addr)
 	pg := p.pages[page]
 	if pg == nil {
-		pg = make([]uint64, privPageWords)
+		if n := len(p.spare); n > 0 {
+			pg, p.spare = p.spare[n-1], p.spare[:n-1]
+		} else {
+			pg = make([]uint64, privPageWords)
+		}
 		p.pages[page] = pg
 	}
 	pg[off] = v
+}
+
+// reset empties the store, as NewPrivMem leaves it, keeping its pages
+// zeroed on the spare list.
+func (p *PrivMem) reset() {
+	for _, pg := range p.pages {
+		clear(pg)
+		p.spare = append(p.spare, pg)
+	}
+	clear(p.pages)
 }
 
 // Words returns the number of allocated pages times the page size — a

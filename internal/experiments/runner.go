@@ -77,7 +77,8 @@ type CheckpointPolicy struct {
 }
 
 // Runner executes simulations for a parameter preset, memoizing
-// results so baselines shared between figures run once.
+// results so baselines shared between figures run once, and workloads
+// so every cell of one benchmark runs the programs built for the first.
 //
 // A Runner is safe for concurrent use: memoization is single-flight
 // (concurrent Run calls for the same spec execute it once and share
@@ -121,13 +122,14 @@ type Runner struct {
 	*memo
 }
 
-// memo is a Runner's single-flight result memo and its locks. It sits
-// behind a pointer so WithParams copies every exported field of a
-// Runner at once, whatever fields later changes add.
+// memo is a Runner's single-flight result memo, its workloads and
+// their locks. It sits behind a pointer so WithParams copies every
+// exported field of a Runner at once, whatever fields later changes add.
 type memo struct {
 	mu       sync.Mutex
 	cache    map[RunSpec]machine.Result
 	inflight map[RunSpec]chan struct{}
+	built    map[RunSpec]workloads.Workload // keyed by what Workload reads
 	logMu    sync.Mutex
 }
 
@@ -135,6 +137,7 @@ func newMemo() *memo {
 	return &memo{
 		cache:    make(map[RunSpec]machine.Result),
 		inflight: make(map[RunSpec]chan struct{}),
+		built:    make(map[RunSpec]workloads.Workload),
 	}
 }
 
@@ -233,6 +236,25 @@ func (r *Runner) normalize(s RunSpec) RunSpec {
 	return s
 }
 
+// workload returns a normalized spec's workload, built by the first run
+// that needed it: one per benchmark, processor count and Relax
+// schedule. Its programs are shared by every machine that runs them,
+// concurrently under sweep -j, and nothing writes to them. Two runs
+// that race build the same pure value twice, and one is dropped.
+func (r *Runner) workload(s RunSpec) workloads.Workload {
+	k := RunSpec{Bench: s.Bench, Procs: specProcs(r.Params, s), RelaxSched: s.RelaxSched}
+	r.mu.Lock()
+	w, ok := r.built[k]
+	r.mu.Unlock()
+	if !ok {
+		w = Workload(r.Params, s)
+		r.mu.Lock()
+		r.built[k] = w
+		r.mu.Unlock()
+	}
+	return w
+}
+
 // Key returns the stable identifier journals and checkpoints use for a
 // spec, e.g. "Gauss/SC1/cache4K/line8".
 func (r *Runner) Key(s RunSpec) string { return describe(r.normalize(s)) }
@@ -244,7 +266,7 @@ func (r *Runner) Key(s RunSpec) string { return describe(r.normalize(s)) }
 // memoized and does not pass through retry or checkpoint policy.
 func (r *Runner) Build(s RunSpec) (*machine.Machine, error) {
 	s = r.normalize(s)
-	w := Workload(r.Params, s)
+	w := r.workload(s)
 	m, _, err := r.build(s, w)
 	if err != nil {
 		return nil, err
@@ -495,7 +517,7 @@ func (r *Runner) attempt(ctx context.Context, s RunSpec, key string) (res machin
 		res, err = machine.Result{}, fmt.Errorf("experiments: %s: %w", key, se)
 	}()
 	p := r.Params
-	w := Workload(p, s)
+	w := r.workload(s)
 	m, mc, err := r.build(s, w)
 	if err != nil {
 		return machine.Result{}, fmt.Errorf("experiments: %s: %w", key, err)
@@ -571,8 +593,10 @@ func (r *Runner) attempt(ctx context.Context, s RunSpec, key string) (res machin
 	if ckpt != "" {
 		os.Remove(ckpt) // the run is done; its checkpoint is spent
 	}
-	r.logf("  ran %-40s %12d cycles  (hit %5.1f%%)\n",
-		key, res.Cycles, 100*res.HitRate())
+	if r.Log != nil {
+		r.logf("  ran %-40s %12d cycles  (hit %5.1f%%)\n",
+			key, res.Cycles, 100*res.HitRate())
+	}
 	if r.MetricsSink != nil {
 		r.MetricsSink(key, res, mc)
 	}

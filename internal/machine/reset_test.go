@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"memsim/internal/asm"
@@ -487,6 +489,77 @@ func TestResetReproducesGoldens(t *testing.T) {
 			t.Errorf("%s on the reset machine: checksum %s, quick.json has %s", c.key, got, golden[c.key])
 		}
 	}
+}
+
+// TestResetKeepsPrivatePages: Psim's processors write their private
+// memory. A reset machine that ran an 8-CPU Psim cell has no private
+// page on any processor and snapshots as a new one does, and a second
+// identical run takes its pages from those the first left: it
+// allocates less than one page (8 KiB) in all, where each of the first
+// run's pages was an allocation of its own.
+func TestResetKeepsPrivatePages(t *testing.T) {
+	p := experiments.Quick()
+	w := workloads.Psim(p.Procs, p.PsimPorts, p.PsimRefs, p.Seed)
+	cfg := machine.Config{Procs: w.Procs, Model: consistency.RC, CacheSize: p.LargeCache, LineSize: 8,
+		LoadDelay: p.LoadDelay, SharedWords: w.SharedWords}
+	r, err := machine.New(cfg, w.Programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (string, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w.Setup(r.Shared())
+		res, err := r.Run(0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Checksum(), after.TotalAlloc - before.TotalAlloc
+	}
+	first, _ := run()
+	words := 0
+	for i := 0; i < cfg.Procs; i++ {
+		words += r.CPU(i).Priv().Words()
+	}
+	if words == 0 {
+		t.Fatal("Psim wrote no private memory: nothing to keep")
+	}
+	if err := r.Reset(cfg, w.Programs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Procs; i++ {
+		if n := r.CPU(i).Priv().Words(); n != 0 {
+			t.Errorf("cpu %d: %d private words after Reset, want 0", i, n)
+		}
+	}
+	f, err := machine.New(cfg, w.Programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSnapshot(t, f, r) {
+		t.Fatal("a reset machine that kept its private pages differs from a new one")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	second, b := run()
+	t.Logf("first run wrote %d private words; the second run allocated %d B", words, b)
+	if second != first {
+		t.Errorf("second run checksum %s, first %s", second, first)
+	}
+	if b >= 8<<10 && !raceBuild() { // the race detector's instrumentation allocates
+		t.Errorf("the second run allocated %d B: a private page (8 KiB) was not reused", b)
+	}
+}
+
+// raceBuild reports whether the test binary carries the race detector.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestNewLeavesItsArgumentAlone: the machine keeps its own list of the

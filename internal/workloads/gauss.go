@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"memsim/internal/isa"
 	"memsim/internal/progb"
@@ -125,10 +126,10 @@ func Gauss(procs, n int, seed int64) Workload {
 	setup := func(mem []uint64) {
 		fillGaussMatrix(mem, matBase, n, seed)
 	}
+	want := sync.OnceValue(func() []float64 { return gaussReference(n, seed) })
 	validate := func(mem []uint64) error {
-		want := gaussReference(n, seed)
 		base := matBase / 8
-		for idx, w := range want {
+		for idx, w := range want() {
 			got := math.Float64frombits(mem[base+uint64(idx)])
 			if math.Float64bits(got) != math.Float64bits(w) {
 				return fmt.Errorf("gauss: A[%d][%d] = %g, want %g", idx/n, idx%n, got, w)

@@ -2,7 +2,8 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"memsim/internal/isa"
 	"memsim/internal/progb"
@@ -299,22 +300,17 @@ func qsort(procs, n int, seed int64, rwo bool) Workload {
 		mem[entBase/8+1] = uint64(n - 1)
 		mem[doneAddr/8] = 0
 	}
+	want := sync.OnceValue(func() []uint64 {
+		sorted := make([]uint64, n)
+		fillQsortArray(sorted, 0, n, seed)
+		slices.Sort(sorted) // the elements are non-negative: unsigned order is signed order
+		return sorted
+	})
 	validate := func(mem []uint64) error {
 		base := arrBase / 8
-		got := make([]int64, n)
-		for i := range got {
-			got[i] = int64(mem[base+uint64(i)])
-		}
-		wantMem := make([]uint64, n)
-		fillQsortArray(wantMem, 0, n, seed)
-		want := make([]int64, n)
-		for i := range want {
-			want[i] = int64(wantMem[i])
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("qsort: a[%d] = %d, want %d", i, got[i], want[i])
+		for i, w := range want() {
+			if got := mem[base+uint64(i)]; got != w {
+				return fmt.Errorf("qsort: a[%d] = %d, want %d", i, int64(got), int64(w))
 			}
 		}
 		if mem[doneAddr/8] != uint64(n) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"memsim/internal/isa"
 	"memsim/internal/progb"
@@ -242,10 +243,10 @@ func Relax(procs, n, iters int, sched RelaxSchedule, seed int64) Workload {
 	setup := func(mem []uint64) {
 		fillRelaxGrid(mem, srcBase, w, seed)
 	}
+	want := sync.OnceValue(func() []float64 { return relaxReference(n, iters, seed, sched) })
 	validate := func(mem []uint64) error {
-		want := relaxReference(n, iters, seed, sched)
 		base := srcBase / 8
-		for idx, wv := range want {
+		for idx, wv := range want() {
 			got := math.Float64frombits(mem[base+uint64(idx)])
 			if math.Abs(got-wv) > 1e-9*(1+math.Abs(wv)) {
 				return fmt.Errorf("relax: grid[%d][%d] = %g, want %g", idx/w, idx%w, got, wv)

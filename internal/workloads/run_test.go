@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"memsim/internal/consistency"
@@ -158,5 +159,44 @@ func TestQsortRWOValidatesAndRaisesWriteHits(t *testing.T) {
 	if rr.WriteHitRate() <= rb.WriteHitRate() {
 		t.Errorf("RWO write hit rate %.2f not above base %.2f",
 			rr.WriteHitRate(), rb.WriteHitRate())
+	}
+}
+
+// TestKeptReferenceCatchesWrongAnswer: Gauss, Qsort and Relax compute
+// their reference on the first Validate and keep it. After a run that
+// passes, a copy of its image with one result word flipped — the first
+// word the run changed, which lies in the result array in all three
+// layouts — must fail that call and a later one, while the run's own
+// image still passes.
+func TestKeptReferenceCatchesWrongAnswer(t *testing.T) {
+	for _, w := range []Workload{Gauss(4, 12, 42), Qsort(4, 200, 42), Relax(4, 8, 1, RelaxDefault, 42)} {
+		m, err := machine.New(machine.Config{Procs: w.Procs, Model: consistency.RC, CacheSize: 1 << 10,
+			LineSize: 16, SharedWords: w.SharedWords}, w.Programs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Setup(m.Shared())
+		input := slices.Clone(m.Shared())
+		if _, err := m.Run(0); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		good := m.Shared()
+		if err := w.Validate(good); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		bad := slices.Clone(good)
+		i := 0
+		for bad[i] == input[i] {
+			i++
+		}
+		bad[i] ^= 1 << 63
+		for call := 1; call <= 2; call++ {
+			if w.Validate(bad) == nil {
+				t.Errorf("%s: word %d flipped passes Validate on call %d after the reference", w.Name, i, call)
+			}
+		}
+		if err := w.Validate(good); err != nil {
+			t.Errorf("%s: the run's own image fails a later Validate: %v", w.Name, err)
+		}
 	}
 }

@@ -30,7 +30,9 @@ type Workload struct {
 	SharedWords int
 	// Setup initializes the shared image (indexed in words).
 	Setup func(mem []uint64)
-	// Validate checks the result after a run.
+	// Validate checks the result after a run. A reference result is
+	// computed by the first call and kept for the later ones, which may
+	// come from any goroutine.
 	Validate func(mem []uint64) error
 }
 
